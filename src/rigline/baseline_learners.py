@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset, Standardizer, class_order
 from .errors import ConfigError, DivergenceError, ShapeError, SingleClassError
-from .util import derive_seed
+from .util import derive_seed, diag_gaussian_log_density
 
 
 class TrainedModel:
@@ -85,16 +85,8 @@ class NaiveBayesModel(TrainedModel):
         self.arity = means.shape[1]
 
     def _proba_matrix(self, X):
-        n = X.shape[0]
-        K = len(self.classes)
-        log_post = np.empty((n, K))
-        for k in range(K):
-            diff = X - self.means[k]
-            log_post[:, k] = np.log(self.priors[k]) - 0.5 * (
-                self.means.shape[1] * math.log(2.0 * math.pi)
-                + np.sum(np.log(self.variances[k]))
-                + np.sum(diff * diff / self.variances[k], axis=1)
-            )
+        log_post = diag_gaussian_log_density(X, self.means, self.variances)
+        log_post += np.log(self.priors)
         m = log_post.max(axis=1, keepdims=True)
         p = np.exp(log_post - m)
         return p / p.sum(axis=1, keepdims=True)

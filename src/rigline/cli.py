@@ -24,6 +24,7 @@ pipeline stage exit with status 1 and name the stage.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .dataset import (
     LABEL_COLUMN,
@@ -37,7 +38,7 @@ from .dataset import (
     split_train_test,
 )
 from .errors import ConfigError, RiglineError
-from .evaluation import compare_table, confusion, evaluate, render_detail
+from .evaluation import compare_table, evaluate, render_detail
 from .imbalance import (
     CostMatrix,
     SmoteConfig,
@@ -188,12 +189,20 @@ def _parse_synthetic_token(text: str) -> dict:
     return spec
 
 
+def _smote_config(k, ratio, what: str) -> SmoteConfig:
+    """SmoteConfig for the given options; its range check is a usage error."""
+    try:
+        return SmoteConfig(k_neighbors=k, target_ratio=ratio)
+    except ConfigError as e:
+        raise UsageError(f"{what}: {e}")
+
+
 def _parse_sample_token(text: str):
-    """none | under | smote[:k=5,ratio=1.0] -> (kind, params)."""
+    """none | under | smote[:k=5,ratio=1.0] -> (kind, SmoteConfig or None)."""
     if text is None or text in ("", "none"):
-        return "none", {}
+        return "none", None
     if text == "under":
-        return "under", {}
+        return "under", None
     if text == "smote" or text.startswith("smote:"):
         params = {"k": 5, "ratio": 1.0}
         if ":" in text:
@@ -207,7 +216,7 @@ def _parse_sample_token(text: str):
                     params[key] = int(value) if key == "k" else float(value)
                 except ValueError:
                     raise UsageError(f"--sample smote: bad value for {key}: {value!r}")
-        return "smote", params
+        return "smote", _smote_config(params["k"], params["ratio"], "--sample smote")
     raise UsageError(
         f"invalid sampling token {text!r}; expected none, under, or smote:k=K,ratio=R"
     )
@@ -319,15 +328,12 @@ def _em_label(d: Dataset, args, seed: int):
     return d.with_labels(labeled_view.labels), gmm
 
 
-def _apply_sampling(train: Dataset, kind: str, params: dict, seed: int) -> Dataset:
+def _apply_sampling(train: Dataset, kind: str, smote_cfg, seed: int) -> Dataset:
     if kind == "none":
         return train
     if kind == "under":
         return undersample(train, seed=seed)
-    return smote(
-        train,
-        SmoteConfig(k_neighbors=params["k"], target_ratio=params["ratio"], seed=seed),
-    )
+    return smote(train, replace(smote_cfg, seed=seed))
 
 
 def _resolve_cost(cost_spec, train: Dataset):
@@ -338,11 +344,14 @@ def _resolve_cost(cost_spec, train: Dataset):
     return cost_spec
 
 
-def _train_token_model(token: str, train: Dataset, master: int, cost_matrix=None):
-    """Train the learner or stack named by token; optionally cost-wrap it."""
+def _train_token_model(token: str, train: Dataset, master: int, params: dict,
+                       cost_matrix):
+    """Train the learner or stack named by token; cost-wrap it when a matrix
+    is given. params are learner keyword arguments; a stack spec carries its
+    own inside the token."""
     seed = _train_seed(master, token)
     if token in LEARNERS:
-        model = train_learner(token, train, seed=seed)
+        model = train_learner(token, train, seed=seed, params=params)
     else:
         spec = parse_stack_spec(token, seed=seed)
         model = train_stack(train, spec)
@@ -465,14 +474,7 @@ def _cmd_train(args) -> int:
         raise StageError("load", e)
     try:
         token = args.learner if args.learner is not None else args.stack
-        seed = _train_seed(master, token)
-        if args.learner is not None:
-            model = train_learner(args.learner, d, seed=seed, params=params)
-        else:
-            model = train_stack(d, parse_stack_spec(args.stack, seed=seed))
-        cm = _resolve_cost(cost_spec, d)
-        if cm is not None:
-            model = cost_sensitive_wrap(model, cm)
+        model = _train_token_model(token, d, master, params, _resolve_cost(cost_spec, d))
         save_model(model, args.out)
     except Exception as e:
         raise StageError("train", e)
@@ -491,20 +493,18 @@ def _cmd_evaluate(args) -> int:
         raise StageError("load", e)
     try:
         name = args.name or model.learner
-        atomic_write_text(args.out, compare_table([(name, model)], test))
+        report = evaluate(model, test)
+        atomic_write_text(args.out, compare_table([(name, report)]))
         if args.detail:
-            report = evaluate(model, test)
-            atomic_write_text(
-                args.detail, render_detail(name, confusion(model, test), report)
-            )
+            atomic_write_text(args.detail, render_detail(name, report))
     except Exception as e:
         raise StageError("evaluate", e)
     print(f"wrote {args.out}")
     return 0
 
 
-def _run_plan(args):
-    """Validate the whole run config before any artifact is written."""
+def _pipeline_plan(args) -> dict:
+    """Validate the options run and grid share: source, labeling, split."""
     master = _resolve_master_seed(args)
     if args.data is not None and args.synthetic is not None:
         raise UsageError("give either --data or --synthetic, not both")
@@ -517,9 +517,19 @@ def _run_plan(args):
         raise UsageError("labeling requires exactly 2 mixture components")
     if not 0.0 < args.split < 1.0:
         raise UsageError(f"--split must be in (0,1), got {args.split}")
-    sample_kind, sample_params = _parse_sample_token(args.sample)
+    return {
+        "master": master,
+        "synthetic": synthetic,
+        "seeds": {name: _stage_seed(master, name) for name in STAGE_OFFSETS},
+    }
+
+
+def _run_plan(args) -> dict:
+    """Validate the whole run config before any artifact is written."""
+    plan = _pipeline_plan(args)
+    sample = _parse_sample_token(args.sample)
     cost_spec = _parse_cost_options(args.cost, args.cost_file)
-    if cost_spec is not None and sample_kind != "none":
+    if cost_spec is not None and sample[0] != "none":
         raise UsageError("cost-sensitive training replaces sampling; drop --sample")
     if (args.learner is not None) and (args.stack is not None):
         raise UsageError("give at most one of --learner or --stack")
@@ -528,29 +538,25 @@ def _run_plan(args):
         _validate_model_token(token)
     except ConfigError as e:
         raise UsageError(str(e))
-    return {
-        "master": master,
-        "synthetic": synthetic,
-        "sample": (sample_kind, sample_params),
-        "cost": cost_spec,
-        "token": token,
-    }
+    plan.update(sample=sample, cost=cost_spec, token=token)
+    plan["seeds"][f"train.{token}"] = _train_seed(plan["master"], token)
+    return plan
 
 
-def _acquire_data(args, plan, seeds) -> Dataset:
+def _acquire_data(args, plan) -> Dataset:
     if args.data is not None:
         return _load_input(args.data)
     spec = plan["synthetic"]
     cfg = default_synthetic_config(
         row_count=spec["rows"],
         failure_fraction=spec["frac"],
-        seed=seeds["generate"],
+        seed=plan["seeds"]["generate"],
         failure_shift_sigma=spec["shift"],
     )
     return generate_synthetic(cfg)
 
 
-def _label_data(d: Dataset, args, seeds, out_dir, artifacts):
+def _label_data(d: Dataset, args, seeds, artifacts):
     """auto: label only when unlabeled; em: always re-label; none: require labels."""
     if args.label == "none":
         if not d.label_presence:
@@ -559,45 +565,53 @@ def _label_data(d: Dataset, args, seeds, out_dir, artifacts):
     if args.label == "auto" and d.label_presence:
         return d
     labeled, gmm = _em_label(d, args, seeds["label"])
-    save_gmm(gmm, _out_path(out_dir, "em_model.txt"))
+    save_gmm(gmm, _out_path(args.out, "em_model.txt"))
     artifacts.append("em_model.txt")
     return labeled
 
 
-def _cmd_run(args) -> int:
-    plan = _run_plan(args)
-    master = plan["master"]
-    seeds = {name: _stage_seed(master, name) for name in STAGE_OFFSETS}
-    seeds[f"train.{plan['token']}"] = _train_seed(master, plan["token"])
+def _prepare_data(args, plan, artifacts):
+    """Stages acquire -> label (writing labeled.csv) -> split into args.out;
+    returns (train, test)."""
     os.makedirs(args.out, exist_ok=True)
-    artifacts = []
-
     try:
-        d = _acquire_data(args, plan, seeds)
+        d = _acquire_data(args, plan)
     except Exception as e:
         raise StageError("load" if args.data is not None else "generate", e)
-
     try:
-        labeled = _label_data(d, args, seeds, args.out, artifacts)
+        labeled = _label_data(d, args, plan["seeds"], artifacts)
         save_csv(labeled, _out_path(args.out, "labeled.csv"))
         artifacts.append("labeled.csv")
     except Exception as e:
         raise StageError("label", e)
-
     try:
-        train, test = split_train_test(labeled, args.split, seed=seeds["split"])
+        return split_train_test(labeled, args.split, seed=plan["seeds"]["split"])
     except Exception as e:
         raise StageError("split", e)
 
+
+def _write_manifest(command: str, args, plan, config: dict, artifacts) -> None:
+    atomic_write_text(
+        _out_path(args.out, "manifest.txt"),
+        _manifest_text(command, plan["master"], plan["seeds"], config,
+                       artifacts + ["manifest.txt"]),
+    )
+
+
+def _cmd_run(args) -> int:
+    plan = _run_plan(args)
+    artifacts = []
+    train, test = _prepare_data(args, plan, artifacts)
+
     try:
-        kind, params = plan["sample"]
-        sampled = _apply_sampling(train, kind, params, seeds["sample"])
+        kind, smote_cfg = plan["sample"]
+        sampled = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
     except Exception as e:
         raise StageError("sample", e)
 
     try:
         cm = _resolve_cost(plan["cost"], sampled)
-        model = _train_token_model(plan["token"], sampled, master, cm)
+        model = _train_token_model(plan["token"], sampled, plan["master"], {}, cm)
         save_model(model, _out_path(args.out, "model.txt"))
         artifacts.append("model.txt")
     except Exception as e:
@@ -605,24 +619,21 @@ def _cmd_run(args) -> int:
 
     try:
         name = plan["token"]
-        atomic_write_text(
-            _out_path(args.out, "report.csv"), compare_table([(name, model)], test)
-        )
-        artifacts.append("report.csv")
         report = evaluate(model, test)
-        atomic_write_text(
-            _out_path(args.out, "detail.txt"),
-            render_detail(name, confusion(model, test), report),
-        )
+        atomic_write_text(_out_path(args.out, "report.csv"), compare_table([(name, report)]))
+        artifacts.append("report.csv")
+        atomic_write_text(_out_path(args.out, "detail.txt"), render_detail(name, report))
         artifacts.append("detail.txt")
     except Exception as e:
         raise StageError("evaluate", e)
 
     config = _echo_common_config(args, plan)
-    atomic_write_text(
-        _out_path(args.out, "manifest.txt"),
-        _manifest_text("run", master, seeds, config, artifacts + ["manifest.txt"]),
+    config["sample"] = (
+        f"smote:k={smote_cfg.k_neighbors},ratio={smote_cfg.target_ratio}"
+        if kind == "smote" else kind
     )
+    config["model"] = plan["token"]
+    _write_manifest("run", args, plan, config, artifacts)
     print(f"run complete: {args.out}/report.csv")
     return 0
 
@@ -644,36 +655,18 @@ def _echo_common_config(args, plan) -> dict:
         config["synthetic"] = f"rows={spec['rows']},frac={spec['frac']},shift={spec['shift']}"
     else:
         config["synthetic"] = "-"
-    if "sample" in plan:
-        kind, params = plan["sample"]
-        config["sample"] = (
-            f"smote:k={params['k']},ratio={params['ratio']}" if kind == "smote" else kind
-        )
-    cost = plan.get("cost")
+    cost = plan["cost"]
     if cost is None:
         config["cost"] = "-"
     elif cost == "default":
         config["cost"] = "default"
     else:
         config["cost"] = f"{cost.m[0][1]},{cost.m[1][0]}"
-    if "token" in plan:
-        config["model"] = plan["token"]
     return config
 
 
-def _grid_plan(args):
-    master = _resolve_master_seed(args)
-    if args.data is not None and args.synthetic is not None:
-        raise UsageError("give either --data or --synthetic, not both")
-    synthetic = None if args.data is not None else _parse_synthetic_token(
-        args.synthetic or "default"
-    )
-    if args.label not in ("auto", "em", "none"):
-        raise UsageError(f"--label must be auto, em, or none, got {args.label!r}")
-    if args.components != 2:
-        raise UsageError("labeling requires exactly 2 mixture components")
-    if not 0.0 < args.split < 1.0:
-        raise UsageError(f"--split must be in (0,1), got {args.split}")
+def _grid_plan(args) -> dict:
+    plan = _pipeline_plan(args)
     regimes = _parse_list(args.regimes, "--regimes", choices=set(DEFAULT_REGIMES))
     if not regimes:
         raise UsageError("--regimes must name at least one regime")
@@ -686,28 +679,23 @@ def _grid_plan(args):
             _validate_model_token(token)
         except ConfigError as e:
             raise UsageError(str(e))
-    if args.smote_k < 1:
-        raise UsageError("--smote-k must be >= 1")
-    if not 0.0 < args.smote_ratio <= 1.0:
-        raise UsageError("--smote-ratio must be in (0,1]")
-    cost_spec = _parse_cost_options(args.cost, args.cost_file) or "default"
-    return {
-        "master": master,
-        "synthetic": synthetic,
-        "regimes": regimes,
-        "learners": learners,
-        "models": models,
-        "cost": cost_spec,
-        "smote": {"k": args.smote_k, "ratio": args.smote_ratio},
-    }
+    plan.update(
+        regimes=regimes,
+        learners=learners,
+        models=models,
+        cost=_parse_cost_options(args.cost, args.cost_file) or "default",
+        smote=_smote_config(args.smote_k, args.smote_ratio, "--smote-k/--smote-ratio"),
+    )
+    for token in learners + models:
+        plan["seeds"][f"train.{token}"] = _train_seed(plan["master"], token)
+    return plan
 
 
 def _grid_cell(token, train_set, master, cost_matrix, test, errors, cell_name):
-    """Train and pre-check one grid cell; a failure becomes an ERR column."""
+    """Train and score one grid cell: its EvalReport, or None (an ERR column)
+    when training or scoring fails."""
     try:
-        model = _train_token_model(token, train_set, master, cost_matrix)
-        evaluate(model, test)  # surface prediction-time failures here too
-        return model
+        return evaluate(_train_token_model(token, train_set, master, {}, cost_matrix), test)
     except Exception as e:
         errors.append(f"{cell_name}: {e}")
         return None
@@ -716,112 +704,75 @@ def _grid_cell(token, train_set, master, cost_matrix, test, errors, cell_name):
 def _cmd_grid(args) -> int:
     plan = _grid_plan(args)
     master = plan["master"]
-    seeds = {name: _stage_seed(master, name) for name in STAGE_OFFSETS}
-    for token in plan["learners"] + plan["models"]:
-        seeds[f"train.{token}"] = _train_seed(master, token)
-    os.makedirs(args.out, exist_ok=True)
     artifacts = []
     errors = []
-
-    try:
-        d = _acquire_data(args, plan, seeds)
-    except Exception as e:
-        raise StageError("load" if args.data is not None else "generate", e)
-    try:
-        labeled = _label_data(d, args, seeds, args.out, artifacts)
-        save_csv(labeled, _out_path(args.out, "labeled.csv"))
-        artifacts.append("labeled.csv")
-    except Exception as e:
-        raise StageError("label", e)
-    try:
-        train, test = split_train_test(labeled, args.split, seed=seeds["split"])
-    except Exception as e:
-        raise StageError("split", e)
-
     table_names = []
-    none_models = {}
-    table_no = 0
+    train, test = _prepare_data(args, plan, artifacts)
+
+    def write_table(columns, what):
+        fname = f"table{len(table_names) + 1}.csv"
+        atomic_write_text(_out_path(args.out, fname), compare_table(columns))
+        artifacts.append(fname)
+        table_names.append((fname, what))
+
+    none_reports = {}
     for regime in plan["regimes"]:
-        table_no += 1
         try:
-            if regime == "smote":
-                smote_cfg = plan["smote"]
-                regime_train = _apply_sampling(train, "smote", smote_cfg, seeds["sample"])
-            elif regime == "under":
-                regime_train = _apply_sampling(train, "under", {}, seeds["sample"])
-            else:
-                regime_train = train
+            kind = regime if regime in ("smote", "under") else "none"
+            regime_train = _apply_sampling(train, kind, plan["smote"], plan["seeds"]["sample"])
             cost_matrix = _resolve_cost(plan["cost"], train) if regime == "cost" else None
         except Exception as e:
             raise StageError("sample", e)
-        columns = []
-        for learner in plan["learners"]:
-            model = _grid_cell(
-                learner, regime_train, master, cost_matrix, test,
-                errors, f"{regime}/{learner}",
-            )
-            if regime == "none":
-                none_models[learner] = model
-            columns.append((learner, model))
-        fname = f"table{table_no}.csv"
-        atomic_write_text(_out_path(args.out, fname), compare_table(columns, test))
-        artifacts.append(fname)
-        table_names.append((fname, f"regime {regime}"))
+        columns = [
+            (learner, _grid_cell(learner, regime_train, master, cost_matrix, test,
+                                 errors, f"{regime}/{learner}"))
+            for learner in plan["learners"]
+        ]
+        if regime == "none":
+            none_reports = dict(columns)
+        write_table(columns, f"regime {regime}")
 
     best_name = None
     model_reports = {}
     if plan["models"]:
-        table_no += 1
-        columns = []
-        for token in plan["models"]:
-            model = _grid_cell(
-                token, train, master, None, test, errors, f"models/{token}"
-            )
-            columns.append((token, model))
-            if model is not None:
-                model_reports[token] = evaluate(model, test)
-        fname = f"table{table_no}.csv"
-        atomic_write_text(_out_path(args.out, fname), compare_table(columns, test))
-        artifacts.append(fname)
-        table_names.append((fname, "stacked models, no sampling"))
-
+        columns = [
+            (token, _grid_cell(token, train, master, None, test, errors, f"models/{token}"))
+            for token in plan["models"]
+        ]
+        write_table(columns, "stacked models, no sampling")
+        model_reports = {t: r for t, r in columns if r is not None}
         scored = [
             (r.roc_auc, r.tp_rate, -plan["models"].index(t), t)
             for t, r in model_reports.items()
         ]
         if scored:
             best_name = max(scored)[3]
-            table_no += 1
-            best_model = next(m for t, m in columns if t == best_name)
-            versus = [(best_name, best_model)]
+            versus = [(best_name, model_reports[best_name])]
             for learner in plan["learners"]:
-                if learner in none_models:
-                    versus.append((learner, none_models[learner]))
+                if learner in none_reports:
+                    versus.append((learner, none_reports[learner]))
                 else:
-                    model = _grid_cell(
-                        learner, train, master, None, test,
-                        errors, f"none/{learner}",
-                    )
-                    versus.append((learner, model))
-            fname = f"table{table_no}.csv"
-            atomic_write_text(_out_path(args.out, fname), compare_table(versus, test))
-            artifacts.append(fname)
-            table_names.append((fname, f"best model ({best_name}) vs single learners"))
+                    versus.append((learner, _grid_cell(
+                        learner, train, master, None, test, errors, f"none/{learner}"
+                    )))
+            write_table(versus, f"best model ({best_name}) vs single learners")
 
-    summary = _grid_summary(plan, table_names, best_name, model_reports, errors)
+    summary = _grid_summary(table_names, best_name, model_reports, errors)
     atomic_write_text(_out_path(args.out, "summary.txt"), summary)
     artifacts.append("summary.txt")
 
-    config = _grid_config_echo(args, plan)
-    atomic_write_text(
-        _out_path(args.out, "manifest.txt"),
-        _manifest_text("grid", master, seeds, config, artifacts + ["manifest.txt"]),
-    )
+    config = _echo_common_config(args, plan)
+    config["regimes"] = ",".join(plan["regimes"])
+    config["learners"] = ",".join(plan["learners"])
+    config["models"] = ",".join(plan["models"]) if plan["models"] else "-"
+    config["smote_k"] = plan["smote"].k_neighbors
+    config["smote_ratio"] = plan["smote"].target_ratio
+    _write_manifest("grid", args, plan, config, artifacts)
     print(f"grid complete: {len(table_names)} tables in {args.out}")
     return 0
 
 
-def _grid_summary(plan, table_names, best_name, model_reports, errors) -> str:
+def _grid_summary(table_names, best_name, model_reports, errors) -> str:
     lines = ["tables:"]
     for fname, what in table_names:
         lines.append(f"  {fname}: {what}")
@@ -836,20 +787,6 @@ def _grid_summary(plan, table_names, best_name, model_reports, errors) -> str:
         for e in errors:
             lines.append(f"  {e}")
     return "\n".join(lines) + "\n"
-
-
-def _grid_config_echo(args, plan) -> dict:
-    config = _echo_common_config(args, plan)
-    config["regimes"] = ",".join(plan["regimes"])
-    config["learners"] = ",".join(plan["learners"])
-    config["models"] = ",".join(plan["models"]) if plan["models"] else "-"
-    config["smote_k"] = plan["smote"]["k"]
-    config["smote_ratio"] = plan["smote"]["ratio"]
-    cost = plan["cost"]
-    config["cost"] = (
-        "default" if cost == "default" else f"{cost.m[0][1]},{cost.m[1][0]}"
-    )
-    return config
 
 
 # ---------------------------------------------------------------------------

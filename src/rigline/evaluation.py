@@ -71,7 +71,8 @@ def confusion(m, test: Dataset) -> ConfusionMatrix:
 
 @dataclass
 class EvalReport:
-    """Instance-weighted summary metrics plus the per-class breakdown."""
+    """Instance-weighted summary metrics, the per-class breakdown, and the
+    confusion matrix they were computed from."""
 
     tp_rate: float
     fp_rate: float
@@ -79,8 +80,8 @@ class EvalReport:
     recall: float
     f_measure: float
     roc_auc: float
+    cm: ConfusionMatrix
     per_class: dict = field(default_factory=dict)
-    n_instances: int = 0
 
     def row_values(self):
         return (
@@ -132,8 +133,8 @@ def metrics(cm: ConfusionMatrix, class_weights=None) -> EvalReport:
         recall=weighted("recall"),
         f_measure=weighted("f_measure"),
         roc_auc=0.0,
+        cm=cm,
         per_class=per_class,
-        n_instances=cm.total,
     )
 
 
@@ -200,34 +201,32 @@ def evaluate(m, test: Dataset) -> EvalReport:
     return report
 
 
-def compare_table(named_models, test: Dataset) -> str:
-    """CSV with one measure per row and one column per model, 3 decimals.
+def compare_table(named_reports) -> str:
+    """CSV with one measure per row and one column per (name, report), 3
+    decimals.
 
     Entries of (name, None) mark models that failed upstream; their cells
     read ERR so the table stays rectangular.
     """
-    names = [name for name, _ in named_models]
-    columns = {}
-    for name, model in named_models:
-        if model is None:
-            columns[name] = ["ERR"] * len(MEASURE_ROWS)
-        else:
-            report = evaluate(model, test)
-            columns[name] = [f"{v:.3f}" for v in report.row_values()]
+    columns = [
+        ["ERR"] * len(MEASURE_ROWS) if report is None
+        else [f"{v:.3f}" for v in report.row_values()]
+        for _, report in named_reports
+    ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Measure"] + names)
+    writer.writerow(["Measure"] + [name for name, _ in named_reports])
     for r, measure in enumerate(MEASURE_ROWS):
-        writer.writerow([measure] + [columns[n][r] for n in names])
+        writer.writerow([measure] + [col[r] for col in columns])
     return buf.getvalue()
 
 
-def render_detail(name: str, cm: ConfusionMatrix, report: EvalReport) -> str:
+def render_detail(name: str, report: EvalReport) -> str:
     """Plain-text block: confusion matrix plus per-class and summary rows."""
-    lines = [f"== {name} ==", cm.render(), ""]
+    lines = [f"== {name} ==", report.cm.render(), ""]
     header = f"{'class':<12}" + "".join(f"{k:>11}" for k in MEASURE_ROWS)
     lines.append(header)
-    for c in cm.classes:
+    for c in report.cm.classes:
         pc = report.per_class[c]
         vals = (
             pc["tp_rate"],

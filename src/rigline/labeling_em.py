@@ -12,6 +12,7 @@ import numpy as np
 
 from .dataset import CLASS_FAILURE, CLASS_NORMAL, Dataset
 from .errors import ConfigError, ShapeError
+from .util import diag_gaussian_log_density
 
 # Mixture weights below this are treated as a collapsed component and reseeded.
 _DEGENERATE_WEIGHT = 1e-8
@@ -38,50 +39,32 @@ class GaussianMixtureModel:
         return len(self.weights)
 
 
-def _log_component_densities(X, means, variances):
-    """(n, K) matrix of per-component log densities."""
-    n, d = X.shape
-    K = means.shape[0]
-    out = np.empty((n, K))
-    for k in range(K):
-        diff = X - means[k]
-        out[:, k] = -0.5 * (
-            d * np.log(2.0 * np.pi)
-            + np.sum(np.log(variances[k]))
-            + np.sum(diff * diff / variances[k], axis=1)
+def _posterior(gmm: GaussianMixtureModel, X):
+    """(per-row log-sum-exp, responsibilities) of the rows of X under gmm."""
+    lw = diag_gaussian_log_density(X, gmm.means, gmm.variances) + np.log(gmm.weights)
+    m = lw.max(axis=1, keepdims=True)
+    p = np.exp(lw - m)
+    s = p.sum(axis=1, keepdims=True)
+    return m[:, 0] + np.log(s[:, 0]), p / s
+
+
+def _check_arity(gmm: GaussianMixtureModel, d: Dataset) -> None:
+    if d.arity != gmm.means.shape[1]:
+        raise ShapeError(
+            f"model has {gmm.means.shape[1]} features, data has {d.arity}"
         )
-    return out
-
-
-def _log_weighted(X, gmm_weights, means, variances):
-    return _log_component_densities(X, means, variances) + np.log(gmm_weights)
 
 
 def em_loglik(gmm: GaussianMixtureModel, d: Dataset) -> float:
     """Total log-likelihood of the dataset under the mixture."""
-    if d.arity != gmm.means.shape[1]:
-        raise ShapeError(
-            f"model has {gmm.means.shape[1]} features, data has {d.arity}"
-        )
-    lw = _log_weighted(d.X, gmm.weights, gmm.means, gmm.variances)
-    m = lw.max(axis=1, keepdims=True)
-    return float(np.sum(m[:, 0] + np.log(np.sum(np.exp(lw - m), axis=1))))
-
-
-def _responsibilities(X, weights, means, variances):
-    lw = _log_weighted(X, weights, means, variances)
-    m = lw.max(axis=1, keepdims=True)
-    p = np.exp(lw - m)
-    return p / p.sum(axis=1, keepdims=True)
+    _check_arity(gmm, d)
+    return float(np.sum(_posterior(gmm, d.X)[0]))
 
 
 def em_responsibilities(gmm: GaussianMixtureModel, d: Dataset) -> np.ndarray:
     """Per-row component membership probabilities; rows sum to 1."""
-    if d.arity != gmm.means.shape[1]:
-        raise ShapeError(
-            f"model has {gmm.means.shape[1]} features, data has {d.arity}"
-        )
-    return _responsibilities(d.X, gmm.weights, gmm.means, gmm.variances)
+    _check_arity(gmm, d)
+    return _posterior(gmm, d.X)[1]
 
 
 def _farthest_point_means(X, K, rng):
@@ -131,9 +114,12 @@ def em_fit(
     weights = np.full(n_components, 1.0 / n_components)
 
     gmm = GaussianMixtureModel(weights, means, variances)
+    # One density evaluation per iteration: the posterior under the updated
+    # parameters gives both the recorded log-likelihood and the next E-step's
+    # responsibilities.
+    _, resp = _posterior(gmm, X)
     prev = None
     for it in range(1, max_iter + 1):
-        resp = _responsibilities(X, gmm.weights, gmm.means, gmm.variances)
         mass = resp.sum(axis=0)
 
         reseeded = False
@@ -151,7 +137,8 @@ def em_fit(
                 reseeded = True
         if reseeded:
             prev = None
-            gmm.loglik_trace.append(em_loglik(gmm, d))
+            lse, resp = _posterior(gmm, X)
+            gmm.loglik_trace.append(float(np.sum(lse)))
             gmm.n_iter = it
             continue
 
@@ -164,7 +151,8 @@ def em_fit(
         variances = np.maximum(variances, var_floor)
 
         gmm.weights, gmm.means, gmm.variances = weights, means, variances
-        ll = em_loglik(gmm, d)
+        lse, resp = _posterior(gmm, X)
+        ll = float(np.sum(lse))
         gmm.loglik_trace.append(ll)
         gmm.n_iter = it
         if prev is not None and abs(ll - prev) <= tol * max(abs(ll), 1.0):
@@ -184,12 +172,7 @@ def em_assign_labels(d: Dataset, gmm: GaussianMixtureModel) -> Dataset:
         raise ConfigError(
             f"labeling needs exactly 2 components, model has {gmm.n_components}"
         )
-    if d.arity != gmm.means.shape[1]:
-        raise ShapeError(
-            f"model has {gmm.means.shape[1]} features, data has {d.arity}"
-        )
-    resp = _responsibilities(d.X, gmm.weights, gmm.means, gmm.variances)
-    assign = np.argmax(resp, axis=1)
+    assign = np.argmax(em_responsibilities(gmm, d), axis=1)
     counts = np.bincount(assign, minlength=2)
     normal_component = 0 if counts[0] >= counts[1] else 1
     labels = np.where(assign == normal_component, CLASS_NORMAL, CLASS_FAILURE)

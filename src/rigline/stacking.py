@@ -110,15 +110,6 @@ def train_learner(name: str, d: Dataset, seed: int = 0, params=None) -> TrainedM
     return LEARNERS[name](d, seed, dict(params or {}))
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 @dataclass(frozen=True)
 class LearnerSpec:
     name: str

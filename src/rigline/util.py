@@ -1,4 +1,5 @@
-"""Small shared helpers: seed derivation and atomic file writes."""
+"""Small shared helpers: seed derivation, atomic file writes, and the
+diagonal-Gaussian log-density that naive Bayes and EM share."""
 
 import os
 import tempfile
@@ -19,6 +20,24 @@ def derive_seed(master: int, *tags) -> int:
         else:
             entropy.append(int(t) & 0xFFFFFFFFFFFFFFFF)
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+def diag_gaussian_log_density(X, means, variances) -> np.ndarray:
+    """(n, K) log densities of each row under K diagonal-covariance Gaussians.
+
+    means and variances are (K, d); row k holds component k's parameters.
+    """
+    n, d = X.shape
+    K = means.shape[0]
+    out = np.empty((n, K))
+    for k in range(K):
+        diff = X - means[k]
+        out[:, k] = -0.5 * (
+            d * np.log(2.0 * np.pi)
+            + np.sum(np.log(variances[k]))
+            + np.sum(diff * diff / variances[k], axis=1)
+        )
+    return out
 
 
 def atomic_write_text(path: str, text: str) -> None:

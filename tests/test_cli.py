@@ -100,6 +100,20 @@ def test_sample_invalid_token_is_usage_error(tmp_path, capsys):
     assert "smote" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token, message", [
+    pytest.param("smote:k=0", "k_neighbors must be >= 1", id="smote:k=0"),
+    pytest.param("smote:ratio=2", "target_ratio must be in (0,1]", id="smote:ratio=2"),
+])
+def test_sample_out_of_range_smote_is_usage_error(tmp_path, capsys, token, message):
+    src = tmp_path / "s.csv"
+    out = tmp_path / "o.csv"
+    run_cli("generate", "--rows", "60", "--seed", "1", "--out", str(src))
+    assert run_cli("sample", "--data", str(src), "--sample", token,
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_train_and_evaluate_round_trip(tmp_path):
     data = tmp_path / "d.csv"
     model = tmp_path / "m.txt"
@@ -159,13 +173,18 @@ def test_run_writes_all_artifacts(tmp_path):
     assert len(report.strip().split("\n")) == 7
 
 
-def test_run_invalid_sampling_leaves_no_artifacts(tmp_path, capsys):
+@pytest.mark.parametrize("token, message", [
+    pytest.param("upside", "sampling token", id="upside"),
+    pytest.param("smote:k=0", "k_neighbors must be >= 1", id="smote:k=0"),
+    pytest.param("smote:ratio=2", "target_ratio must be in (0,1]", id="smote:ratio=2"),
+])
+def test_run_invalid_sampling_leaves_no_artifacts(tmp_path, capsys, token, message):
     out = tmp_path / "nope"
-    assert run_cli("run", "--synthetic", "rows=100", "--sample", "upside",
+    assert run_cli("run", "--synthetic", "rows=100", "--sample", token,
                    "--out", str(out)) == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "sampling token" in err
+    assert message in err
 
 
 def test_run_stage_error_names_stage(tmp_path, capsys):
@@ -284,6 +303,32 @@ def test_grid_cell_failure_marks_err_and_continues(tmp_path):
         from rigline.stacking import LEARNERS
 
         LEARNERS.pop("boom", None)
+
+
+def test_each_model_is_scored_once(tmp_path, monkeypatch):
+    import rigline.cli
+    import rigline.evaluation
+
+    calls = []
+    real = rigline.evaluation.evaluate
+
+    def counting(m, test):
+        calls.append(m.learner)
+        return real(m, test)
+
+    # Both bindings: cli imports evaluate by name.
+    monkeypatch.setattr(rigline.evaluation, "evaluate", counting)
+    monkeypatch.setattr(rigline.cli, "evaluate", counting)
+    assert run_cli("grid", "--synthetic", "rows=200,frac=0.2", "--seed", "31",
+                   "--regimes", "none,under", "--learners", "nb,tree",
+                   "--models", "model2", "--out", str(tmp_path / "g")) == 0
+    # Two regimes x two learners plus one stack; the best-model table
+    # reuses the no-sampling reports.
+    assert len(calls) == 5
+    calls.clear()
+    assert run_cli("run", "--synthetic", "rows=200,frac=0.2", "--learner", "nb",
+                   "--seed", "31", "--out", str(tmp_path / "r")) == 0
+    assert calls == ["nb"]
 
 
 def test_grid_rejects_unknown_learner(tmp_path, capsys):

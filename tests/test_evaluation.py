@@ -215,12 +215,12 @@ def test_compare_table_shape_order_and_round_trip():
     d = small_labeled(200, seed=8)
     nb = train_naive_bayes(d)
     const = ConstantModel([CLASS_NORMAL, CLASS_FAILURE])
-    text = compare_table([("nb", nb), ("const", const)], d)
+    report = evaluate(nb, d)
+    text = compare_table([("nb", report), ("const", evaluate(const, d))])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["Measure", "nb", "const"]
     assert [r[0] for r in rows[1:]] == list(MEASURE_ROWS)
     # Re-parsing reproduces the in-memory values at three decimals.
-    report = evaluate(nb, d)
     for row, value in zip(rows[1:], report.row_values()):
         assert row[1] == f"{value:.3f}"
 
@@ -228,7 +228,7 @@ def test_compare_table_shape_order_and_round_trip():
 def test_compare_table_err_marker():
     d = small_labeled(100, seed=9)
     nb = train_naive_bayes(d)
-    text = compare_table([("nb", nb), ("broken", None)], d)
+    text = compare_table([("nb", evaluate(nb, d)), ("broken", None)])
     rows = list(csv.reader(io.StringIO(text)))
     assert all(r[2] == "ERR" for r in rows[1:])
     assert all(r[1] != "ERR" for r in rows[1:])
@@ -237,9 +237,11 @@ def test_compare_table_err_marker():
 def test_render_detail_contains_matrix_and_rows():
     d = small_labeled(150, seed=10)
     nb = train_naive_bayes(d)
-    cm = confusion(nb, d)
     report = evaluate(nb, d)
-    text = render_detail("nb", cm, report)
+    # The report carries the matrix of the same predictions.
+    assert np.array_equal(report.cm.counts, confusion(nb, d).counts)
+    text = render_detail("nb", report)
     assert "== nb ==" in text
     assert CLASS_NORMAL in text and CLASS_FAILURE in text
     assert "weighted" in text
+    assert report.cm.render() in text
