@@ -137,18 +137,18 @@ class DecisionTreeModel(TrainedModel):
         self.root = root
         self.arity = arity
 
-    def _leaf_for(self, x):
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
     def _proba_matrix(self, X):
-        K = len(self.classes)
-        P = np.empty((X.shape[0], K))
-        for i in range(X.shape[0]):
-            counts = self._leaf_for(X[i]).counts
-            P[i] = (counts + 1.0) / (counts.sum() + K)
+        P = np.empty((X.shape[0], len(self.classes)))
+
+        def route(node, rows):
+            if node.is_leaf:
+                P[rows] = _laplace(node.counts)
+            elif len(rows):
+                left = X[rows, node.feature] <= node.threshold
+                route(node.left, rows[left])
+                route(node.right, rows[~left])
+
+        route(self.root, np.arange(X.shape[0]))
         return P
 
     def depth(self):
@@ -168,12 +168,15 @@ class DecisionTreeModel(TrainedModel):
         return walk(self.root)
 
 
+def _laplace(counts):
+    """Laplace-smoothed class probabilities of a leaf's or a rule's counts."""
+    return (counts + 1.0) / (counts.sum() + len(counts))
+
+
 def _gini(counts):
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float(np.sum(p * p))
+    """Gini impurity 1 - sum((c/n)^2) of each non-empty row of class counts."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - np.sum(p * p, axis=-1)
 
 
 def best_split(X, y, K, feature_ids, min_leaf=1):
@@ -185,28 +188,26 @@ def best_split(X, y, K, feature_ids, min_leaf=1):
     """
     n = len(y)
     total = np.bincount(y, minlength=K).astype(float)
-    parent = _gini(total)
+    cols = X[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    # left[b, j]: class counts of the b + 1 smallest rows of feature j.
+    left = np.cumsum(np.eye(K)[y[order]], axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    w_impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
+    gain = _gini(total) - w_impurity
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    # Scan candidates feature by feature, then by threshold. Only a gain
+    # above every earlier one can take the lead, so the scan skips the rest.
+    gains = np.where(valid, gain, -np.inf).T.ravel()
+    lead = gains > np.maximum.accumulate(np.concatenate(([-np.inf], gains[:-1])))
     best = None
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        onehot = np.zeros((n, K))
-        onehot[np.arange(n), ys] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)
-        boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-        for b in boundary:
-            n_left = b + 1
-            n_right = n - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
-            lc = left_counts[b]
-            rc = total - lc
-            w_impurity = (n_left * _gini(lc) + n_right * _gini(rc)) / n
-            gain = float(parent - w_impurity)
-            thr = float(0.5 * (xs[b] + xs[b + 1]))
-            if gain > 1e-12 and (best is None or gain > best[2] + 1e-12):
-                best = (f, thr, gain)
+    for i in np.flatnonzero(lead).tolist():
+        g = float(gains[i])
+        if g > 1e-12 and (best is None or g > best[2] + 1e-12):
+            j, b = divmod(i, n - 1)
+            best = (feature_ids[j], float(0.5 * (xs[b, j] + xs[b + 1, j])), g)
     return best
 
 
@@ -314,13 +315,12 @@ class Rule:
     conditions: list
     counts: np.ndarray
 
-    def matches(self, x) -> bool:
+    def covers(self, X) -> np.ndarray:
+        """Mask of the rows of X that satisfy every condition."""
+        mask = np.ones(X.shape[0], dtype=bool)
         for f, op, thr in self.conditions:
-            if op == "le" and not x[f] <= thr:
-                return False
-            if op == "gt" and not x[f] > thr:
-                return False
-        return True
+            mask &= X[:, f] <= thr if op == "le" else X[:, f] > thr
+        return mask
 
 
 class RuleListModel(TrainedModel):
@@ -332,18 +332,14 @@ class RuleListModel(TrainedModel):
         self.default_counts = default_counts
         self.arity = arity
 
-    def _counts_for(self, x):
-        for rule in self.rules:
-            if rule.matches(x):
-                return rule.counts
-        return self.default_counts
-
     def _proba_matrix(self, X):
-        K = len(self.classes)
-        P = np.empty((X.shape[0], K))
-        for i in range(X.shape[0]):
-            counts = self._counts_for(X[i])
-            P[i] = (counts + 1.0) / (counts.sum() + K)
+        P = np.empty((X.shape[0], len(self.classes)))
+        unassigned = np.ones(X.shape[0], dtype=bool)
+        for rule in self.rules:
+            hit = unassigned & rule.covers(X)
+            P[hit] = _laplace(rule.counts)
+            unassigned &= ~hit
+        P[unassigned] = _laplace(self.default_counts)
         return P
 
 
@@ -380,7 +376,7 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
             break
         _, _, path, counts = _best_leaf_path(root, [])
         rule = Rule(path, counts.copy())
-        covered = np.array([rule.matches(x) for x in X])
+        covered = rule.covers(X)
         if not covered.any():
             break
         rules.append(rule)

@@ -722,12 +722,15 @@ def _cmd_grid(args) -> int:
             regime_train = _apply_sampling(train, kind, plan["smote"], plan["seeds"]["sample"])
             cost_matrix = _resolve_cost(plan["cost"], train) if regime == "cost" else None
         except Exception as e:
-            raise StageError("sample", e)
-        columns = [
-            (learner, _grid_cell(learner, regime_train, master, cost_matrix, test,
-                                 errors, f"{regime}/{learner}"))
-            for learner in plan["learners"]
-        ]
+            # A regime that cannot be built fails all of its cells.
+            errors.append(f"{regime}: {e}")
+            columns = [(learner, None) for learner in plan["learners"]]
+        else:
+            columns = [
+                (learner, _grid_cell(learner, regime_train, master, cost_matrix, test,
+                                     errors, f"{regime}/{learner}"))
+                for learner in plan["learners"]
+            ]
         if regime == "none":
             none_reports = dict(columns)
         write_table(columns, f"regime {regime}")

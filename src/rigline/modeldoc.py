@@ -55,6 +55,10 @@ class _Reader:
             raise ParseError(f"expected {prefix!r}, got {line!r}")
         return line[len(prefix) :].strip()
 
+    def bad(self, why):
+        """A ParseError naming the line taken last."""
+        return ParseError(f"{why} in {self.lines[self.pos - 1]!r}")
+
 
 # ---------------------------------------------------------------------------
 # Emitters
@@ -194,14 +198,21 @@ def _parse_classes(r: _Reader):
     return [str(c) for c in json.loads(r.expect("classes "))]
 
 
-def _parse_tree_nodes(r: _Reader) -> TreeNode:
+def _parse_feature(r: _Reader, text, arity) -> int:
+    feature = int(text)
+    if not 0 <= feature < arity:
+        raise r.bad(f"feature {feature} outside arity {arity}")
+    return feature
+
+
+def _parse_tree_nodes(r: _Reader, arity) -> TreeNode:
     parts = r.expect("node ").split()
     if parts[0] == "leaf":
         return TreeNode(counts=_parse_floats(parts[1:]))
-    feature = int(parts[1])
+    feature = _parse_feature(r, parts[1], arity)
     threshold = float(parts[2])
-    left = _parse_tree_nodes(r)
-    right = _parse_tree_nodes(r)
+    left = _parse_tree_nodes(r, arity)
+    right = _parse_tree_nodes(r, arity)
     return TreeNode(feature, threshold, left, right)
 
 
@@ -232,7 +243,7 @@ def _parse_model(r: _Reader):
     if kind == "tree":
         classes = _parse_classes(r)
         arity = int(r.expect("arity "))
-        return DecisionTreeModel(classes, _parse_tree_nodes(r), arity)
+        return DecisionTreeModel(classes, _parse_tree_nodes(r, arity), arity)
     if kind == "rf":
         classes = _parse_classes(r)
         arity = int(r.expect("arity "))
@@ -247,10 +258,13 @@ def _parse_model(r: _Reader):
         for _ in range(n_rules):
             parts = r.expect("rule ").split()
             n_conds = int(parts[0])
+            if len(parts) != 1 + 3 * n_conds:
+                raise r.bad(f"expected {n_conds} conditions")
             conds = []
-            for i in range(n_conds):
-                f, op, thr = parts[1 + 3 * i : 4 + 3 * i]
-                conds.append((int(f), op, float(thr)))
+            for f, op, thr in zip(parts[1::3], parts[2::3], parts[3::3]):
+                if op not in ("le", "gt"):
+                    raise r.bad(f"unknown condition op {op!r}")
+                conds.append((_parse_feature(r, f, arity), op, float(thr)))
             counts = _parse_floats(r.expect("rule_counts ").split())
             rules.append(Rule(conds, counts))
         default = _parse_floats(r.expect("default_counts ").split())

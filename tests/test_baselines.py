@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigline.baseline_learners import (
     MlpConfig,
@@ -151,6 +153,31 @@ def test_best_split_matches_oracle_on_random_data():
             assert got[2] == pytest.approx(want[2], abs=1e-10)
 
 
+@st.composite
+def tied_split_problems(draw):
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 3))
+    K = draw(st.sampled_from([2, 3]))
+    values = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+    y = draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n))
+    min_leaf = draw(st.integers(1, 3))
+    return np.array(values, dtype=float).reshape(n, dim), np.array(y), K, min_leaf
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tied_split_problems())
+def test_best_split_matches_oracle_on_heavy_ties(problem):
+    X, y, K, min_leaf = problem
+    got = best_split(X, y, K, list(range(X.shape[1])), min_leaf)
+    want = oracle_best_split(X, y, K, min_leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[0] == want[0] and got[1] == want[1]
+        assert abs(got[2] - want[2]) <= 1e-10
+
+
 def test_cart_perfect_on_separable_toy():
     d = toy_dataset()
     m = train_cart(d)
@@ -238,6 +265,81 @@ def test_rule_list_reasonable_on_synthetic():
     d = synth(n=500, seed=6)
     m = train_rule_list(d)
     assert accuracy(m, d) > 0.85
+
+
+# ---------------------------------------------------------------------------
+# Batch routing against a per-row reference
+
+def _laplace_row(counts):
+    return (counts + 1.0) / (counts.sum() + len(counts))
+
+
+def _tree_row(tree, x):
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return _laplace_row(node.counts)
+
+
+def _rules_row(model, x):
+    for rule in model.rules:
+        if all(x[f] <= thr if op == "le" else x[f] > thr for f, op, thr in rule.conditions):
+            return _laplace_row(rule.counts)
+    return _laplace_row(model.default_counts)
+
+
+def reference_proba(model, X):
+    """Walk one row at a time: descend each tree, or take the first rule
+    whose conditions all hold."""
+    rows = []
+    for x in X:
+        if model.learner == "tree":
+            rows.append(_tree_row(model, x))
+        elif model.learner == "rf":
+            p = np.zeros(len(model.classes))
+            for t in model.trees:
+                p += _tree_row(t, x)
+            rows.append(p / len(model.trees))
+        else:
+            rows.append(_rules_row(model, x))
+    return np.array(rows)
+
+
+def _split_points(model):
+    """(feature, threshold) of every split or rule condition in the model."""
+    if model.learner == "part":
+        return [(f, thr) for r in model.rules for f, _, thr in r.conditions]
+    points = []
+
+    def walk(node):
+        if not node.is_leaf:
+            points.append((node.feature, node.threshold))
+            walk(node.left)
+            walk(node.right)
+
+    for tree in model.trees if model.learner == "rf" else [model]:
+        walk(tree.root)
+    return points
+
+
+@pytest.mark.parametrize("train", [
+    pytest.param(lambda d: train_cart(d), id="tree"),
+    pytest.param(lambda d: train_random_forest(d, n_trees=5, seed=3), id="rf"),
+    pytest.param(lambda d: train_rule_list(d), id="part"),
+])
+def test_batch_routing_matches_per_row_reference(train):
+    d = synth(n=300, seed=8, shift=1.0)
+    m = train(d)
+    # Rows that sit exactly on a split threshold go left (the 'le' side).
+    on_threshold = []
+    for i, (f, thr) in enumerate(_split_points(m)):
+        x = d.X[i % d.n_rows].copy()
+        x[f] = thr
+        on_threshold.append(x)
+    assert on_threshold
+    X = np.vstack([d.X, on_threshold])
+    assert np.array_equal(m.predict_proba(X), reference_proba(m, X))
+    assert np.array_equal(m.predict_proba(X[0]), reference_proba(m, X[:1])[0])
 
 
 # ---------------------------------------------------------------------------

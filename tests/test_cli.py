@@ -305,6 +305,22 @@ def test_grid_cell_failure_marks_err_and_continues(tmp_path):
         LEARNERS.pop("boom", None)
 
 
+def test_grid_failing_regime_marks_err_and_continues(tmp_path):
+    out = tmp_path / "g"
+    # 40 rows at 15% failures leave SMOTE too few minority rows for k=5.
+    assert run_cli("grid", "--synthetic", "rows=40,frac=0.15", "--seed", "3",
+                   "--regimes", "none,smote", "--learners", "nb", "--models", "",
+                   "--out", str(out)) == 0
+    assert (out / "summary.txt").exists() and (out / "manifest.txt").exists()
+    rows = read(out / "table2.csv").strip().split("\n")
+    assert rows[0] == "Measure,nb"
+    assert all(row.split(",")[1] == "ERR" for row in rows[1:])
+    assert read(out / "table1.csv").split("\n")[1].split(",")[1] != "ERR"
+    summary = read(out / "summary.txt")
+    assert "table2.csv: regime smote" in summary
+    assert "  smote: minority class has" in summary
+
+
 def test_each_model_is_scored_once(tmp_path, monkeypatch):
     import rigline.cli
     import rigline.evaluation

@@ -126,3 +126,56 @@ def test_truncated_document_rejected():
     text = model_to_text(train_naive_bayes(d))
     with pytest.raises(ParseError):
         model_from_text("\n".join(text.splitlines()[:3]))
+
+
+def _corrupt_first(text, prefix, edit):
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = edit(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+def _drop_last_triple(line):
+    return " ".join(line.split()[:-3])
+
+
+def _set_field(i, value):
+    def edit(line):
+        parts = line.split()
+        parts[i] = value
+        return " ".join(parts)
+
+    return edit
+
+
+# Fields: "rule <count> <feature> <op> <threshold> ..." and
+# "node split <feature> <threshold>"; the synthetic tables have arity 5.
+@pytest.mark.parametrize("learner, prefix, edit, message", [
+    pytest.param("part", "rule ", _set_field(3, "xx"), "unknown condition op 'xx'",
+                 id="rule-op"),
+    pytest.param("part", "rule ", _drop_last_triple, "conditions", id="rule-short"),
+    pytest.param("part", "rule ", _set_field(2, "5"), "feature 5 outside arity 5",
+                 id="rule-feature"),
+    pytest.param("tree", "node split ", _set_field(2, "7"), "feature 7 outside arity 5",
+                 id="node-feature"),
+])
+def test_corrupt_tree_and_rule_lines_rejected_at_load(tmp_path, capsys, learner, prefix,
+                                                      edit, message):
+    from rigline.cli import main
+    from rigline.dataset import save_csv
+
+    d = synth(seed=13)
+    m = train_rule_list(d) if learner == "part" else train_cart(d)
+    bad = _corrupt_first(model_to_text(m), prefix, edit)
+    path = tmp_path / "bad.txt"
+    path.write_text(bad)
+    with pytest.raises(ParseError, match=message) as err:
+        load_model(str(path))
+    # The error quotes the offending line.
+    assert prefix.strip() in str(err.value)
+    data = tmp_path / "d.csv"
+    save_csv(d, str(data))
+    assert main(["evaluate", "--model", str(path), "--data", str(data),
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert "stage load" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
