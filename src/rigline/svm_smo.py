@@ -20,6 +20,7 @@ from .errors import ConfigError, ShapeError, SingleClassError
 from .baseline_learners import TrainedModel
 
 _SNAP = 1e-8  # multipliers this close to a bound are set exactly onto it
+_KERNEL_CACHE_BYTES = 256 * 1024 * 1024  # LRU budget for memoized kernel rows
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class SmoConfig:
     kernel: KernelSpec = KernelSpec()
     max_passes: int = 20000
     seed: int = 0
-    cache_bytes: int = 256 * 1024 * 1024
 
     def __post_init__(self):
         if self.C <= 0:
@@ -97,9 +97,11 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 class SolverState:
     """Mutable SMO working state.
 
-    The error cache holds E_i = f(x_i) - y_i and is valid exactly for the
-    non-bound multipliers (0 < a_i < C); bound-point errors are recomputed on
-    demand. Kernel rows are memoized under an LRU byte budget.
+    The error cache holds E_i = f(x_i) - y_i for every training point. It
+    starts at -y, exact for a = 0 and b = 0, and each successful step adds its
+    change to all n entries at once. Code that sets alpha or b directly must
+    call sync_errors() afterwards. Kernel rows are memoized under an LRU byte
+    budget.
     """
 
     def __init__(self, X, y, cfg: SmoConfig):
@@ -110,18 +112,11 @@ class SolverState:
         self.n = X.shape[0]
         self.alpha = np.zeros(self.n)
         self.b = 0.0
-        self.e_cache = np.zeros(self.n)
-        self.e_valid = np.zeros(self.n, dtype=bool)
+        self.e_cache = -np.asarray(y, dtype=float)
         self.rng = np.random.default_rng(cfg.seed)
         self._rows = OrderedDict()
-        self._max_rows = max(1, cfg.cache_bytes // (8 * self.n))
+        self._max_rows = max(1, _KERNEL_CACHE_BYTES // (8 * self.n))
         self.step_monitor = None
-        # Bound-point errors depend only on (alpha, b), so a value computed
-        # since the last successful step can be handed back verbatim. The
-        # epoch counter advances on every mutation.
-        self.step_epoch = 0
-        self._e_bound = np.zeros(self.n)
-        self._e_bound_epoch = np.full(self.n, -1, dtype=np.int64)
 
     def kernel_row(self, i: int) -> np.ndarray:
         row = self._rows.get(i)
@@ -134,28 +129,26 @@ class SolverState:
             self._rows.popitem(last=False)
         return row
 
-    def decision(self, i: int) -> float:
-        """f(x_i) recomputed from the multipliers and the kernel row; this
-        never reads the running error cache, so it doubles as its checker."""
-        row = self.kernel_row(i)
-        return float(np.dot(self.alpha * self.y, row) + self.b)
+    def non_bound(self) -> np.ndarray:
+        """Indices of the multipliers strictly inside (0, C)."""
+        return np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.cfg.C))
 
-    def get_error(self, i: int) -> float:
-        if self.e_valid[i]:
-            return float(self.e_cache[i])
-        if self._e_bound_epoch[i] == self.step_epoch:
-            return float(self._e_bound[i])
-        e = self.decision(i) - float(self.y[i])
-        self._e_bound[i] = e
-        self._e_bound_epoch[i] = self.step_epoch
-        return e
+    def expansion(self) -> np.ndarray:
+        """sum_j a_j y_j k(x_j, x_i) for every training point i, computed from
+        the support vectors without reading the running error cache."""
+        sv = np.flatnonzero(self.alpha > 0)
+        if not len(sv):
+            return np.zeros(self.n)
+        K = kernel_matrix(self.kernel, self.X[sv], self.X)
+        return (self.alpha[sv] * self.y[sv]) @ K
+
+    def sync_errors(self) -> None:
+        """Rebuild the error cache after alpha or b were set directly."""
+        self.e_cache = self.expansion() + self.b - self.y
 
     def cache_drift(self) -> float:
         """Largest gap between cached errors and freshly computed ones."""
-        worst = 0.0
-        for i in np.flatnonzero(self.e_valid):
-            worst = max(worst, abs(self.e_cache[i] - (self.decision(i) - self.y[i])))
-        return worst
+        return float(np.max(np.abs(self.e_cache - (self.expansion() + self.b - self.y))))
 
 
 def _restricted_w(a1, a2, k11, k12, k22, s, y1, y2, v1, v2):
@@ -172,13 +165,8 @@ def _restricted_w(a1, a2, k11, k12, k22, s, y1, y2, v1, v2):
     )
 
 
-def take_step(state: SolverState, i1: int, i2: int, e2: float = None) -> bool:
-    """Jointly re-optimize multipliers i1, i2. Returns True on real progress.
-
-    e2 short-circuits the E2 lookup: inside one examine pass over candidate
-    partners nothing mutates until a step succeeds, so the caller's value
-    stays correct across failed attempts.
-    """
+def take_step(state: SolverState, i1: int, i2: int) -> bool:
+    """Jointly re-optimize multipliers i1, i2. Returns True on real progress."""
     if i1 == i2:
         return False
     C = state.cfg.C
@@ -200,8 +188,8 @@ def take_step(state: SolverState, i1: int, i2: int, e2: float = None) -> bool:
     if L >= H:
         return False
 
-    E1 = state.get_error(i1)
-    E2 = state.get_error(i2) if e2 is None else e2
+    E1 = float(state.e_cache[i1])
+    E2 = float(state.e_cache[i2])
 
     row1 = state.kernel_row(i1)
     row2 = state.kernel_row(i2)
@@ -255,16 +243,10 @@ def take_step(state: SolverState, i1: int, i2: int, e2: float = None) -> bool:
         b_new = 0.5 * (b1 + b2)
     db = b_new - state.b
 
-    valid = state.e_valid
-    state.e_cache[valid] += y1 * d1 * row1[valid] + y2 * d2 * row2[valid] + db
-    state.e_cache[i1] = E1 + y1 * d1 * k11 + y2 * d2 * k12 + db
-    state.e_cache[i2] = E2 + y1 * d1 * k12 + y2 * d2 * k22 + db
+    state.e_cache += y1 * d1 * row1 + y2 * d2 * row2 + db
     state.alpha[i1] = a1
     state.alpha[i2] = a2
     state.b = b_new
-    state.e_valid[i1] = 0.0 < a1 < C
-    state.e_valid[i2] = 0.0 < a2 < C
-    state.step_epoch += 1
     if state.step_monitor is not None:
         state.step_monitor(state)
     return True
@@ -272,30 +254,30 @@ def take_step(state: SolverState, i1: int, i2: int, e2: float = None) -> bool:
 
 def examine_example(state: SolverState, i2: int) -> int:
     """If i2 violates its KKT condition beyond kkt_tol, try to step it against
-    a partner: first the cached-error point maximizing |E1 - E2|, then the
+    a partner: first the non-bound point maximizing |E1 - E2|, then the
     other non-bound points, then everything, the latter two in seeded-random
     rotation. Returns 1 when some step made progress."""
     tol = state.cfg.kkt_tol
     C = state.cfg.C
     y2 = float(state.y[i2])
     alph2 = float(state.alpha[i2])
-    E2 = state.get_error(i2)
+    E2 = float(state.e_cache[i2])
     r2 = E2 * y2
     if not ((r2 < -tol and alph2 < C) or (r2 > tol and alph2 > 0)):
         return 0
-    non_bound = np.flatnonzero(state.e_valid)
+    non_bound = state.non_bound()
     if len(non_bound) > 1:
         i1 = int(non_bound[np.argmax(np.abs(state.e_cache[non_bound] - E2))])
-        if take_step(state, i1, i2, E2):
+        if take_step(state, i1, i2):
             return 1
     if len(non_bound) > 0:
         start = int(state.rng.integers(len(non_bound)))
         for k in range(len(non_bound)):
-            if take_step(state, int(non_bound[(start + k) % len(non_bound)]), i2, E2):
+            if take_step(state, int(non_bound[(start + k) % len(non_bound)]), i2):
                 return 1
     start = int(state.rng.integers(state.n))
     for k in range(state.n):
-        if take_step(state, (start + k) % state.n, i2, E2):
+        if take_step(state, (start + k) % state.n, i2):
             return 1
     return 0
 
@@ -344,7 +326,7 @@ class SvmModel:
         return len(self.alpha)
 
 
-def _final_bias(state: SolverState, C: float, sv) -> float:
+def _final_bias(state: SolverState, C: float) -> float:
     """Bias recomputed from the final multipliers.
 
     Two-multiplier steps only see error differences, so the bias never
@@ -354,12 +336,7 @@ def _final_bias(state: SolverState, C: float, sv) -> float:
     or above (or both, when interior); the midpoint of the tightest bounds
     satisfies every case with equal slack.
     """
-    if len(sv):
-        K = kernel_matrix(state.kernel, state.X[sv], state.X)
-        g = (state.alpha[sv] * state.y[sv]) @ K
-    else:
-        g = np.zeros(state.n)
-    t = state.y - g
+    t = state.y - state.expansion()
     at_zero = state.alpha <= _SNAP
     at_c = state.alpha >= C - _SNAP
     interior = ~at_zero & ~at_c
@@ -409,7 +386,7 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
                 break
             examine_all = False
         else:
-            for i2 in np.flatnonzero(state.e_valid):
+            for i2 in state.non_bound():
                 num_changed += examine_example(state, int(i2))
             if num_changed == 0:
                 examine_all = True
@@ -421,7 +398,7 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
         sv_X=state.X[sv].copy(),
         sv_y=state.y[sv].copy(),
         alpha=state.alpha[sv].copy(),
-        b=_final_bias(state, cfg.C, sv),
+        b=_final_bias(state, cfg.C),
         kernel=state.kernel,
         C=cfg.C,
         dual_objective=w,
@@ -584,10 +561,14 @@ def calibrate_probability(m: SvmModel, d: Dataset, folds: int = 3) -> Calibrated
 
     Each fold's margins come from a fresh solver trained on the other folds
     with the model's own settings, so the sigmoid never sees resubstitution
-    margins. Datasets too small to fold fall back to hard {0,1} probabilities.
+    margins. Datasets whose rarest class has fewer than 2 rows cannot be
+    folded and fall back to hard {0,1} probabilities; fewer than 2 folds is a
+    configuration error.
     """
     if not d.label_presence:
         raise SingleClassError("calibration needs a labeled dataset")
+    if folds < 2:
+        raise ConfigError(f"calibration folds must be >= 2, got {folds}")
     cfg = SmoConfig(
         C=m.C,
         kernel=m.kernel,

@@ -156,6 +156,27 @@ def test_train_needs_exactly_one_model_choice(tmp_path):
                    "--out", str(tmp_path / "m.txt")) == 2
 
 
+@pytest.mark.parametrize("folds", ["1", "0"])
+def test_train_smo_rejects_fewer_than_two_calibration_folds(tmp_path, capsys, folds):
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.txt"
+    run_cli("generate", "--rows", "60", "--seed", "1", "--out", str(data))
+    assert run_cli("train", "--data", str(data), "--learner", "smo",
+                   "--params", f"cal_folds={folds}", "--out", str(model)) == 1
+    assert "stage train" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_smo_one_row_minority_falls_back_to_hard_probabilities(tmp_path):
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.txt"
+    run_cli("generate", "--rows", "20", "--frac", "0.05", "--seed", "1", "--out", str(data))
+    assert load_csv(str(data), has_labels=True).labels.tolist().count("failure") == 1
+    assert run_cli("train", "--data", str(data), "--learner", "smo",
+                   "--out", str(model)) == 0
+    assert "fallback 1" in read(model).split("\n")
+
+
 def test_run_writes_all_artifacts(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--synthetic", "rows=260,frac=0.15", "--label", "em",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigline.dataset import Dataset, class_order
 from rigline.errors import ConfigError, ShapeError, SingleClassError
@@ -135,7 +137,38 @@ def test_error_cache_consistency():
         holder["state"] = state
 
     smo_train(d, SmoConfig(C=2.0, kernel=KernelSpec(kind="rbf")), step_monitor=monitor)
-    assert holder["state"].cache_drift() < 1e-10
+    state = holder["state"]
+    assert state.cache_drift() < 1e-10
+    # Every training point, bound or not, against a full-matrix recompute.
+    K = kernel_matrix(state.kernel, state.X, state.X)
+    fresh = (state.alpha * state.y) @ K + state.b - state.y
+    assert np.max(np.abs(state.e_cache - fresh)) < 1e-10
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(2, 30))
+    dim = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * dim, max_size=n * dim))
+    signs = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    labels = ["p", "m"] + ["p" if s else "m" for s in signs]
+    kernel = draw(st.sampled_from([LINEAR, KernelSpec(kind="rbf")]))
+    C = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    X = np.array(values).reshape(n, dim)
+    return Dataset([(f"f{i}", "") for i in range(dim)], X, labels), kernel, C
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_problems())
+def test_every_step_keeps_errors_box_and_equality(problem):
+    d, kernel, C = problem
+
+    def monitor(state):
+        assert state.cache_drift() <= 1e-9
+        assert np.all(state.alpha >= 0.0) and np.all(state.alpha <= C)
+        assert abs(np.dot(state.y, state.alpha)) <= 1e-9
+
+    smo_train(d, SmoConfig(C=C, kernel=kernel), step_monitor=monitor)
 
 
 def test_take_step_degenerate_segment_returns_false():
@@ -161,7 +194,7 @@ def test_examine_satisfied_point_no_mutation():
     alpha[m.sv_indices] = m.alpha
     state.alpha = alpha
     state.b = m.b
-    state.e_valid[:] = False
+    state.sync_errors()
     before = state.alpha.copy()
     for i in range(d.n_rows):
         examine_example(state, i)
@@ -319,6 +352,14 @@ def test_calibration_fallback_tiny_minority():
     assert cal.fallback
     p = cal.predict_proba(d.X)
     assert set(np.unique(p)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("folds", [1, 0])
+def test_calibration_rejects_fewer_than_two_folds(folds):
+    d = blobs(n_per=10, gap=3.0, seed=17)
+    m = smo_train(d, SmoConfig(C=1.0, kernel=LINEAR))
+    with pytest.raises(ConfigError, match="folds must be >= 2"):
+        calibrate_probability(m, d, folds=folds)
 
 
 def test_calibrated_probabilities_shape_and_sum():
