@@ -2,14 +2,16 @@
 random forest, a separate-and-conquer rule list, and a one-hidden-layer
 neural network.
 
-All learners share the TrainedModel interface: predict_proba returns class
-probabilities in the model's class order and predict takes the argmax
-(first class wins ties).
+All learners share the TrainedModel interface: score returns class
+probabilities, rank scores and picked classes in the model's class order from
+one pass, predict_proba the probabilities and predict the picked classes
+(here the argmax, first class wins ties).
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,11 +20,20 @@ from .errors import ConfigError, DivergenceError, ShapeError, SingleClassError
 from .util import derive_seed, diag_gaussian_log_density
 
 
+class Scores(NamedTuple):
+    """One scoring pass over n rows, columns aligned with the model's classes."""
+
+    proba: np.ndarray  # (n, K) class probabilities
+    ranks: np.ndarray  # (n, K) rank scores: proba, or SVM margins [f, -f]
+    picks: np.ndarray  # (n,) index of the predicted class
+
+
 class TrainedModel:
     """Base for trained classifiers.
 
-    Subclasses set self.classes (ordered class names) and implement
-    _proba_matrix(X) -> (n, K) rows summing to 1.
+    Subclasses set self.classes (ordered class names) and either implement
+    _proba_matrix(X) -> (n, K) rows summing to 1, or wrap other models by
+    overriding _score(X) -> Scores.
     """
 
     learner = "base"
@@ -30,31 +41,40 @@ class TrainedModel:
     def __init__(self, classes):
         self.classes = list(classes)
 
-    def _check_arity(self, X):
-        expected = getattr(self, "arity", None)
-        if expected is not None and X.shape[1] != expected:
-            raise ShapeError(f"model expects {expected} features, got {X.shape[1]}")
-
-    def predict_proba(self, x):
-        """Class probabilities. 1-D input -> (K,), 2-D input -> (n, K)."""
+    def _matrix(self, x):
+        """x as a 2-D float matrix (1-D input is one row) of the model's arity."""
         X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        if single:
+        if X.ndim == 1:
             X = X.reshape(1, -1)
         if X.ndim != 2:
             raise ShapeError(f"input must be 1-D or 2-D, got ndim={X.ndim}")
-        self._check_arity(X)
-        P = self._proba_matrix(X)
-        return P[0] if single else P
+        expected = getattr(self, "arity", None)
+        if expected is not None and X.shape[1] != expected:
+            raise ShapeError(f"model expects {expected} features, got {X.shape[1]}")
+        return X
+
+    def predict_proba(self, x):
+        """Class probabilities. 1-D input -> (K,), 2-D input -> (n, K)."""
+        P = self._proba_matrix(self._matrix(x))
+        return P[0] if np.ndim(x) == 1 else P
+
+    def score(self, X) -> Scores:
+        """Probabilities, rank scores and picked class indices of the rows of
+        X from one pass; the single entry that predict and evaluation read."""
+        return self._score(self._matrix(X))
 
     def predict(self, x):
-        P = self.predict_proba(x)
-        if P.ndim == 1:
-            return self.classes[int(np.argmax(P))]
-        return np.array([self.classes[int(i)] for i in np.argmax(P, axis=1)])
+        """Picked class name of one row, or an array of names for a matrix."""
+        names = np.asarray(self.classes)[self.score(x).picks]
+        return str(names[0]) if np.ndim(x) == 1 else names
+
+    def _score(self, X) -> Scores:
+        # Probabilities go through predict_proba, the entry tracers wrap.
+        P = self.predict_proba(X)
+        return Scores(P, P, np.argmax(P, axis=1))
 
     def _proba_matrix(self, X):
-        raise NotImplementedError
+        return self._score(X).proba
 
 
 def _encode_labels(d: Dataset):
@@ -429,11 +449,12 @@ class MlpModel(TrainedModel):
 
     def _proba_matrix(self, X):
         Z = self.scaler.transform(X)
-        H = _sigmoid(Z @ self.W1 + self.b1)
+        H = sigmoid(Z @ self.W1 + self.b1)
         return _softmax(H @ self.W2 + self.b2)
 
 
-def _sigmoid(v):
+def sigmoid(v):
+    """Logistic function, evaluated without overflow for either sign."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
@@ -474,7 +495,7 @@ def mlp_loss_grad(params, X, Y_onehot, hidden):
     K = Y_onehot.shape[1]
     W1, b1, W2, b2 = mlp_unpack(params, dim, hidden, K)
     A1 = X @ W1 + b1
-    H = _sigmoid(A1)
+    H = sigmoid(A1)
     P = _softmax(H @ W2 + b2)
     eps = 1e-300
     loss = -float(np.sum(Y_onehot * np.log(P + eps))) / n

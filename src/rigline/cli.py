@@ -361,9 +361,13 @@ def _train_token_model(token: str, train: Dataset, master: int, params: dict,
 
 
 def _validate_model_token(token: str) -> None:
+    """Reject a learner name or stack spec that cannot be built (exit 2)."""
     if token in LEARNERS:
         return
-    parse_stack_spec(token)  # raises ConfigError on anything malformed
+    try:
+        parse_stack_spec(token)
+    except ConfigError as e:
+        raise UsageError(str(e))
 
 
 def _manifest_text(command: str, master: int, seeds: dict, config: dict, artifacts) -> str:
@@ -464,10 +468,7 @@ def _cmd_train(args) -> int:
         if params:
             raise UsageError("--params applies to --learner; put stack "
                              "parameters inside the stack spec string")
-        try:
-            _validate_model_token(args.stack)
-        except ConfigError as e:
-            raise UsageError(str(e))
+        _validate_model_token(args.stack)
     try:
         d = _load_input(args.data)
     except Exception as e:
@@ -534,10 +535,7 @@ def _run_plan(args) -> dict:
     if (args.learner is not None) and (args.stack is not None):
         raise UsageError("give at most one of --learner or --stack")
     token = args.stack if args.stack is not None else (args.learner or "smo")
-    try:
-        _validate_model_token(token)
-    except ConfigError as e:
-        raise UsageError(str(e))
+    _validate_model_token(token)
     plan.update(sample=sample, cost=cost_spec, token=token)
     plan["seeds"][f"train.{token}"] = _train_seed(plan["master"], token)
     return plan
@@ -675,10 +673,7 @@ def _grid_plan(args) -> dict:
         raise UsageError("--learners must name at least one learner")
     models = _parse_list(args.models, "--models") if args.models else ()
     for token in models:
-        try:
-            _validate_model_token(token)
-        except ConfigError as e:
-            raise UsageError(str(e))
+        _validate_model_token(token)
     plan.update(
         regimes=regimes,
         learners=learners,

@@ -54,19 +54,18 @@ class ConfusionMatrix:
         return "\n".join(lines)
 
 
-def confusion(m, test: Dataset) -> ConfusionMatrix:
-    """Confusion matrix of the model's predictions on a labeled test set."""
-    if test.n_rows == 0:
-        raise EmptyDatasetError("cannot evaluate on an empty test set")
-    if not test.label_presence:
-        raise MissingLabelsError("evaluation needs a labeled test set")
-    classes = class_order(set(m.classes) | set(test.labels))
-    index = {c: i for i, c in enumerate(classes)}
-    preds = m.predict(test.X)
-    counts = np.zeros((len(classes), len(classes)), dtype=int)
-    for actual, pred in zip(test.labels, preds):
-        counts[index[str(actual)], index[str(pred)]] += 1
-    return ConfusionMatrix(classes, counts)
+def confusion(classes, labels, picks) -> ConfusionMatrix:
+    """Confusion matrix of actual labels against picked class indices into the
+    model's classes; the matrix covers both the model's and the labels'
+    classes."""
+    seen, inverse = np.unique(labels, return_inverse=True)
+    matrix_classes = class_order(set(classes) | set(seen.tolist()))
+    index = {c: i for i, c in enumerate(matrix_classes)}
+    K = len(matrix_classes)
+    actual = np.array([index[c] for c in seen.tolist()], dtype=int)[inverse]
+    predicted = np.array([index[c] for c in classes], dtype=int)[picks]
+    counts = np.bincount(actual * K + predicted, minlength=K * K)
+    return ConfusionMatrix(matrix_classes, counts.reshape(K, K))
 
 
 @dataclass
@@ -144,54 +143,38 @@ def roc_auc(scored) -> float:
     scored is a sequence of (score, label) with labels +1/-1. Tied scores get
     average ranks, making this the exact Mann-Whitney value.
     """
-    scored = list(scored)
-    scores = np.array([s for s, _ in scored], dtype=float)
-    labels = np.array([l for _, l in scored])
+    pairs = np.array(list(scored), dtype=float).reshape(-1, 2)
+    scores, labels = pairs[:, 0], pairs[:, 1]
     n_pos = int(np.sum(labels > 0))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs both positive and negative examples")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tied scores share the mean of the 1-based ranks their block spans.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[inverse]
     r_pos = float(np.sum(ranks[labels > 0]))
     u = r_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
-def rank_score_matrix(m, X) -> np.ndarray:
-    """Per-class score columns for rank metrics, aligned with m.classes.
-
-    Margin-based models expose ranking_scores: an order-true channel that a
-    saturating probability map would collapse (distinct margins rounding to
-    the same float probability). Everything else is ranked by its class
-    probabilities; any strictly monotone rescaling leaves AUC unchanged.
-    """
-    fn = getattr(m, "ranking_scores", None)
-    if callable(fn):
-        return np.atleast_2d(np.asarray(fn(X), dtype=float))
-    P = m.predict_proba(X)
-    return P.reshape(1, -1) if P.ndim == 1 else P
-
-
 def evaluate(m, test: Dataset) -> EvalReport:
-    """Full six-measure report: matrix metrics plus per-class-as-positive AUC
-    from the model's rank scores, all instance-weighted."""
-    cm = confusion(m, test)
+    """Full six-measure report from one scoring pass: matrix metrics from the
+    model's picks plus per-class-as-positive AUC from its rank scores, all
+    instance-weighted."""
+    if test.n_rows == 0:
+        raise EmptyDatasetError("cannot evaluate on an empty test set")
+    if not test.label_presence:
+        raise MissingLabelsError("evaluation needs a labeled test set")
+    scores = m.score(test.X)
+    cm = confusion(m.classes, test.labels, scores.picks)
     report = metrics(cm)
-    P = rank_score_matrix(m, test.X)
     auc_weighted = 0.0
     for c in cm.classes:
         frac = _safe_div(cm.actual_count(c), cm.total)
         if c in m.classes and 0 < cm.actual_count(c) < cm.total:
             col = m.classes.index(c)
-            scored = zip(P[:, col], np.where(test.labels == c, 1, -1))
+            scored = zip(scores.ranks[:, col], np.where(test.labels == c, 1, -1))
             auc = roc_auc(scored)
         else:
             auc = 0.0

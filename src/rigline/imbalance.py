@@ -170,24 +170,10 @@ class CostSensitiveModel(TrainedModel):
         self.cm = cm
         self.arity = getattr(base, "arity", None)
 
-    def _proba_matrix(self, X):
-        P = self.base.predict_proba(X)
-        return P.reshape(1, -1) if P.ndim == 1 else P
-
-    def ranking_scores(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        fn = getattr(self.base, "ranking_scores", None)
-        return fn(X) if callable(fn) else self.base.predict_proba(X)
-
-    def predict(self, x):
-        P = self.predict_proba(x)
-        single = P.ndim == 1
-        if single:
-            P = P.reshape(1, -1)
-        expected = P @ self.cm.m  # column c: sum_a P(a) cost[a][c]
-        picks = np.argmin(expected, axis=1)
-        out = np.array([self.classes[int(i)] for i in picks])
-        return str(out[0]) if single else out
+    def _score(self, X):
+        s = self.base.score(X)
+        # column c of P @ cost: sum_a P(a) cost[a][c], the expected cost of c
+        return s._replace(picks=np.argmin(s.proba @ self.cm.m, axis=1))
 
 
 def cost_sensitive_wrap(base: TrainedModel, cm: CostMatrix) -> CostSensitiveModel:

@@ -18,7 +18,7 @@ from .baseline_learners import (
     train_rule_list,
 )
 from .dataset import Dataset, Standardizer, class_order, stratified_folds
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
 from .util import derive_seed
 
@@ -33,21 +33,8 @@ class ScaledModel(TrainedModel):
         self.learner = inner.learner
         self.arity = len(scaler.means)
 
-    def _proba_matrix(self, X):
-        P = self.inner.predict_proba(self.scaler.transform(X))
-        return P.reshape(1, -1) if P.ndim == 1 else P
-
-    def ranking_scores(self, X):
-        Z = self.scaler.transform(np.atleast_2d(np.asarray(X, dtype=float)))
-        fn = getattr(self.inner, "ranking_scores", None)
-        return fn(Z) if callable(fn) else self.inner.predict_proba(Z)
-
-    def predict(self, x):
-        X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        Z = self.scaler.transform(X.reshape(1, -1) if single else X)
-        out = self.inner.predict(Z)
-        return out[0] if single and not np.isscalar(out) else out
+    def _score(self, X):
+        return self.inner.score(self.scaler.transform(X))
 
 
 def _train_nb(d, seed, params):
@@ -83,7 +70,7 @@ def _train_smo(d, seed, params):
     scaler = Standardizer().fit(d.X)
     zd = scaler.transform_dataset(d)
     svm = smo_train(zd, cfg)
-    calibrated = calibrate_probability(svm, zd, folds=cal_folds)
+    calibrated = calibrate_probability(svm, zd, cfg, folds=cal_folds)
     return ScaledModel(calibrated, scaler)
 
 
@@ -184,8 +171,6 @@ def _aligned_proba(model: TrainedModel, X, classes) -> np.ndarray:
     """Model probabilities re-ordered onto the global class list; classes the
     model never saw get zero columns."""
     P = model.predict_proba(X)
-    if P.ndim == 1:
-        P = P.reshape(1, -1)
     out = np.zeros((P.shape[0], len(classes)))
     for j, c in enumerate(model.classes):
         if c in classes:
@@ -241,26 +226,12 @@ class StackedModel(TrainedModel):
         self.arity = arity
 
     def _meta_matrix(self, X):
-        if X.shape[1] != self.arity:
-            raise ShapeError(f"stack expects {self.arity} features, got {X.shape[1]}")
         return np.hstack(
             [_aligned_proba(bm, X, self.classes) for bm in self.base_models]
         )
 
-    def _proba_matrix(self, X):
-        P = self.meta_model.predict_proba(self._meta_matrix(X))
-        return P.reshape(1, -1) if P.ndim == 1 else P
-
-    def ranking_scores(self, X):
-        M = self._meta_matrix(np.atleast_2d(np.asarray(X, dtype=float)))
-        fn = getattr(self.meta_model, "ranking_scores", None)
-        return fn(M) if callable(fn) else self.meta_model.predict_proba(M)
-
-    def predict(self, x):
-        X = np.asarray(x, dtype=float)
-        single = X.ndim == 1
-        out = self.meta_model.predict(self._meta_matrix(np.atleast_2d(X)))
-        return out[0] if single else out
+    def _score(self, X):
+        return self.meta_model.score(self._meta_matrix(X))
 
 
 def train_stack(d: Dataset, spec: StackSpec) -> StackedModel:

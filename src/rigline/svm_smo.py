@@ -17,7 +17,8 @@ import numpy as np
 
 from .dataset import Dataset, class_order, stratified_folds
 from .errors import ConfigError, ShapeError, SingleClassError
-from .baseline_learners import TrainedModel
+from .baseline_learners import Scores, TrainedModel, sigmoid
+from .util import derive_seed
 
 _SNAP = 1e-8  # multipliers this close to a bound are set exactly onto it
 _KERNEL_CACHE_BYTES = 256 * 1024 * 1024  # LRU budget for memoized kernel rows
@@ -458,15 +459,6 @@ def kkt_report(m: SvmModel, d: Dataset, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 # Probability calibration (sigmoid on out-of-fold margins)
 
-def _stable_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def sigmoid_nll(A: float, B: float, f, t) -> float:
     """Negative log-likelihood of targets t under p = 1/(1+exp(A f + B))."""
     z = -(A * f + B)
@@ -485,7 +477,7 @@ def fit_sigmoid(f, t, max_iter: int = 100):
     A, B = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
     nll = sigmoid_nll(A, B, f, t)
     for _ in range(max_iter):
-        p = _stable_sigmoid(-(A * f + B))
+        p = sigmoid(-(A * f + B))
         g = np.array([np.dot(t - p, f), np.sum(t - p)])
         w = np.maximum(p * (1.0 - p), 1e-12)
         H = np.array(
@@ -518,7 +510,10 @@ class CalibratedSvm(TrainedModel):
     """SVM wrapper emitting probabilities through a fitted sigmoid.
 
     Class predictions keep the SVM's own sign rule; the sigmoid only maps
-    margins onto [0,1] for ranking and cost estimates.
+    margins onto [0,1] for cost estimates. Rank scores are the margins
+    [f, -f] themselves: a steep sigmoid rounds distinct margins to identical
+    probabilities, and being monotone it gives the same order without that
+    collapse.
     """
 
     learner = "smo"
@@ -531,49 +526,35 @@ class CalibratedSvm(TrainedModel):
         self.fallback = fallback
         self.arity = svm.arity
 
-    def _proba_matrix(self, X):
+    def _score(self, X):
         f = decision_values(self.svm, X)
         if self.fallback:
             p_pos = (f >= 0).astype(float)
         else:
-            p_pos = _stable_sigmoid(-(self.A * f + self.B))
-        return np.column_stack([p_pos, 1.0 - p_pos])
-
-    def ranking_scores(self, X):
-        """Margins as rank scores, one column per class.
-
-        A steep sigmoid rounds distinct margins to identical probabilities,
-        so rank metrics read the margins themselves; the sigmoid is monotone,
-        making this the same ordering without the float collapse.
-        """
-        f = decision_values(self.svm, np.atleast_2d(np.asarray(X, dtype=float)))
-        return np.column_stack([f, -f])
-
-    def predict(self, x):
-        X = np.asarray(x, dtype=float)
-        if X.ndim == 1:
-            return str(svm_predict(self.svm, X.reshape(1, -1))[0])
-        return svm_predict(self.svm, X)
+            p_pos = sigmoid(-(self.A * f + self.B))
+        # argmax of [f, -f] is the sign rule: f >= 0 picks the first class.
+        return Scores(
+            np.column_stack([p_pos, 1.0 - p_pos]),
+            np.column_stack([f, -f]),
+            np.where(f >= 0, 0, 1),
+        )
 
 
-def calibrate_probability(m: SvmModel, d: Dataset, folds: int = 3) -> CalibratedSvm:
+def calibrate_probability(
+    m: SvmModel, d: Dataset, cfg: SmoConfig, folds: int = 3
+) -> CalibratedSvm:
     """Fit the margin-to-probability sigmoid on out-of-fold margins.
 
     Each fold's margins come from a fresh solver trained on the other folds
-    with the model's own settings, so the sigmoid never sees resubstitution
-    margins. Datasets whose rarest class has fewer than 2 rows cannot be
-    folded and fall back to hard {0,1} probabilities; fewer than 2 folds is a
-    configuration error.
+    with cfg, the settings m was trained with (each fold's seed derived from
+    cfg.seed), so the sigmoid never sees resubstitution margins. Datasets
+    whose rarest class has fewer than 2 rows cannot be folded and fall back
+    to hard {0,1} probabilities; fewer than 2 folds is a configuration error.
     """
     if not d.label_presence:
         raise SingleClassError("calibration needs a labeled dataset")
     if folds < 2:
         raise ConfigError(f"calibration folds must be >= 2, got {folds}")
-    cfg = SmoConfig(
-        C=m.C,
-        kernel=m.kernel,
-        max_passes=500,
-    )
     try:
         assign = stratified_folds(d.labels, folds)
     except ConfigError:
@@ -582,7 +563,8 @@ def calibrate_probability(m: SvmModel, d: Dataset, folds: int = 3) -> Calibrated
     for fold in sorted(set(assign)):
         hold = assign == fold
         sub = d.subset(np.flatnonzero(~hold))
-        fold_model = smo_train(sub, cfg)
+        fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "cal", int(fold)))
+        fold_model = smo_train(sub, fold_cfg)
         margins[hold] = decision_values(fold_model, d.X[hold])
     t_raw = (d.labels == m.classes[0]).astype(float)
     n_pos = float(np.sum(t_raw))

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from rigline.baseline_learners import TrainedModel, train_naive_bayes
+from rigline.baseline_learners import Scores, TrainedModel, train_naive_bayes
 from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
@@ -54,9 +54,10 @@ class OracleModel(TrainedModel):
         p = self.scores[: X.shape[0]]
         return np.column_stack([p, 1 - p])
 
-    def predict(self, x):
-        X = np.asarray(x)
-        return np.array(self.truth[: X.shape[0]])
+    def _score(self, X):
+        P = self._proba_matrix(X)
+        picks = np.array([self.classes.index(t) for t in self.truth[: X.shape[0]]])
+        return Scores(P, P, picks)
 
 
 def brute_force_auc(scores, labels):
@@ -82,7 +83,7 @@ def small_labeled(n=200, seed=0):
 def test_confusion_counts_sum_and_perfect_model():
     d = small_labeled(150, seed=1)
     m = OracleModel([CLASS_NORMAL, CLASS_FAILURE], d.labels, np.zeros(150))
-    cm = confusion(m, d)
+    cm = confusion(m.classes, d.labels, m.score(d.X).picks)
     assert cm.total == 150
     for c in cm.classes:
         tp, fp, fn, tn = cm.per_class(c)
@@ -93,7 +94,7 @@ def test_confusion_counts_sum_and_perfect_model():
 def test_confusion_constant_predictor_imbalanced():
     d = small_labeled(1000, seed=2)  # 870/130
     m = ConstantModel([CLASS_NORMAL, CLASS_FAILURE])
-    cm = confusion(m, d)
+    cm = confusion(m.classes, d.labels, m.score(d.X).picks)
     report = metrics(cm)
     assert report.tp_rate == pytest.approx(0.87)
     assert report.per_class[CLASS_NORMAL]["tp_rate"] == 1.0
@@ -105,7 +106,7 @@ def test_confusion_empty_test_set():
     empty = d.subset([])
     m = ConstantModel([CLASS_NORMAL, CLASS_FAILURE])
     with pytest.raises(EmptyDatasetError):
-        confusion(m, empty)
+        evaluate(m, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,8 @@ def test_render_detail_contains_matrix_and_rows():
     nb = train_naive_bayes(d)
     report = evaluate(nb, d)
     # The report carries the matrix of the same predictions.
-    assert np.array_equal(report.cm.counts, confusion(nb, d).counts)
+    picks = nb.score(d.X).picks
+    assert np.array_equal(report.cm.counts, confusion(nb.classes, d.labels, picks).counts)
     text = render_detail("nb", report)
     assert "== nb ==" in text
     assert CLASS_NORMAL in text and CLASS_FAILURE in text

@@ -80,8 +80,9 @@ def test_svm_round_trip(tmp_path):
 
 def test_calibrated_svm_round_trip(tmp_path):
     d = synth(seed=8)
-    m = smo_train(d, SmoConfig(C=1.0))
-    cal = calibrate_probability(m, d)
+    cfg = SmoConfig(C=1.0)
+    m = smo_train(d, cfg)
+    cal = calibrate_probability(m, d, cfg)
     back = round_trip(cal, tmp_path, "svm_cal")
     assert np.array_equal(back.predict_proba(d.X), cal.predict_proba(d.X))
     assert back.A == cal.A and back.B == cal.B

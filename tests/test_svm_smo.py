@@ -316,8 +316,9 @@ def test_gamma_resolution_default():
 
 def test_calibration_monotone_and_perfect_separation():
     d = blobs(n_per=25, gap=4.0, seed=15)
-    m = smo_train(d, SmoConfig(C=1.0, kernel=LINEAR))
-    cal = calibrate_probability(m, d)
+    cfg = SmoConfig(C=1.0, kernel=LINEAR)
+    m = smo_train(d, cfg)
+    cal = calibrate_probability(m, d, cfg)
     assert not cal.fallback
     f = decision_values(m, d.X)
     p = cal.predict_proba(d.X)[:, 0]
@@ -347,8 +348,9 @@ def test_sigmoid_fit_beats_grid_oracle():
 def test_calibration_fallback_tiny_minority():
     X = np.vstack([np.random.default_rng(17).normal(size=(9, 2)), [[9.0, 9.0]]])
     d = Dataset([("a", ""), ("b", "")], X, ["n"] * 9 + ["p"])
-    m = smo_train(d, SmoConfig(C=1.0, kernel=LINEAR))
-    cal = calibrate_probability(m, d)
+    cfg = SmoConfig(C=1.0, kernel=LINEAR)
+    m = smo_train(d, cfg)
+    cal = calibrate_probability(m, d, cfg)
     assert cal.fallback
     p = cal.predict_proba(d.X)
     assert set(np.unique(p)) <= {0.0, 1.0}
@@ -357,15 +359,17 @@ def test_calibration_fallback_tiny_minority():
 @pytest.mark.parametrize("folds", [1, 0])
 def test_calibration_rejects_fewer_than_two_folds(folds):
     d = blobs(n_per=10, gap=3.0, seed=17)
-    m = smo_train(d, SmoConfig(C=1.0, kernel=LINEAR))
+    cfg = SmoConfig(C=1.0, kernel=LINEAR)
+    m = smo_train(d, cfg)
     with pytest.raises(ConfigError, match="folds must be >= 2"):
-        calibrate_probability(m, d, folds=folds)
+        calibrate_probability(m, d, cfg, folds=folds)
 
 
 def test_calibrated_probabilities_shape_and_sum():
     d = blobs(n_per=15, gap=1.0, seed=18)
-    m = smo_train(d, SmoConfig(C=1.0, kernel=KernelSpec(kind="rbf")))
-    cal = calibrate_probability(m, d)
+    cfg = SmoConfig(C=1.0, kernel=KernelSpec(kind="rbf"))
+    m = smo_train(d, cfg)
+    cal = calibrate_probability(m, d, cfg)
     P = cal.predict_proba(d.X)
     assert P.shape == (d.n_rows, 2)
     assert np.allclose(P.sum(axis=1), 1.0)
