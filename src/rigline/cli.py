@@ -15,10 +15,24 @@ variable) drives everything: fixed offsets give the generate/label/split/
 sample stage seeds, and each training cell's seed is derived from the master
 plus the learner token, so a single grid cell reproduces the matching `run`.
 
-Every command accepts `--config FILE` holding `key = value` lines (keys are
-the long flag names); explicit flags override file entries. Usage and config
-errors exit with status 2 before any artifact is written; failures inside a
-pipeline stage exit with status 1 and name the stage.
+Every option is declared once, in its `add_argument` call, with its type
+and default. Every command accepts `--config FILE` holding `key = value`
+lines (`#` starts a comment line). A key is a long flag name with `-` turned
+into `_` (`em_tol` for `--em-tol`); its value is converted by that option's
+own type, and a switch such as `em_raw` takes 1/0, true/false, yes/no or
+on/off. File values replace the defaults and explicit flags win over the
+file: flags > file > defaults, with RIGLINE_SEED over `--seed` and `seed`.
+`--data`, `--model` and `sample --sample` are required on the command line
+even when the file names them. An unknown key or a bad value exits 2 and
+names the key.
+
+`--synthetic`, `--sample smote:` and stack specs are `key=value` fields read
+by `util.parse_fields`: `,`-separated for the first two and `;`-separated in
+`stack:meta=smo;base=part,mlp,nb;folds=5`. A field without `=`, an unknown
+key, a bad value or (in a stack) an unregistered learner is a usage error.
+
+Usage and config errors exit with status 2 before any artifact is written;
+failures inside a pipeline stage exit with status 1 and name the stage.
 """
 
 import argparse
@@ -41,8 +55,8 @@ from .errors import ConfigError, RiglineError
 from .evaluation import compare_table, evaluate, render_detail
 from .imbalance import (
     CostMatrix,
+    CostSensitiveModel,
     SmoteConfig,
-    cost_sensitive_wrap,
     default_cost_matrix,
     smote,
     undersample,
@@ -50,7 +64,7 @@ from .imbalance import (
 from .labeling_em import em_assign_labels, em_fit, save_gmm
 from .modeldoc import load_model, save_model
 from .stacking import LEARNERS, parse_stack_spec, train_learner, train_stack
-from .util import atomic_write_text, derive_seed
+from .util import atomic_write_text, derive_seed, parse_fields
 
 MASTER_SEED_DEFAULT = 7
 
@@ -118,70 +132,50 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _fill_from_config(args: argparse.Namespace, casters: dict, defaults: dict) -> None:
-    """Resolve option values in place: flag, else config file, else default."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in file_values:
-        if key not in casters:
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values for command, each converted by its option's
+    own action: _parse_bool for a switch, else the option's type."""
+    actions = {
+        a.dest: a for a in command._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    out = {}
+    for key, text in _read_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
             raise UsageError(f"unknown config key {key!r}")
-    for dest, caster in casters.items():
-        if getattr(args, dest) is not None:
-            continue
-        if dest in file_values:
-            try:
-                setattr(args, dest, caster(file_values[dest]))
-            except (ValueError, TypeError) as e:
-                raise UsageError(f"config key {dest!r}: {e}")
-        else:
-            setattr(args, dest, defaults.get(dest))
+        convert = _parse_bool if action.nargs == 0 else (action.type or str)
+        try:
+            out[key] = convert(text)
+        except (ValueError, TypeError) as e:
+            raise UsageError(f"config key {key!r}: {e}")
+    return out
 
 
 def _resolve_master_seed(args: argparse.Namespace) -> int:
     env = os.environ.get("RIGLINE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"RIGLINE_SEED must be an integer, got {env!r}")
-    if args.seed is not None:
-        return int(args.seed)
-    return MASTER_SEED_DEFAULT
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"RIGLINE_SEED must be an integer, got {env!r}")
 
 
 # ---------------------------------------------------------------------------
 # small token parsers
 
 
-def _parse_kv_tokens(text: str, what: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise UsageError(f"{what}: expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _parse_synthetic_token(text: str) -> dict:
     """`rows=5000,frac=0.13,shift=2.0` with all keys optional."""
     spec = dict(DEFAULT_SYNTHETIC)
-    if text and text != "default":
-        kv = _parse_kv_tokens(text, "--synthetic")
-        for key, value in kv.items():
-            if key not in spec:
-                raise UsageError(
-                    f"--synthetic: unknown key {key!r}; choices: rows, frac, shift"
-                )
-            try:
-                spec[key] = int(value) if key == "rows" else float(value)
-            except ValueError:
-                raise UsageError(f"--synthetic: bad value for {key}: {value!r}")
+    if text != "default":
+        spec.update(parse_fields(
+            text, ",", {"rows": int, "frac": float, "shift": float}, "--synthetic"
+        ))
     if spec["rows"] < 2:
         raise UsageError("--synthetic: rows must be >= 2")
     if not 0.0 < spec["frac"] < 1.0:
@@ -204,19 +198,9 @@ def _parse_sample_token(text: str):
     if text == "under":
         return "under", None
     if text == "smote" or text.startswith("smote:"):
-        params = {"k": 5, "ratio": 1.0}
-        if ":" in text:
-            kv = _parse_kv_tokens(text.split(":", 1)[1], "--sample smote")
-            for key, value in kv.items():
-                if key not in params:
-                    raise UsageError(
-                        f"--sample smote: unknown key {key!r}; choices: k, ratio"
-                    )
-                try:
-                    params[key] = int(value) if key == "k" else float(value)
-                except ValueError:
-                    raise UsageError(f"--sample smote: bad value for {key}: {value!r}")
-        return "smote", _smote_config(params["k"], params["ratio"], "--sample smote")
+        what = "--sample smote"
+        params = parse_fields(text.partition(":")[2], ",", {"k": int, "ratio": float}, what)
+        return "smote", _smote_config(params.get("k", 5), params.get("ratio", 1.0), what)
     raise UsageError(
         f"invalid sampling token {text!r}; expected none, under, or smote:k=K,ratio=R"
     )
@@ -261,9 +245,9 @@ def _coerce_value(text: str):
 
 
 def _parse_params(text: str) -> dict:
-    if not text:
-        return {}
-    return {k: _coerce_value(v) for k, v in _parse_kv_tokens(text, "--params").items()}
+    """Learner keyword arguments; any key, each value int, float, bool or str."""
+    fields = parse_fields(text or "", ",", None, "--params")
+    return {k: _coerce_value(v) for k, v in fields.items()}
 
 
 def _parse_list(text: str, what: str, choices=None):
@@ -316,7 +300,7 @@ def _em_feature_view(d: Dataset, em_columns, em_raw: bool) -> Dataset:
 
 def _em_label(d: Dataset, args, seed: int):
     """Fit the mixture on the configured view and label the full dataset."""
-    view = _em_feature_view(d, args.em_columns, bool(args.em_raw))
+    view = _em_feature_view(d, args.em_columns, args.em_raw)
     gmm = em_fit(
         view,
         n_components=args.components,
@@ -356,18 +340,14 @@ def _train_token_model(token: str, train: Dataset, master: int, params: dict,
         spec = parse_stack_spec(token, seed=seed)
         model = train_stack(train, spec)
     if cost_matrix is not None:
-        model = cost_sensitive_wrap(model, cost_matrix)
+        model = CostSensitiveModel(model, cost_matrix)
     return model
 
 
 def _validate_model_token(token: str) -> None:
     """Reject a learner name or stack spec that cannot be built (exit 2)."""
-    if token in LEARNERS:
-        return
-    try:
+    if token not in LEARNERS:
         parse_stack_spec(token)
-    except ConfigError as e:
-        raise UsageError(str(e))
 
 
 def _manifest_text(command: str, master: int, seeds: dict, config: dict, artifacts) -> str:
@@ -392,21 +372,15 @@ def _out_path(out_dir: str, name: str) -> str:
 def _cmd_generate(args) -> int:
     master = _resolve_master_seed(args)
     spec = _parse_synthetic_token(args.synthetic or "default")
-    if args.rows is not None:
-        spec["rows"] = int(args.rows)
-    if args.frac is not None:
-        spec["frac"] = float(args.frac)
-    if args.shift is not None:
-        spec["shift"] = float(args.shift)
-    try:
-        cfg = default_synthetic_config(
-            row_count=spec["rows"],
-            failure_fraction=spec["frac"],
-            seed=_stage_seed(master, "generate"),
-            failure_shift_sigma=spec["shift"],
-        )
-    except ConfigError as e:
-        raise UsageError(str(e))
+    for key in ("rows", "frac", "shift"):
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    cfg = default_synthetic_config(
+        row_count=spec["rows"],
+        failure_fraction=spec["frac"],
+        seed=_stage_seed(master, "generate"),
+        failure_shift_sigma=spec["shift"],
+    )
     try:
         d = generate_synthetic(cfg)
         if args.unlabeled:
@@ -644,7 +618,7 @@ def _echo_common_config(args, plan) -> dict:
         "em_tol": args.em_tol,
         "em_max_iter": args.em_max_iter,
         "em_columns": ",".join(args.em_columns) if args.em_columns else "-",
-        "em_raw": bool(args.em_raw),
+        "em_raw": args.em_raw,
         "split": args.split,
         "out": args.out,
     }
@@ -791,185 +765,123 @@ def _grid_summary(table_names, best_name, model_reports, errors) -> str:
 # argument parsing
 
 
-def _add(parser, casters, *names, caster=str, **kwargs):
-    parser.add_argument(*names, **kwargs)
-    dest = names[-1].lstrip("-").replace("-", "_")
-    casters[dest] = caster
+def _add_em_options(p) -> None:
+    p.add_argument("--components", type=int, default=2,
+                   help="mixture components (labeling needs 2)")
+    p.add_argument("--em-tol", type=float, default=1e-6,
+                   help="relative log-likelihood convergence tolerance")
+    p.add_argument("--em-max-iter", type=int, default=200,
+                   help="iteration cap for the mixture fit")
+    p.add_argument("--em-columns", type=lambda s: _parse_list(s, "--em-columns"),
+                   help="comma-separated feature names the clustering sees (default all)")
+    p.add_argument("--em-raw", action="store_true",
+                   help="cluster raw features instead of standardized ones")
 
 
-def _add_flag(parser, casters, *names, help=None):
-    parser.add_argument(*names, action="store_const", const=True, default=None, help=help)
-    dest = names[-1].lstrip("-").replace("-", "_")
-    casters[dest] = _parse_bool
+def _add_pipeline_options(p) -> None:
+    """The source, labeling and split options that run and grid share."""
+    p.add_argument("--data", help="input CSV (a trailing 'class' column is used as labels)")
+    p.add_argument("--synthetic", help="synthetic source, e.g. rows=5000,frac=0.13,shift=2.0")
+    p.add_argument("--label", default="auto",
+                   help="auto (label only if unlabeled) | em (always) | none (require labels)")
+    _add_em_options(p)
+    p.add_argument("--split", type=float, default=0.66,
+                   help="training fraction of the labeled data")
 
 
-def _add_seed_and_config(parser, casters):
-    _add(parser, casters, "--seed", caster=int, type=int, default=None,
-         help="master seed (RIGLINE_SEED env var overrides)")
-    parser.add_argument("--config", default=None,
-                        help="key=value file; explicit flags override it")
+def _add_cost_options(p, help: str) -> None:
+    p.add_argument("--cost", help=help)
+    p.add_argument("--cost-file", help="two-line cost matrix file")
 
 
-def _add_em_options(parser, casters, defaults):
-    _add(parser, casters, "--components", caster=int, type=int, default=None,
-         help="mixture components (labeling needs 2)")
-    _add(parser, casters, "--em-tol", caster=float, type=float, default=None,
-         help="relative log-likelihood convergence tolerance")
-    _add(parser, casters, "--em-max-iter", caster=int, type=int, default=None,
-         help="iteration cap for the mixture fit")
-    _add(parser, casters, "--em-columns",
-         caster=lambda s: _parse_list(s, "--em-columns"),
-         type=lambda s: _parse_list(s, "--em-columns"), default=None,
-         help="comma-separated feature names the clustering sees (default all)")
-    _add_flag(parser, casters, "--em-raw",
-              help="cluster raw features instead of standardized ones")
-    defaults.update(
-        components=2, em_tol=1e-6, em_max_iter=200, em_columns=None, em_raw=False
-    )
-
-
-def _add_source_options(parser, casters, defaults):
-    _add(parser, casters, "--data", default=None,
-         help="input CSV (a trailing 'class' column is used as labels)")
-    _add(parser, casters, "--synthetic", default=None,
-         help="synthetic source, e.g. rows=5000,frac=0.13,shift=2.0")
-    defaults.update(data=None, synthetic=None)
-
-
-def build_parser():
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigline",
         description="failure-analysis pipeline: label, rebalance, train, compare",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {}
 
-    p = sub.add_parser("generate", help="write a synthetic labeled sensor CSV")
-    casters, defaults = {}, {}
-    _add(p, casters, "--rows", caster=int, type=int, default=None)
-    _add(p, casters, "--frac", caster=float, type=float, default=None)
-    _add(p, casters, "--shift", caster=float, type=float, default=None)
-    _add(p, casters, "--synthetic", default=None,
-         help="alternative to --rows/--frac/--shift: rows=...,frac=...,shift=...")
-    _add_flag(p, casters, "--unlabeled", help="drop the class column")
-    _add(p, casters, "--out", default=None)
-    _add_seed_and_config(p, casters)
-    defaults.update(rows=None, frac=None, shift=None, synthetic=None,
-                    unlabeled=False, out="synthetic.csv", seed=None)
-    specs["generate"] = (casters, defaults, _cmd_generate)
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, command_parser=p)
+        return p
 
-    p = sub.add_parser("label", help="cluster an unlabeled CSV and write labels")
-    casters, defaults = {}, {}
-    _add(p, casters, "--data", required=True)
-    _add(p, casters, "--out", default=None)
-    _add(p, casters, "--save-gmm", default=None,
-         help="also write the fitted mixture parameters")
-    _add_em_options(p, casters, defaults)
-    _add_seed_and_config(p, casters)
-    defaults.update(out="labeled.csv", save_gmm=None, seed=None)
-    specs["label"] = (casters, defaults, _cmd_label)
+    p = command("generate", _cmd_generate, "write a synthetic labeled sensor CSV")
+    p.add_argument("--rows", type=int)
+    p.add_argument("--frac", type=float)
+    p.add_argument("--shift", type=float)
+    p.add_argument("--synthetic",
+                   help="alternative to --rows/--frac/--shift: rows=...,frac=...,shift=...")
+    p.add_argument("--unlabeled", action="store_true", help="drop the class column")
+    p.add_argument("--out", default="synthetic.csv")
 
-    p = sub.add_parser("sample", help="rebalance a labeled CSV")
-    casters, defaults = {}, {}
-    _add(p, casters, "--data", required=True)
-    _add(p, casters, "--sample", required=True,
-         help="none | under | smote:k=5,ratio=1.0")
-    _add(p, casters, "--out", default=None)
-    _add_seed_and_config(p, casters)
-    defaults.update(out="sampled.csv", seed=None)
-    specs["sample"] = (casters, defaults, _cmd_sample)
+    p = command("label", _cmd_label, "cluster an unlabeled CSV and write labels")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", default="labeled.csv")
+    p.add_argument("--save-gmm", help="also write the fitted mixture parameters")
+    _add_em_options(p)
 
-    p = sub.add_parser("train", help="fit a model on a labeled CSV")
-    casters, defaults = {}, {}
-    _add(p, casters, "--data", required=True)
-    _add(p, casters, "--learner", default=None,
-         help=f"one of {sorted(LEARNERS)}")
-    _add(p, casters, "--stack", default=None,
-         help="preset model1..model5 or stack:meta=smo;base=part,mlp,nb;folds=5")
-    _add(p, casters, "--params", default=None,
-         help="learner keyword arguments, e.g. n_trees=50,max_depth=8")
-    _add(p, casters, "--cost", default=None,
-         help="off-diagonal costs 'a,b', or 'default' for the class-ratio matrix")
-    _add(p, casters, "--cost-file", default=None,
-         help="two-line cost matrix file")
-    _add(p, casters, "--out", default=None)
-    _add_seed_and_config(p, casters)
-    defaults.update(learner=None, stack=None, params=None, cost=None,
-                    cost_file=None, out="model.txt", seed=None)
-    specs["train"] = (casters, defaults, _cmd_train)
+    p = command("sample", _cmd_sample, "rebalance a labeled CSV")
+    p.add_argument("--data", required=True)
+    p.add_argument("--sample", required=True, help="none | under | smote:k=5,ratio=1.0")
+    p.add_argument("--out", default="sampled.csv")
 
-    p = sub.add_parser("evaluate", help="score a saved model on a labeled CSV")
-    casters, defaults = {}, {}
-    _add(p, casters, "--model", required=True)
-    _add(p, casters, "--data", required=True)
-    _add(p, casters, "--out", default=None)
-    _add(p, casters, "--detail", default=None,
-         help="also write a confusion-matrix detail report here")
-    _add(p, casters, "--name", default=None, help="column name in the report")
-    _add_seed_and_config(p, casters)
-    defaults.update(out="report.csv", detail=None, name=None, seed=None)
-    specs["evaluate"] = (casters, defaults, _cmd_evaluate)
+    p = command("train", _cmd_train, "fit a model on a labeled CSV")
+    p.add_argument("--data", required=True)
+    p.add_argument("--learner", help=f"one of {sorted(LEARNERS)}")
+    p.add_argument("--stack",
+                   help="preset model1..model5 or stack:meta=smo;base=part,mlp,nb;folds=5")
+    p.add_argument("--params", help="learner keyword arguments, e.g. n_trees=50,max_depth=8")
+    _add_cost_options(p, "off-diagonal costs 'a,b', or 'default' for the class-ratio matrix")
+    p.add_argument("--out", default="model.txt")
 
-    p = sub.add_parser("run", help="full pipeline into an output directory")
-    casters, defaults = {}, {}
-    _add_source_options(p, casters, defaults)
-    _add(p, casters, "--label", default=None,
-         help="auto (label only if unlabeled) | em (always) | none (require labels)")
-    _add_em_options(p, casters, defaults)
-    _add(p, casters, "--split", caster=float, type=float, default=None,
-         help="training fraction of the labeled data")
-    _add(p, casters, "--sample", default=None,
-         help="none | under | smote:k=5,ratio=1.0 (training split only)")
-    _add(p, casters, "--cost", default=None,
-         help="train cost-sensitively: 'a,b' or 'default'")
-    _add(p, casters, "--cost-file", default=None)
-    _add(p, casters, "--learner", default=None)
-    _add(p, casters, "--stack", default=None)
-    _add(p, casters, "--out", default=None, help="output directory")
-    _add_seed_and_config(p, casters)
-    defaults.update(label="auto", split=0.66, sample=None, cost=None,
-                    cost_file=None, learner=None, stack=None,
-                    out="rigline_out", seed=None)
-    specs["run"] = (casters, defaults, _cmd_run)
+    p = command("evaluate", _cmd_evaluate, "score a saved model on a labeled CSV")
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", default="report.csv")
+    p.add_argument("--detail", help="also write a confusion-matrix detail report here")
+    p.add_argument("--name", help="column name in the report")
 
-    p = sub.add_parser("grid", help="regimes-by-learners sweep with result tables")
-    casters, defaults = {}, {}
-    _add_source_options(p, casters, defaults)
-    _add(p, casters, "--label", default=None)
-    _add_em_options(p, casters, defaults)
-    _add(p, casters, "--split", caster=float, type=float, default=None)
-    _add(p, casters, "--regimes", default=None,
-         help=f"comma list from {list(DEFAULT_REGIMES)}")
-    _add(p, casters, "--learners", default=None,
-         help=f"comma list from {sorted(LEARNERS)}")
-    _add(p, casters, "--models", default=None,
-         help="comma list of stack tokens; empty string skips the model tables")
-    _add(p, casters, "--smote-k", caster=int, type=int, default=None)
-    _add(p, casters, "--smote-ratio", caster=float, type=float, default=None)
-    _add(p, casters, "--cost", default=None,
-         help="cost regime matrix: 'a,b' (default: class-ratio matrix)")
-    _add(p, casters, "--cost-file", default=None)
-    _add(p, casters, "--out", default=None, help="output directory")
-    _add_seed_and_config(p, casters)
-    defaults.update(label="auto", split=0.66,
-                    regimes=",".join(DEFAULT_REGIMES),
-                    learners=",".join(DEFAULT_GRID_LEARNERS),
-                    models=",".join(DEFAULT_GRID_MODELS),
-                    smote_k=5, smote_ratio=1.0, cost=None, cost_file=None,
-                    out="rigline_grid", seed=None)
-    specs["grid"] = (casters, defaults, _cmd_grid)
+    p = command("run", _cmd_run, "full pipeline into an output directory")
+    _add_pipeline_options(p)
+    p.add_argument("--sample", help="none | under | smote:k=5,ratio=1.0 (training split only)")
+    _add_cost_options(p, "train cost-sensitively: 'a,b' or 'default'")
+    p.add_argument("--learner", help="learner name (default smo)")
+    p.add_argument("--stack", help="preset model1..model5 or stack:... spec")
+    p.add_argument("--out", default="rigline_out", help="output directory")
 
-    return parser, specs
+    p = command("grid", _cmd_grid, "regimes-by-learners sweep with result tables")
+    _add_pipeline_options(p)
+    p.add_argument("--regimes", default=",".join(DEFAULT_REGIMES),
+                   help=f"comma list from {list(DEFAULT_REGIMES)}")
+    p.add_argument("--learners", default=",".join(DEFAULT_GRID_LEARNERS),
+                   help=f"comma list from {sorted(LEARNERS)}")
+    p.add_argument("--models", default=",".join(DEFAULT_GRID_MODELS),
+                   help="comma list of stack tokens; empty string skips the model tables")
+    p.add_argument("--smote-k", type=int, default=5)
+    p.add_argument("--smote-ratio", type=float, default=1.0)
+    _add_cost_options(p, "cost regime matrix: 'a,b' (default: class-ratio matrix)")
+    p.add_argument("--out", default="rigline_grid", help="output directory")
+
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=MASTER_SEED_DEFAULT,
+                       help="master seed (RIGLINE_SEED env var overrides)")
+        p.add_argument("--config", help="key = value file; explicit flags override it")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, specs = build_parser()
-    args = parser.parse_args(argv)
-    casters, defaults, handler = specs[args.command]
+    parser = build_parser()
     try:
-        _fill_from_config(args, casters, defaults)
-        return handler(args)
-    except UsageError as e:
+        args = parser.parse_args(argv)
+        if args.config:
+            # File values become the command's defaults; a second parse lets
+            # the flags win over them.
+            command = args.command_parser
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
+        return args.handler(args)
+    except ConfigError as e:  # UsageError and the option parsers' errors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except StageError as e:

@@ -49,14 +49,6 @@ def class_order(labels):
     return classes
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One sensor reading: a feature vector plus an optional class label."""
-
-    features: np.ndarray
-    label: str | None = None
-
-
 class Dataset:
     """Immutable table of numeric feature rows with an optional label column.
 
@@ -121,16 +113,6 @@ class Dataset:
         if self.labels is None:
             raise MissingLabelsError("dataset is unlabeled")
         return class_order(self.labels)
-
-    def row(self, i: int) -> Instance:
-        return Instance(self.X[i], None if self.labels is None else str(self.labels[i]))
-
-    def __len__(self):
-        return self.n_rows
-
-    def __iter__(self):
-        for i in range(self.n_rows):
-            yield self.row(i)
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)

@@ -174,7 +174,3 @@ class CostSensitiveModel(TrainedModel):
         s = self.base.score(X)
         # column c of P @ cost: sum_a P(a) cost[a][c], the expected cost of c
         return s._replace(picks=np.argmin(s.proba @ self.cm.m, axis=1))
-
-
-def cost_sensitive_wrap(base: TrainedModel, cm: CostMatrix) -> CostSensitiveModel:
-    return CostSensitiveModel(base, cm)

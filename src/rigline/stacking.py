@@ -4,7 +4,7 @@ a second-level meta-classifier (SMO with calibration by default).
 Also houses the learner registry the CLI and the model presets build on.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .baseline_learners import (
 from .dataset import Dataset, Standardizer, class_order, stratified_folds
 from .errors import ConfigError
 from .svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
-from .util import derive_seed
+from .util import derive_seed, parse_fields
 
 
 class ScaledModel(TrainedModel):
@@ -133,38 +133,42 @@ MODEL_PRESETS = {
 }
 
 
+def _names(text: str) -> tuple:
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
 def parse_stack_spec(text: str, seed: int = 0) -> StackSpec:
-    """Parse `model1`..`model5` or `stack:meta=smo;base=part,mlp,nb;folds=5`."""
+    """Parse `model1`..`model5` or `stack:meta=smo;base=part,mlp,nb;folds=5`.
+
+    Fields are `;`-separated; meta (default smo) and folds (default 5) are
+    optional. Every learner name must be registered when the spec is read.
+    """
     text = text.strip()
     if text in MODEL_PRESETS:
-        preset = MODEL_PRESETS[text]
-        return StackSpec(base=preset.base, meta=preset.meta, folds=preset.folds, seed=seed)
+        return replace(MODEL_PRESETS[text], seed=seed)
     if not text.startswith("stack:"):
         raise ConfigError(
             f"unknown stack spec {text!r}; use model1..model5 or stack:..."
         )
-    meta = LearnerSpec("smo")
-    base = None
-    folds = 5
-    for part in text[len("stack:") :].split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(f"bad stack spec segment {part!r}")
-        key, value = part.split("=", 1)
-        key = key.strip()
-        if key == "meta":
-            meta = LearnerSpec(value.strip())
-        elif key == "base":
-            base = tuple(LearnerSpec(n.strip()) for n in value.split(",") if n.strip())
-        elif key == "folds":
-            folds = int(value)
-        else:
-            raise ConfigError(f"unknown stack spec key {key!r}")
+    what = f"stack spec {text!r}"
+    fields = parse_fields(
+        text[len("stack:") :], ";", {"meta": str, "base": _names, "folds": int}, what
+    )
+    meta = fields.get("meta", "smo")
+    base = fields.get("base")
     if not base:
-        raise ConfigError("stack spec needs base=<learner,...>")
-    return StackSpec(base=base, meta=meta, folds=folds, seed=seed)
+        raise ConfigError(f"{what} needs base=<learner,...>")
+    for name in (meta, *base):
+        if name not in LEARNERS:
+            raise ConfigError(
+                f"{what}: unknown learner {name!r}; choices: {sorted(LEARNERS)}"
+            )
+    return StackSpec(
+        base=tuple(LearnerSpec(n) for n in base),
+        meta=LearnerSpec(meta),
+        folds=fields.get("folds", 5),
+        seed=seed,
+    )
 
 
 def _aligned_proba(model: TrainedModel, X, classes) -> np.ndarray:
@@ -251,8 +255,3 @@ def train_stack(d: Dataset, spec: StackSpec) -> StackedModel:
     ]
     return StackedModel(spec, base_models, meta_model, class_order(d.labels), d.arity)
 
-
-def predict_stack(m: StackedModel, x) -> np.ndarray:
-    """Probability vector for one instance (or matrix for many)."""
-    features = getattr(x, "features", x)
-    return m.predict_proba(np.asarray(features, dtype=float))

@@ -420,17 +420,6 @@ def decision_values(m: SvmModel, X) -> np.ndarray:
     return (m.alpha * m.sv_y) @ K + m.b
 
 
-def decision_value(m: SvmModel, x) -> float:
-    features = getattr(x, "features", x)
-    return float(decision_values(m, np.asarray(features, dtype=float).reshape(1, -1))[0])
-
-
-def svm_predict(m: SvmModel, X):
-    """Sign rule: margin >= 0 predicts the +1 (first) class."""
-    f = decision_values(m, X)
-    return np.where(f >= 0, m.classes[0], m.classes[1])
-
-
 def kkt_report(m: SvmModel, d: Dataset, tol: float) -> dict:
     """Count violations of the three optimality cases over the training set.
 

@@ -1,10 +1,13 @@
-"""Small shared helpers: seed derivation, atomic file writes, and the
-diagonal-Gaussian log-density that naive Bayes and EM share."""
+"""Small shared helpers: seed derivation, atomic file writes, the
+diagonal-Gaussian log-density that naive Bayes and EM share, and the
+`key=value` field reader behind the CLI's option tokens and stack specs."""
 
 import os
 import tempfile
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -52,3 +55,32 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def parse_fields(text: str, sep: str, casts, what: str) -> dict:
+    """Read sep-separated `key=value` fields into {key: cast(value)}.
+
+    casts maps each allowed key to the converter of its value, or is None to
+    allow any key and keep values as strings. Empty fields are skipped. A
+    field without `=`, an unknown key or a value its cast rejects raises
+    ConfigError, prefixed with what.
+    """
+    out = {}
+    for field in text.split(sep):
+        field = field.strip()
+        if not field:
+            continue
+        key, eq, value = field.partition("=")
+        if not eq:
+            raise ConfigError(f"{what}: expected key=value, got {field!r}")
+        key, value = key.strip(), value.strip()
+        if casts is None:
+            out[key] = value
+        elif key not in casts:
+            raise ConfigError(f"{what}: unknown key {key!r}; choices: {', '.join(casts)}")
+        else:
+            try:
+                out[key] = casts[key](value)
+            except ValueError:
+                raise ConfigError(f"{what}: bad value for {key}: {value!r}")
+    return out

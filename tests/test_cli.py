@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,138 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("learner = nb\nwibble = 3\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "wibble" in capsys.readouterr().err
+
+
+# Each pair is one option as a config file line and as command-line flags.
+RUN_OPTIONS = [
+    ("synthetic = rows=180,frac=0.2", ["--synthetic", "rows=180,frac=0.2"]),
+    ("learner = nb", ["--learner", "nb"]),
+    ("seed = 13", ["--seed", "13"]),
+    ("split = 0.75", ["--split", "0.75"]),
+    ("label = em", ["--label", "em"]),
+    ("em_raw = yes", ["--em-raw"]),
+    ("em-columns = Operating Pressure,Gas Detector",
+     ["--em-columns", "Operating Pressure,Gas Detector"]),
+    ("em_tol = 1e-7", ["--em-tol", "1e-7"]),
+    ("em_max_iter = 150", ["--em-max-iter", "150"]),
+]
+GRID_OPTIONS = [
+    ("synthetic = rows=200,frac=0.2", ["--synthetic", "rows=200,frac=0.2"]),
+    ("seed = 31", ["--seed", "31"]),
+    ("regimes = none,smote", ["--regimes", "none,smote"]),
+    ("learners = nb,tree", ["--learners", "nb,tree"]),
+    ("models = model2", ["--models", "model2"]),
+    ("smote_k = 3", ["--smote-k", "3"]),
+    ("smote_ratio = 0.8", ["--smote-ratio", "0.8"]),
+    ("em_raw = off", []),
+]
+
+
+@pytest.mark.parametrize("command, options", [
+    pytest.param("run", RUN_OPTIONS, id="run"),
+    pytest.param("grid", GRID_OPTIONS, id="grid"),
+])
+def test_config_file_matches_flags(tmp_path, monkeypatch, command, options):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("".join(line + "\n" for line, _ in options))
+    flags = [arg for _, argv in options for arg in argv]
+    written = {}
+    # The same relative --out, so the manifests' config.out lines agree too.
+    for how, argv in (("file", ["--config", str(cfg)]), ("flags", flags)):
+        (tmp_path / how).mkdir()
+        monkeypatch.chdir(tmp_path / how)
+        assert run_cli(command, *argv, "--out", "out") == 0
+        written[how] = {name: read(tmp_path / how / "out" / name)
+                        for name in os.listdir(tmp_path / how / "out")}
+    assert written["file"] == written["flags"]
+    assert "manifest.txt" in written["file"]
+    if command == "run":
+        assert "config.em_raw = True" in written["file"]["manifest.txt"]
+        assert "model.txt" in written["file"]
+    else:
+        assert "config.em_raw = False" in written["file"]["manifest.txt"]
+        assert "table3.csv" in written["file"]
+
+
+@pytest.mark.parametrize("text, labeled", [
+    ("yes", False), ("off", True), ("ON", False), ("0", True), ("true", False),
+])
+def test_config_switch_takes_bool_words(tmp_path, text, labeled):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"unlabeled = {text}\n")
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--rows", "40", "--config", str(cfg),
+                   "--out", str(out)) == 0
+    assert read(out).split("\n")[0].endswith(",class") == labeled
+
+
+@pytest.mark.parametrize("line, key", [
+    ("em_tol = x", "em_tol"),
+    ("em_raw = maybe", "em_raw"),
+    ("split = half", "split"),
+    ("seed = 1.5", "seed"),
+    ("config = other.cfg", "config"),
+])
+def test_config_bad_value_names_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"synthetic = rows=100\n{line}\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+COMMAND_OPTIONS = {
+    "generate": ["--rows", "--frac", "--shift", "--synthetic", "--unlabeled", "--out"],
+    "label": ["--data", "--out", "--save-gmm", "--components", "--em-tol",
+              "--em-max-iter", "--em-columns", "--em-raw"],
+    "sample": ["--data", "--sample", "--out"],
+    "train": ["--data", "--learner", "--stack", "--params", "--cost", "--cost-file",
+              "--out"],
+    "evaluate": ["--model", "--data", "--out", "--detail", "--name"],
+    "run": ["--data", "--synthetic", "--label", "--components", "--em-tol",
+            "--em-max-iter", "--em-columns", "--em-raw", "--split", "--sample",
+            "--cost", "--cost-file", "--learner", "--stack", "--out"],
+    "grid": ["--data", "--synthetic", "--label", "--components", "--em-tol",
+             "--em-max-iter", "--em-columns", "--em-raw", "--split", "--regimes",
+             "--learners", "--models", "--smote-k", "--smote-ratio", "--cost",
+             "--cost-file", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_help_lists_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert set(COMMAND_OPTIONS[command]) | {"--seed", "--config", "--help"} <= listed
+
+
+@pytest.mark.parametrize("spec, culprit", [
+    ("stack:base=nb;folds=x", "bad value for folds: 'x'"),
+    ("stack:base=nb;wat=1", "unknown key 'wat'"),
+    ("stack:meta=smo", "needs base="),
+    ("stack:base=nb,zzz", "'zzz'"),
+    ("stack:meta=zzz;base=nb", "unknown learner 'zzz'"),
+])
+@pytest.mark.parametrize("command", ["train", "run", "grid"])
+def test_malformed_stack_spec_is_usage_error(tmp_path, capsys, command, spec, culprit):
+    data = tmp_path / "d.csv"
+    run_cli("generate", "--rows", "60", "--seed", "1", "--out", str(data))
+    argv = {
+        "train": ["train", "--data", str(data), "--stack", spec],
+        "run": ["run", "--data", str(data), "--stack", spec],
+        "grid": ["grid", "--data", str(data), "--models", spec],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert culprit in err
+    # grid splits --models at commas, so there `zzz` is a token of its own.
+    if command != "grid" or "," not in spec:
+        assert spec in err
+    assert os.listdir(tmp_path) == ["d.csv"]
 
 
 def test_grid_degenerate_matches_run(tmp_path):

@@ -159,10 +159,10 @@ def test_rows_are_read_only():
 
 def test_instance_iteration():
     d = load_csv(SAMPLE)
-    inst = d.row(2)
-    assert inst.label is None
-    assert inst.features[3] == pytest.approx(10.2)
-    assert len(list(d)) == 19
+    one = d.subset([2])
+    assert one.labels is None
+    assert one.X[0, 3] == pytest.approx(10.2)
+    assert d.n_rows == 19
 
 
 def test_split_fraction_and_disjointness():

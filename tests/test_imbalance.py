@@ -13,8 +13,8 @@ from rigline.dataset import (
 from rigline.errors import ConfigError, SingleClassError
 from rigline.imbalance import (
     CostMatrix,
+    CostSensitiveModel,
     SmoteConfig,
-    cost_sensitive_wrap,
     default_cost_matrix,
     smote,
     undersample,
@@ -178,7 +178,7 @@ def test_cost_sensitive_example_cost_arithmetic():
     # predicting normal costs 0.3*5=1.5, predicting failure 0.7*1=0.7.
     cm = CostMatrix([[0, 1], [5, 0]])
     base = FixedProbModel([CLASS_NORMAL, CLASS_FAILURE], [0.7, 0.3])
-    wrapped = cost_sensitive_wrap(base, cm)
+    wrapped = CostSensitiveModel(base, cm)
     assert wrapped.predict(np.zeros(3)) == CLASS_FAILURE
     # Probabilities pass through unchanged.
     assert np.allclose(wrapped.predict_proba(np.zeros(3)), [0.7, 0.3])
@@ -187,14 +187,14 @@ def test_cost_sensitive_example_cost_arithmetic():
 def test_cost_sensitive_boundary_certain_normal():
     cm = CostMatrix([[0, 1], [1000, 0]])
     base = FixedProbModel([CLASS_NORMAL, CLASS_FAILURE], [1.0, 0.0])
-    assert cost_sensitive_wrap(base, cm).predict(np.zeros(2)) == CLASS_NORMAL
+    assert CostSensitiveModel(base, cm).predict(np.zeros(2)) == CLASS_NORMAL
 
 
 def test_uniform_costs_match_argmax_over_grid():
     cm = CostMatrix([[0, 1], [1, 0]])
     for p in np.linspace(0.01, 0.99, 25):
         base = FixedProbModel(["n", "f"], [p, 1 - p])
-        wrapped = cost_sensitive_wrap(base, cm)
+        wrapped = CostSensitiveModel(base, cm)
         assert wrapped.predict(np.zeros(2)) == base.predict(np.zeros(2))
 
 
@@ -202,7 +202,7 @@ def test_cost_sensitive_on_real_model_moves_decisions():
     d = imbalanced(800, seed=20)
     nb = train_naive_bayes(d)
     cm = default_cost_matrix(d)
-    wrapped = cost_sensitive_wrap(nb, cm)
+    wrapped = CostSensitiveModel(nb, cm)
     plain_fail = np.sum(nb.predict(d.X) == CLASS_FAILURE)
     cost_fail = np.sum(wrapped.predict(d.X) == CLASS_FAILURE)
     # Expensive missed failures push predictions toward the failure class.

@@ -11,7 +11,7 @@ from rigline.baseline_learners import (
 )
 from rigline.dataset import default_synthetic_config, generate_synthetic
 from rigline.errors import ParseError
-from rigline.imbalance import CostMatrix, cost_sensitive_wrap
+from rigline.imbalance import CostMatrix, CostSensitiveModel
 from rigline.modeldoc import load_model, model_from_text, model_to_text, save_model
 from rigline.stacking import LearnerSpec, StackSpec, train_learner, train_stack
 from rigline.svm_smo import SmoConfig, calibrate_probability, decision_values, smo_train
@@ -98,7 +98,7 @@ def test_scaled_smo_round_trip(tmp_path):
 
 def test_costwrap_round_trip(tmp_path):
     d = synth(seed=10)
-    m = cost_sensitive_wrap(train_naive_bayes(d), CostMatrix([[0, 1], [6.7, 0]]))
+    m = CostSensitiveModel(train_naive_bayes(d), CostMatrix([[0, 1], [6.7, 0]]))
     back = round_trip(m, tmp_path, "costwrap")
     assert list(back.predict(d.X)) == list(m.predict(d.X))
     assert np.array_equal(back.cm.m, m.cm.m)

@@ -11,7 +11,7 @@ from rigline.cli import main
 from rigline.dataset import Dataset, default_synthetic_config, generate_synthetic
 from rigline.errors import ShapeError
 from rigline.evaluation import evaluate
-from rigline.imbalance import CostSensitiveModel, cost_sensitive_wrap, default_cost_matrix
+from rigline.imbalance import CostSensitiveModel, default_cost_matrix
 from rigline.modeldoc import model_from_text, model_to_text
 from rigline.stacking import parse_stack_spec, train_learner, train_stack
 
@@ -30,8 +30,8 @@ def models(data):
                              ("part", {}), ("mlp", {"epochs": 20}), ("smo", {})]
     }
     out["stack"] = train_stack(data, parse_stack_spec("model3", seed=1))
-    out["cost-smo"] = cost_sensitive_wrap(out["smo"], cm)
-    out["cost-stack"] = cost_sensitive_wrap(out["stack"], cm)
+    out["cost-smo"] = CostSensitiveModel(out["smo"], cm)
+    out["cost-stack"] = CostSensitiveModel(out["stack"], cm)
     return out
 
 

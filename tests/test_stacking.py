@@ -17,7 +17,6 @@ from rigline.stacking import (
     StackSpec,
     build_meta_features,
     parse_stack_spec,
-    predict_stack,
     register_learner,
     train_learner,
     train_stack,
@@ -90,6 +89,22 @@ def test_parse_stack_spec_forms():
         parse_stack_spec("stack:meta=smo")
     with pytest.raises(ConfigError):
         parse_stack_spec("stack:bogus=1;base=nb")
+
+
+def test_parse_stack_spec_reads_the_registry_when_called():
+    with pytest.raises(ConfigError, match="unknown learner 'fake'"):
+        parse_stack_spec("stack:base=nb,fake")
+    register_learner("fake", lambda d, seed, params: train_naive_bayes(d))
+    try:
+        spec = parse_stack_spec("stack:meta=fake;base=nb,fake;folds=3")
+        assert [ls.name for ls in spec.base] == ["nb", "fake"]
+        assert spec.meta.name == "fake" and spec.folds == 3
+    finally:
+        from rigline.stacking import LEARNERS
+
+        LEARNERS.pop("fake", None)
+    with pytest.raises(ConfigError, match="bad value for folds: 'x'"):
+        parse_stack_spec("stack:base=nb;folds=x")
 
 
 def test_stack_spec_validation():
@@ -185,7 +200,7 @@ def test_stack_predictions_are_probabilities():
     assert P.shape == (25, 2)
     assert np.all(P >= 0) and np.all(P <= 1)
     assert np.allclose(P.sum(axis=1), 1.0)
-    one = predict_stack(m, d.row(0))
+    one = m.predict_proba(d.X[0])
     assert one.shape == (2,)
     assert np.allclose(one.sum(), 1.0)
     preds = m.predict(d.X[:25])

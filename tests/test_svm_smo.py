@@ -14,7 +14,6 @@ from rigline.svm_smo import (
     SmoConfig,
     SolverState,
     calibrate_probability,
-    decision_value,
     decision_values,
     dual_objective_value,
     examine_example,
@@ -23,11 +22,15 @@ from rigline.svm_smo import (
     kkt_report,
     sigmoid_nll,
     smo_train,
-    svm_predict,
     take_step,
 )
 
 LINEAR = KernelSpec(kind="linear")
+
+
+def sign_rule(m, X):
+    """Margin >= 0 predicts the +1 (first) class."""
+    return np.where(decision_values(m, X) >= 0, m.classes[0], m.classes[1])
 
 
 def tiny_two_point():
@@ -81,8 +84,8 @@ def test_two_point_analytic_solution():
     assert m.b == pytest.approx(0.0, abs=1e-9)
     assert m.dual_objective == pytest.approx(0.5, abs=1e-9)
     # classes[0] = "neg" maps to +1 and sits at x = -1, so f(x) = -x.
-    assert decision_value(m, np.array([2.0])) == pytest.approx(-2.0, abs=1e-9)
-    assert svm_predict(m, np.array([[2.0]]))[0] == "pos"
+    assert decision_values(m, np.array([[2.0]]))[0] == pytest.approx(-2.0, abs=1e-9)
+    assert sign_rule(m, np.array([[2.0]]))[0] == "pos"
 
 
 def test_two_point_examine_reaches_optimum_in_one_pass():
@@ -248,7 +251,7 @@ def test_decision_matches_linear_expansion():
     w = (m.alpha * m.sv_y) @ m.sv_X
     for i in range(5):
         direct = float(np.dot(w, d.X[i]) + m.b)
-        assert decision_value(m, d.X[i]) == pytest.approx(direct, abs=1e-12)
+        assert decision_values(m, d.X[i])[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_rbf_decision_far_away_tends_to_bias():
@@ -290,7 +293,7 @@ def test_non_convergence_flag_and_model_still_usable():
     d = blobs(n_per=40, gap=0.1, seed=12)
     m = smo_train(d, SmoConfig(C=10.0, kernel=LINEAR, max_passes=2))
     assert not m.converged
-    preds = svm_predict(m, d.X)
+    preds = sign_rule(m, d.X)
     assert set(preds) <= {"up", "down"}
 
 
@@ -328,7 +331,7 @@ def test_calibration_monotone_and_perfect_separation():
     y = np.where(d.labels == m.classes[0], 1, -1)
     assert p[y == 1].min() > p[y == -1].max()
     # predict keeps the margin sign rule
-    assert list(cal.predict(d.X)) == list(svm_predict(m, d.X))
+    assert list(cal.predict(d.X)) == list(sign_rule(m, d.X))
 
 
 def test_sigmoid_fit_beats_grid_oracle():
