@@ -30,22 +30,38 @@ names the key.
 by `util.parse_fields`: `,`-separated for the first two and `;`-separated in
 `stack:meta=smo;base=part,mlp,nb;folds=5`. A field without `=`, an unknown
 key, a bad value or (in a stack) an unregistered learner is a usage error.
+`generate`'s `--rows/--frac/--shift` win over its `--synthetic` fields; the
+merged source is range-checked once, by `SyntheticGenConfig`, at plan time.
+`grid --models` is a comma list of learners and stack specs; a comma starts
+a new model only before `model<N>`, `stack:` or a learner name that does not
+continue the `base=` field of the stack before it, so
+`nb,stack:base=nb,tree;folds=3,model1` is three models.
 
 Usage and config errors exit with status 2 before any artifact is written;
-failures inside a pipeline stage exit with status 1 and name the stage.
+failures inside a pipeline stage exit with status 1 and name the stage:
+
+generate   generate
+label      load, label
+sample     load, sample
+train      load, train
+evaluate   load, evaluate
+run        generate or load, label, split, sample, train, evaluate
+grid       generate or load, label, split (failed cells and regimes: ERR)
 """
 
 import argparse
 import os
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .dataset import (
     LABEL_COLUMN,
     Dataset,
     Standardizer,
+    SyntheticGenConfig,
     class_distribution,
-    default_synthetic_config,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -96,7 +112,15 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Run the block as pipeline stage name: any exception becomes StageError."""
+    try:
+        yield
+    except Exception as e:
+        raise StageError(name, e) from e
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +193,33 @@ def _resolve_master_seed(args: argparse.Namespace) -> int:
 # small token parsers
 
 
-def _parse_synthetic_token(text: str) -> dict:
-    """`rows=5000,frac=0.13,shift=2.0` with all keys optional."""
+def _parse_synthetic_token(text, seed: int, **flags) -> SyntheticGenConfig:
+    """The synthetic source: the `--synthetic` fields `rows=5000,frac=0.13,
+    shift=2.0` (each optional; text None or `default` gives the defaults)
+    under flags, generate's --rows/--frac/--shift, which win when not None.
+    A value out of range is a usage error naming the options the source
+    came from."""
     spec = dict(DEFAULT_SYNTHETIC)
-    if text != "default":
-        spec.update(parse_fields(
+    source = {}
+    if text not in (None, "default"):
+        fields = parse_fields(
             text, ",", {"rows": int, "frac": float, "shift": float}, "--synthetic"
-        ))
-    if spec["rows"] < 2:
-        raise UsageError("--synthetic: rows must be >= 2")
-    if not 0.0 < spec["frac"] < 1.0:
-        raise UsageError("--synthetic: frac must be in (0,1)")
-    return spec
+        )
+        spec.update(fields)
+        source.update(dict.fromkeys(fields, "--synthetic"))
+    for key, value in flags.items():
+        if value is not None:
+            spec[key] = value
+            source[key] = f"--{key}"
+    try:
+        return SyntheticGenConfig(
+            row_count=spec["rows"],
+            failure_fraction=spec["frac"],
+            seed=seed,
+            failure_shift_sigma=spec["shift"],
+        )
+    except ConfigError as e:
+        raise UsageError(f"{'/'.join(dict.fromkeys(source.values()))}: {e}")
 
 
 def _smote_config(k, ratio, what: str) -> SmoteConfig:
@@ -261,23 +300,42 @@ def _parse_list(text: str, what: str, choices=None):
     return items
 
 
+def _parse_models(text: str) -> tuple:
+    """grid --models: learners and stack specs, split at a comma only where
+    a new model starts: `model<N>`, `stack:`, or a learner name that does
+    not continue the `base=` field the model before it ends in."""
+    models = []
+    for piece in filter(None, (p.strip() for p in text.split(","))):
+        last_field = models[-1].removeprefix("stack:").split(";")[-1] if models else ""
+        learner = piece.partition(";")[0].strip() in LEARNERS
+        if (not models or re.fullmatch(r"model\d+", piece) or piece.startswith("stack:")
+                or (learner and not last_field.strip().startswith("base="))):
+            models.append(piece)
+        else:
+            models[-1] += "," + piece
+    if len(set(models)) != len(models):
+        raise UsageError(f"--models: duplicate entries in {text!r}")
+    return tuple(models)
+
+
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
 
-def _sniff_labels(path: str) -> bool:
-    """True when the CSV's last header cell is the label column."""
-    try:
+def _load_input(path: str) -> Dataset:
+    """The load stage: read a CSV, labeled when its last header cell is the
+    label column."""
+    with _stage("load"):
         with open(path) as fh:
             header = fh.readline()
-    except OSError as e:
-        raise RiglineError(str(e))
-    cells = [c.strip().strip('"') for c in header.rstrip("\n").split(",")]
-    return bool(cells) and cells[-1].lower() == LABEL_COLUMN
+        cells = [c.strip().strip('"') for c in header.rstrip("\n").split(",")]
+        return load_csv(path, has_labels=cells[-1].lower() == LABEL_COLUMN)
 
 
-def _load_input(path: str) -> Dataset:
-    return load_csv(path, has_labels=_sniff_labels(path))
+def _synthetic_data(cfg: SyntheticGenConfig) -> Dataset:
+    """The generate stage: draw the synthetic source."""
+    with _stage("generate"):
+        return generate_synthetic(cfg)
 
 
 def _em_feature_view(d: Dataset, em_columns, em_raw: bool) -> Dataset:
@@ -344,25 +402,31 @@ def _train_token_model(token: str, train: Dataset, master: int, params: dict,
     return model
 
 
+def _train_stage(token: str, train: Dataset, master: int, params: dict, cost_spec,
+                 path: str):
+    """The train stage: fit the model token names on train, cost-wrapped
+    under cost_spec (a CostMatrix, 'default' or None), and write it to path."""
+    with _stage("train"):
+        model = _train_token_model(token, train, master, params,
+                                   _resolve_cost(cost_spec, train))
+        save_model(model, path)
+    return model
+
+
+def _evaluate_stage(model, test: Dataset, name: str, path: str, detail_path=None):
+    """The evaluate stage: score model on test once, write its report column
+    under name to path and, when detail_path is given, the detail block."""
+    with _stage("evaluate"):
+        report = evaluate(model, test)
+        atomic_write_text(path, compare_table([(name, report)]))
+        if detail_path:
+            atomic_write_text(detail_path, render_detail(name, report))
+
+
 def _validate_model_token(token: str) -> None:
     """Reject a learner name or stack spec that cannot be built (exit 2)."""
     if token not in LEARNERS:
         parse_stack_spec(token)
-
-
-def _manifest_text(command: str, master: int, seeds: dict, config: dict, artifacts) -> str:
-    lines = [f"command = {command}", f"master_seed = {master}"]
-    for name in sorted(seeds):
-        lines.append(f"seed.{name} = {seeds[name]}")
-    for key in sorted(config):
-        lines.append(f"config.{key} = {config[key]}")
-    for name in artifacts:
-        lines.append(f"artifact = {name}")
-    return "\n".join(lines) + "\n"
-
-
-def _out_path(out_dir: str, name: str) -> str:
-    return os.path.join(out_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +435,13 @@ def _out_path(out_dir: str, name: str) -> str:
 
 def _cmd_generate(args) -> int:
     master = _resolve_master_seed(args)
-    spec = _parse_synthetic_token(args.synthetic or "default")
-    for key in ("rows", "frac", "shift"):
-        if getattr(args, key) is not None:
-            spec[key] = getattr(args, key)
-    cfg = default_synthetic_config(
-        row_count=spec["rows"],
-        failure_fraction=spec["frac"],
-        seed=_stage_seed(master, "generate"),
-        failure_shift_sigma=spec["shift"],
-    )
-    try:
-        d = generate_synthetic(cfg)
-        if args.unlabeled:
-            d = d.without_labels()
+    cfg = _parse_synthetic_token(args.synthetic, _stage_seed(master, "generate"),
+                                 rows=args.rows, frac=args.frac, shift=args.shift)
+    d = _synthetic_data(cfg)
+    if args.unlabeled:
+        d = d.without_labels()
+    with _stage("generate"):
         save_csv(d, args.out)
-    except Exception as e:
-        raise StageError("generate", e)
     dist = class_distribution(d) if d.label_presence else {}
     print(f"wrote {args.out}: {d.n_rows} rows" + (f", {dist}" if dist else ""))
     return 0
@@ -397,17 +451,12 @@ def _cmd_label(args) -> int:
     master = _resolve_master_seed(args)
     if args.components != 2:
         raise UsageError("labeling requires exactly 2 mixture components")
-    try:
-        d = _load_input(args.data)
-    except Exception as e:
-        raise StageError("load", e)
-    try:
+    d = _load_input(args.data)
+    with _stage("label"):
         labeled, gmm = _em_label(d, args, _stage_seed(master, "label"))
         save_csv(labeled, args.out)
         if args.save_gmm:
             save_gmm(gmm, args.save_gmm)
-    except Exception as e:
-        raise StageError("label", e)
     print(f"wrote {args.out}: {class_distribution(labeled)}")
     return 0
 
@@ -415,15 +464,10 @@ def _cmd_label(args) -> int:
 def _cmd_sample(args) -> int:
     master = _resolve_master_seed(args)
     kind, params = _parse_sample_token(args.sample)
-    try:
-        d = _load_input(args.data)
-    except Exception as e:
-        raise StageError("load", e)
-    try:
+    d = _load_input(args.data)
+    with _stage("sample"):
         out = _apply_sampling(d, kind, params, _stage_seed(master, "sample"))
         save_csv(out, args.out)
-    except Exception as e:
-        raise StageError("sample", e)
     print(f"wrote {args.out}: {class_distribution(out)}")
     return 0
 
@@ -443,37 +487,18 @@ def _cmd_train(args) -> int:
             raise UsageError("--params applies to --learner; put stack "
                              "parameters inside the stack spec string")
         _validate_model_token(args.stack)
-    try:
-        d = _load_input(args.data)
-    except Exception as e:
-        raise StageError("load", e)
-    try:
-        token = args.learner if args.learner is not None else args.stack
-        model = _train_token_model(token, d, master, params, _resolve_cost(cost_spec, d))
-        save_model(model, args.out)
-    except Exception as e:
-        raise StageError("train", e)
+    d = _load_input(args.data)
+    token = args.learner if args.learner is not None else args.stack
+    model = _train_stage(token, d, master, params, cost_spec, args.out)
     print(f"wrote {args.out}: {model.learner} model")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    try:
+    with _stage("load"):
         model = load_model(args.model)
-    except Exception as e:
-        raise StageError("load", e)
-    try:
-        test = _load_input(args.data)
-    except Exception as e:
-        raise StageError("load", e)
-    try:
-        name = args.name or model.learner
-        report = evaluate(model, test)
-        atomic_write_text(args.out, compare_table([(name, report)]))
-        if args.detail:
-            atomic_write_text(args.detail, render_detail(name, report))
-    except Exception as e:
-        raise StageError("evaluate", e)
+    test = _load_input(args.data)
+    _evaluate_stage(model, test, args.name or model.learner, args.out, args.detail)
     print(f"wrote {args.out}")
     return 0
 
@@ -484,7 +509,7 @@ def _pipeline_plan(args) -> dict:
     if args.data is not None and args.synthetic is not None:
         raise UsageError("give either --data or --synthetic, not both")
     synthetic = None if args.data is not None else _parse_synthetic_token(
-        args.synthetic or "default"
+        args.synthetic, _stage_seed(master, "generate")
     )
     if args.label not in ("auto", "em", "none"):
         raise UsageError(f"--label must be auto, em, or none, got {args.label!r}")
@@ -515,19 +540,6 @@ def _run_plan(args) -> dict:
     return plan
 
 
-def _acquire_data(args, plan) -> Dataset:
-    if args.data is not None:
-        return _load_input(args.data)
-    spec = plan["synthetic"]
-    cfg = default_synthetic_config(
-        row_count=spec["rows"],
-        failure_fraction=spec["frac"],
-        seed=plan["seeds"]["generate"],
-        failure_shift_sigma=spec["shift"],
-    )
-    return generate_synthetic(cfg)
-
-
 def _label_data(d: Dataset, args, seeds, artifacts):
     """auto: label only when unlabeled; em: always re-label; none: require labels."""
     if args.label == "none":
@@ -537,67 +549,48 @@ def _label_data(d: Dataset, args, seeds, artifacts):
     if args.label == "auto" and d.label_presence:
         return d
     labeled, gmm = _em_label(d, args, seeds["label"])
-    save_gmm(gmm, _out_path(args.out, "em_model.txt"))
+    save_gmm(gmm, os.path.join(args.out, "em_model.txt"))
     artifacts.append("em_model.txt")
     return labeled
 
 
 def _prepare_data(args, plan, artifacts):
-    """Stages acquire -> label (writing labeled.csv) -> split into args.out;
-    returns (train, test)."""
+    """Stages load or generate -> label (writing labeled.csv) -> split into
+    args.out; returns (train, test)."""
     os.makedirs(args.out, exist_ok=True)
-    try:
-        d = _acquire_data(args, plan)
-    except Exception as e:
-        raise StageError("load" if args.data is not None else "generate", e)
-    try:
+    if args.data is not None:
+        d = _load_input(args.data)
+    else:
+        d = _synthetic_data(plan["synthetic"])
+    with _stage("label"):
         labeled = _label_data(d, args, plan["seeds"], artifacts)
-        save_csv(labeled, _out_path(args.out, "labeled.csv"))
+        save_csv(labeled, os.path.join(args.out, "labeled.csv"))
         artifacts.append("labeled.csv")
-    except Exception as e:
-        raise StageError("label", e)
-    try:
+    with _stage("split"):
         return split_train_test(labeled, args.split, seed=plan["seeds"]["split"])
-    except Exception as e:
-        raise StageError("split", e)
 
 
 def _write_manifest(command: str, args, plan, config: dict, artifacts) -> None:
-    atomic_write_text(
-        _out_path(args.out, "manifest.txt"),
-        _manifest_text(command, plan["master"], plan["seeds"], config,
-                       artifacts + ["manifest.txt"]),
-    )
+    seeds = plan["seeds"]
+    lines = [f"command = {command}", f"master_seed = {plan['master']}"]
+    lines += [f"seed.{name} = {seeds[name]}" for name in sorted(seeds)]
+    lines += [f"config.{key} = {config[key]}" for key in sorted(config)]
+    lines += [f"artifact = {name}" for name in artifacts + ["manifest.txt"]]
+    atomic_write_text(os.path.join(args.out, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _cmd_run(args) -> int:
     plan = _run_plan(args)
     artifacts = []
     train, test = _prepare_data(args, plan, artifacts)
-
-    try:
-        kind, smote_cfg = plan["sample"]
+    kind, smote_cfg = plan["sample"]
+    with _stage("sample"):
         sampled = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
-    except Exception as e:
-        raise StageError("sample", e)
-
-    try:
-        cm = _resolve_cost(plan["cost"], sampled)
-        model = _train_token_model(plan["token"], sampled, plan["master"], {}, cm)
-        save_model(model, _out_path(args.out, "model.txt"))
-        artifacts.append("model.txt")
-    except Exception as e:
-        raise StageError("train", e)
-
-    try:
-        name = plan["token"]
-        report = evaluate(model, test)
-        atomic_write_text(_out_path(args.out, "report.csv"), compare_table([(name, report)]))
-        artifacts.append("report.csv")
-        atomic_write_text(_out_path(args.out, "detail.txt"), render_detail(name, report))
-        artifacts.append("detail.txt")
-    except Exception as e:
-        raise StageError("evaluate", e)
+    model = _train_stage(plan["token"], sampled, plan["master"], {}, plan["cost"],
+                         os.path.join(args.out, "model.txt"))
+    _evaluate_stage(model, test, plan["token"], os.path.join(args.out, "report.csv"),
+                    os.path.join(args.out, "detail.txt"))
+    artifacts += ["model.txt", "report.csv", "detail.txt"]
 
     config = _echo_common_config(args, plan)
     config["sample"] = (
@@ -622,11 +615,10 @@ def _echo_common_config(args, plan) -> dict:
         "split": args.split,
         "out": args.out,
     }
-    if plan["synthetic"] is not None:
-        spec = plan["synthetic"]
-        config["synthetic"] = f"rows={spec['rows']},frac={spec['frac']},shift={spec['shift']}"
-    else:
-        config["synthetic"] = "-"
+    cfg = plan["synthetic"]
+    config["synthetic"] = "-" if cfg is None else (
+        f"rows={cfg.row_count},frac={cfg.failure_fraction},shift={cfg.failure_shift_sigma}"
+    )
     cost = plan["cost"]
     if cost is None:
         config["cost"] = "-"
@@ -645,7 +637,7 @@ def _grid_plan(args) -> dict:
     learners = _parse_list(args.learners, "--learners", choices=set(LEARNERS))
     if not learners:
         raise UsageError("--learners must name at least one learner")
-    models = _parse_list(args.models, "--models") if args.models else ()
+    models = _parse_models(args.models or "")
     for token in models:
         _validate_model_token(token)
     plan.update(
@@ -680,7 +672,7 @@ def _cmd_grid(args) -> int:
 
     def write_table(columns, what):
         fname = f"table{len(table_names) + 1}.csv"
-        atomic_write_text(_out_path(args.out, fname), compare_table(columns))
+        atomic_write_text(os.path.join(args.out, fname), compare_table(columns))
         artifacts.append(fname)
         table_names.append((fname, what))
 
@@ -730,7 +722,7 @@ def _cmd_grid(args) -> int:
             write_table(versus, f"best model ({best_name}) vs single learners")
 
     summary = _grid_summary(table_names, best_name, model_reports, errors)
-    atomic_write_text(_out_path(args.out, "summary.txt"), summary)
+    atomic_write_text(os.path.join(args.out, "summary.txt"), summary)
     artifacts.append("summary.txt")
 
     config = _echo_common_config(args, plan)
@@ -857,7 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learners", default=",".join(DEFAULT_GRID_LEARNERS),
                    help=f"comma list from {sorted(LEARNERS)}")
     p.add_argument("--models", default=",".join(DEFAULT_GRID_MODELS),
-                   help="comma list of stack tokens; empty string skips the model tables")
+                   help="comma list of learners, presets model1..model5 and "
+                        "stack:... specs; empty string skips the model tables")
     p.add_argument("--smote-k", type=int, default=5)
     p.add_argument("--smote-ratio", type=float, default=1.0)
     _add_cost_options(p, "cost regime matrix: 'a,b' (default: class-ratio matrix)")

@@ -10,7 +10,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,11 +108,6 @@ class Dataset:
 
     def feature_names(self):
         return [n for n, _ in self.schema]
-
-    def classes(self):
-        if self.labels is None:
-            raise MissingLabelsError("dataset is unlabeled")
-        return class_order(self.labels)
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
@@ -251,59 +246,27 @@ DEFAULT_FAILURE_FRACTION = 0.13
 
 @dataclass(frozen=True)
 class SyntheticGenConfig:
-    """Configuration for the synthetic labeled-sensor-data generator."""
+    """The synthetic source: row count, failure fraction, seed and how many
+    normal-class stddevs the failure class's shifted columns drift up."""
 
     row_count: int
     failure_fraction: float = DEFAULT_FAILURE_FRACTION
     seed: int = 0
-    columns: tuple = DEFAULT_COLUMNS
-    normal_params: tuple = DEFAULT_NORMAL_PARAMS
-    failure_params: tuple = field(default=None)
+    failure_shift_sigma: float = 2.0
 
     def __post_init__(self):
-        if self.row_count <= 0:
-            raise ConfigError(f"row_count must be positive, got {self.row_count}")
+        if self.row_count < 2:
+            raise ConfigError(f"row_count must be >= 2, got {self.row_count}")
         if not 0.0 < self.failure_fraction < 1.0:
             raise ConfigError(
                 f"failure_fraction must be in (0,1), got {self.failure_fraction}"
             )
-        if self.failure_params is None:
-            object.__setattr__(
-                self, "failure_params", _shifted_params(self.columns, self.normal_params)
-            )
-        for params in (self.normal_params, self.failure_params):
-            if len(params) != len(self.columns):
-                raise ConfigError("per-class params must cover every column")
-            for _, sd in params:
-                if sd <= 0:
-                    raise ConfigError(f"standard deviations must be > 0, got {sd}")
-
-
-def _shifted_params(columns, normal_params, shift_sigma: float = 2.0):
-    out = []
-    for (name, _), (mu, sd) in zip(columns, normal_params):
-        shift = shift_sigma * sd if name in DEFAULT_SHIFTED_COLUMNS else 0.0
-        out.append((mu + shift, sd))
-    return tuple(out)
-
-
-def default_synthetic_config(
-    row_count: int,
-    failure_fraction: float = DEFAULT_FAILURE_FRACTION,
-    seed: int = 0,
-    failure_shift_sigma: float = 2.0,
-) -> SyntheticGenConfig:
-    """Stock generator config: sample-statistic normals, shifted failure class."""
-    return SyntheticGenConfig(
-        row_count=row_count,
-        failure_fraction=failure_fraction,
-        seed=seed,
-        failure_params=_shifted_params(DEFAULT_COLUMNS, DEFAULT_NORMAL_PARAMS, failure_shift_sigma),
-    )
 
 
 def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
-    """Draw a labeled dataset from per-class, per-column Gaussians.
+    """Draw a labeled dataset from per-class, per-column Gaussians: the
+    default columns' statistics for the normal class, the same with the
+    shifted columns' means moved up for the failure class.
 
     Class counts are round(row_count * fraction); rows are shuffled but the
     whole draw is deterministic for a fixed seed.
@@ -311,16 +274,14 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
     n_fail = int(round(cfg.row_count * cfg.failure_fraction))
     n_norm = cfg.row_count - n_fail
     rng = np.random.default_rng(cfg.seed)
-    d = len(cfg.columns)
-    X = np.empty((cfg.row_count, d))
-    for j in range(d):
-        mu_n, sd_n = cfg.normal_params[j]
-        mu_f, sd_f = cfg.failure_params[j]
-        X[:n_norm, j] = rng.normal(mu_n, sd_n, size=n_norm)
-        X[n_norm:, j] = rng.normal(mu_f, sd_f, size=n_fail)
+    X = np.empty((cfg.row_count, len(DEFAULT_COLUMNS)))
+    for j, ((name, _), (mu, sd)) in enumerate(zip(DEFAULT_COLUMNS, DEFAULT_NORMAL_PARAMS)):
+        shift = cfg.failure_shift_sigma * sd if name in DEFAULT_SHIFTED_COLUMNS else 0.0
+        X[:n_norm, j] = rng.normal(mu, sd, size=n_norm)
+        X[n_norm:, j] = rng.normal(mu + shift, sd, size=n_fail)
     labels = np.array([CLASS_NORMAL] * n_norm + [CLASS_FAILURE] * n_fail)
     perm = rng.permutation(cfg.row_count)
-    return Dataset(cfg.columns, X[perm], labels[perm])
+    return Dataset(DEFAULT_COLUMNS, X[perm], labels[perm])
 
 
 def split_train_test(d: Dataset, train_fraction: float, seed: int = 0, shuffle: bool = True):

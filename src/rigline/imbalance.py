@@ -130,17 +130,6 @@ class CostMatrix:
         rows = [[float(v) for v in ln.replace(",", " ").split()] for ln in lines]
         return cls(rows)
 
-    def save(self, path: str) -> None:
-        from .util import atomic_write_text
-
-        atomic_write_text(
-            path,
-            "\n".join(
-                " ".join(repr(float(v)) for v in row) for row in self.m
-            )
-            + "\n",
-        )
-
 
 def default_cost_matrix(d: Dataset) -> CostMatrix:
     """Misreading the minority class costs majority/minority; the reverse

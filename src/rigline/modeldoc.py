@@ -81,6 +81,12 @@ def _emit_scaler(scaler: Standardizer, out):
     out.append("scaler_scales " + _floats(scaler.scales))
 
 
+def _emit_nested(model, out):
+    out.append("begin_model")
+    _emit(model, out)
+    out.append("end_model")
+
+
 def _emit(model, out):
     if isinstance(model, NaiveBayesModel):
         out.append("model nb")
@@ -95,9 +101,7 @@ def _emit(model, out):
         out.append(f"arity {model.arity}")
         out.append(f"n_trees {len(model.trees)}")
         for tree in model.trees:
-            out.append("begin_model")
-            _emit(tree, out)
-            out.append("end_model")
+            _emit_nested(tree, out)
     elif isinstance(model, DecisionTreeModel):
         out.append("model tree")
         _emit_classes(model, out)
@@ -147,22 +151,16 @@ def _emit(model, out):
         out.append(f"a {float(model.A)!r}")
         out.append(f"b {float(model.B)!r}")
         out.append(f"fallback {int(model.fallback)}")
-        out.append("begin_model")
-        _emit(model.svm, out)
-        out.append("end_model")
+        _emit_nested(model.svm, out)
     elif isinstance(model, ScaledModel):
         out.append("model scaled")
         _emit_scaler(model.scaler, out)
-        out.append("begin_model")
-        _emit(model.inner, out)
-        out.append("end_model")
+        _emit_nested(model.inner, out)
     elif isinstance(model, CostSensitiveModel):
         out.append("model costwrap")
         out.append("costs0 " + _floats(model.cm.m[0]))
         out.append("costs1 " + _floats(model.cm.m[1]))
-        out.append("begin_model")
-        _emit(model.base, out)
-        out.append("end_model")
+        _emit_nested(model.base, out)
     elif isinstance(model, StackedModel):
         out.append("model stack")
         _emit_classes(model, out)
@@ -181,12 +179,8 @@ def _emit(model, out):
             )
         )
         for bm in model.base_models:
-            out.append("begin_model")
-            _emit(bm, out)
-            out.append("end_model")
-        out.append("begin_model")
-        _emit(model.meta_model, out)
-        out.append("end_model")
+            _emit_nested(bm, out)
+        _emit_nested(model.meta_model, out)
     else:
         raise ParseError(f"cannot serialize model type {type(model).__name__}")
 

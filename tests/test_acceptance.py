@@ -16,7 +16,7 @@ from rigline.cli import MASTER_SEED_DEFAULT, main as cli_main
 from rigline.dataset import (
     Dataset,
     Standardizer,
-    default_synthetic_config,
+    SyntheticGenConfig,
     generate_synthetic,
     split_train_test,
 )
@@ -125,7 +125,7 @@ def test_criterion_2_kkt_clean_at_convergence(solved_small_cases):
     cases, _ = solved_small_cases
     small = sum(sum(kkt_report(m, d, tol=1e-3).values()) for d, m, _, _ in cases)
 
-    d = generate_synthetic(default_synthetic_config(row_count=500, seed=3))
+    d = generate_synthetic(SyntheticGenConfig(row_count=500, seed=3))
     scaler = Standardizer()
     ds = Dataset(d.schema, scaler.fit_transform(d.X), d.labels)
     m = smo_train(ds, SmoConfig(kkt_tol=1e-4, eps=1e-6))
@@ -344,7 +344,7 @@ def test_criterion_8_cart_root_split_matches_enumeration():
 @pytest.fixture(scope="module")
 def pipeline_reports():
     master = MASTER_SEED_DEFAULT
-    d = generate_synthetic(default_synthetic_config(row_count=5000, seed=master + 1))
+    d = generate_synthetic(SyntheticGenConfig(row_count=5000, seed=master + 1))
     train, test = split_train_test(d, 0.66, seed=master + 3)
 
     t0 = time.time()

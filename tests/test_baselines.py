@@ -20,7 +20,7 @@ from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
     Dataset,
-    default_synthetic_config,
+    SyntheticGenConfig,
     generate_synthetic,
 )
 from rigline.errors import ConfigError, ShapeError, SingleClassError
@@ -36,7 +36,7 @@ def toy_dataset():
 
 def synth(n=600, seed=0, shift=2.5):
     return generate_synthetic(
-        default_synthetic_config(row_count=n, seed=seed, failure_shift_sigma=shift)
+        SyntheticGenConfig(row_count=n, seed=seed, failure_shift_sigma=shift)
     )
 
 

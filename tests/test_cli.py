@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 
@@ -209,14 +210,6 @@ def test_run_invalid_sampling_leaves_no_artifacts(tmp_path, capsys, token, messa
     assert message in err
 
 
-def test_run_stage_error_names_stage(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
-    out = tmp_path / "out"
-    assert run_cli("run", "--data", str(missing), "--learner", "nb",
-                   "--out", str(out)) == 1
-    assert "stage load" in capsys.readouterr().err
-
-
 def test_run_determinism_and_env_seed(tmp_path, monkeypatch):
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
@@ -384,10 +377,84 @@ def test_malformed_stack_spec_is_usage_error(tmp_path, capsys, command, spec, cu
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert culprit in err
-    # grid splits --models at commas, so there `zzz` is a token of its own.
-    if command != "grid" or "," not in spec:
-        assert spec in err
+    assert spec in err
     assert os.listdir(tmp_path) == ["d.csv"]
+
+
+@pytest.mark.parametrize("models, columns", [
+    pytest.param("stack:base=part,mlp", ["stack:base=part,mlp"], id="two-base"),
+    pytest.param("stack:meta=smo;base=part,mlp,nb;folds=5",
+                 ["stack:meta=smo;base=part,mlp,nb;folds=5"], id="three-base"),
+    pytest.param("nb,stack:base=nb,tree;folds=3,model1",
+                 ["nb", "stack:base=nb,tree;folds=3", "model1"], id="mixed"),
+])
+def test_grid_models_hold_multi_base_stacks(tmp_path, models, columns):
+    out = tmp_path / "g"
+    assert run_cli("grid", "--synthetic", "rows=100,frac=0.2", "--seed", "4",
+                   "--regimes", "none", "--learners", "nb", "--models", models,
+                   "--out", str(out)) == 0
+    with open(out / "table2.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["Measure"] + columns
+    assert f"config.models = {','.join(columns)}\n" in read(out / "manifest.txt")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["generate", "--rows", "1"], "--rows", id="generate-rows"),
+    pytest.param(["generate", "--frac", "0"], "--frac", id="generate-frac"),
+    pytest.param(["generate", "--rows", "1", "--synthetic", "rows=50"], "--rows",
+                 id="generate-rows-over-token"),
+    pytest.param(["generate", "--synthetic", "rows=1"], "--synthetic",
+                 id="generate-token"),
+    pytest.param(["run", "--synthetic", "frac=1.0"], "--synthetic", id="run"),
+    pytest.param(["grid", "--synthetic", "rows=1"], "--synthetic", id="grid"),
+])
+def test_synthetic_range_is_checked_before_anything_is_written(tmp_path, capsys,
+                                                               argv, flag):
+    out = tmp_path / ("x.csv" if argv[0] == "generate" else "out")
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A labeled CSV, an unlabeled one, a trained model and a garbled one."""
+    d = tmp_path_factory.mktemp("stage_inputs")
+    paths = {name: str(d / name) for name in
+             ("lab.csv", "raw.csv", "model.txt", "garbled.txt", "missing.csv")}
+    assert run_cli("generate", "--rows", "80", "--frac", "0.2", "--seed", "1",
+                   "--out", paths["lab.csv"]) == 0
+    assert run_cli("generate", "--rows", "80", "--unlabeled", "--seed", "1",
+                   "--out", paths["raw.csv"]) == 0
+    assert run_cli("train", "--data", paths["lab.csv"], "--learner", "nb",
+                   "--out", paths["model.txt"]) == 0
+    with open(paths["garbled.txt"], "w") as fh:
+        fh.write("model nb\nclasses [\n")
+    return paths
+
+
+@pytest.mark.parametrize("argv, stage", [
+    pytest.param(["label", "--data", "missing.csv"], "load", id="label-missing"),
+    pytest.param(["run", "--data", "missing.csv"], "load", id="run-missing"),
+    pytest.param(["grid", "--data", "missing.csv"], "load", id="grid-missing"),
+    pytest.param(["label", "--data", "raw.csv", "--em-columns", "NoSuch"], "label",
+                 id="label-columns"),
+    pytest.param(["sample", "--data", "lab.csv", "--sample", "smote:k=500"], "sample",
+                 id="sample-smote-k"),
+    pytest.param(["train", "--data", "lab.csv", "--learner", "smo", "--params",
+                  "cal_folds=1"], "train", id="train-cal-folds"),
+    pytest.param(["evaluate", "--model", "garbled.txt", "--data", "lab.csv"], "load",
+                 id="evaluate-garbled-model"),
+    pytest.param(["evaluate", "--model", "model.txt", "--data", "raw.csv"], "evaluate",
+                 id="evaluate-unlabeled"),
+    pytest.param(["generate"], "generate", id="generate-missing-dir"),
+])
+def test_failure_names_its_stage(tmp_path, capsys, stage_inputs, argv, stage):
+    argv = [stage_inputs.get(a, a) for a in argv]
+    out = tmp_path / "missing_dir" / "x.csv" if argv[0] == "generate" else tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert f"error: stage {stage}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 def test_grid_degenerate_matches_run(tmp_path):

@@ -7,12 +7,14 @@ import pytest
 from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
+    DEFAULT_COLUMNS,
     DEFAULT_NORMAL_PARAMS,
+    DEFAULT_SHIFTED_COLUMNS,
     Dataset,
     Standardizer,
+    SyntheticGenConfig,
     class_distribution,
     class_order,
-    default_synthetic_config,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -111,7 +113,7 @@ def test_labeled_load_and_class_column(tmp_path):
     d = load_csv(str(p), has_labels=True)
     assert d.arity == 2
     assert list(d.labels) == ["normal", "failure", "normal"]
-    assert d.classes() == [CLASS_NORMAL, CLASS_FAILURE]
+    assert class_order(d.labels) == [CLASS_NORMAL, CLASS_FAILURE]
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -166,7 +168,7 @@ def test_instance_iteration():
 
 
 def test_split_fraction_and_disjointness():
-    cfg = default_synthetic_config(row_count=100, seed=5)
+    cfg = SyntheticGenConfig(row_count=100, seed=5)
     d = generate_synthetic(cfg)
     train, test = split_train_test(d, 0.66, seed=3)
     assert train.n_rows == 66
@@ -204,7 +206,7 @@ def test_split_rejects_bad_fraction():
 
 
 def test_synthetic_counts_and_determinism():
-    cfg = default_synthetic_config(row_count=1000, seed=12)
+    cfg = SyntheticGenConfig(row_count=1000, seed=12)
     d = generate_synthetic(cfg)
     dist = class_distribution(d)
     assert dist[CLASS_FAILURE][0] == 130
@@ -213,31 +215,40 @@ def test_synthetic_counts_and_determinism():
     d2 = generate_synthetic(cfg)
     assert np.array_equal(d.X, d2.X)
     assert np.array_equal(d.labels, d2.labels)
-    d3 = generate_synthetic(default_synthetic_config(row_count=1000, seed=13))
+    d3 = generate_synthetic(SyntheticGenConfig(row_count=1000, seed=13))
     assert not np.array_equal(d.X, d3.X)
 
 
 def test_synthetic_moments_near_config():
-    cfg = default_synthetic_config(row_count=20000, seed=3)
-    d = generate_synthetic(cfg)
+    d = generate_synthetic(SyntheticGenConfig(row_count=20000, seed=3))
     norm = d.X[d.labels == CLASS_NORMAL]
     fail = d.X[d.labels == CLASS_FAILURE]
-    for j, (mu, sd) in enumerate(cfg.normal_params):
+    # The failure class moves the two pressures and the gas reading (columns
+    # 1-3) up by the default 2 sigma; temperature and flow stay put.
+    failure_params = [
+        (mu + (2 * sd if j in (1, 2, 3) else 0.0), sd)
+        for j, (mu, sd) in enumerate(DEFAULT_NORMAL_PARAMS)
+    ]
+    for j, (mu, sd) in enumerate(DEFAULT_NORMAL_PARAMS):
         assert norm[:, j].mean() == pytest.approx(mu, abs=5 * sd / math.sqrt(len(norm)))
-    for j, (mu, sd) in enumerate(cfg.failure_params):
+    for j, (mu, sd) in enumerate(failure_params):
         assert fail[:, j].mean() == pytest.approx(mu, abs=5 * sd / math.sqrt(len(fail)))
     # Shifted columns sit 2 sigma above the normal-class mean by default.
-    assert cfg.failure_params[1][0] == pytest.approx(
-        cfg.normal_params[1][0] + 2 * cfg.normal_params[1][1]
+    assert failure_params[1][0] == pytest.approx(
+        DEFAULT_NORMAL_PARAMS[1][0] + 2 * DEFAULT_NORMAL_PARAMS[1][1]
     )
-    assert cfg.failure_params[0][0] == pytest.approx(cfg.normal_params[0][0])
+    assert failure_params[0][0] == pytest.approx(DEFAULT_NORMAL_PARAMS[0][0])
+    assert [name for name, _ in d.schema] == [name for name, _ in DEFAULT_COLUMNS]
+    assert [DEFAULT_COLUMNS[j][0] for j in (1, 2, 3)] == list(DEFAULT_SHIFTED_COLUMNS)
 
 
 def test_synthetic_config_validation():
     with pytest.raises(ConfigError):
-        default_synthetic_config(row_count=0)
+        SyntheticGenConfig(row_count=0)
     with pytest.raises(ConfigError):
-        default_synthetic_config(row_count=10, failure_fraction=1.0)
+        SyntheticGenConfig(row_count=1)
+    with pytest.raises(ConfigError):
+        SyntheticGenConfig(row_count=10, failure_fraction=1.0)
 
 
 def test_class_distribution_requires_labels():

@@ -9,7 +9,7 @@ from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
     Dataset,
-    default_synthetic_config,
+    SyntheticGenConfig,
     generate_synthetic,
 )
 from rigline.errors import EmptyDatasetError, SingleClassError
@@ -74,7 +74,7 @@ def brute_force_auc(scores, labels):
 
 
 def small_labeled(n=200, seed=0):
-    return generate_synthetic(default_synthetic_config(row_count=n, seed=seed))
+    return generate_synthetic(SyntheticGenConfig(row_count=n, seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
     Dataset,
+    SyntheticGenConfig,
     class_distribution,
-    default_synthetic_config,
     generate_synthetic,
 )
 from rigline.errors import ConfigError, SingleClassError
@@ -22,7 +22,7 @@ from rigline.imbalance import (
 
 
 def imbalanced(n=1000, seed=0):
-    return generate_synthetic(default_synthetic_config(row_count=n, seed=seed))
+    return generate_synthetic(SyntheticGenConfig(row_count=n, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_cost_matrix_validation_and_file_round_trip(tmp_path):
         CostMatrix([[0, 0], [0, 0]])
     cm = CostMatrix.from_off_diagonal(1.0, 6.5)
     p = tmp_path / "costs.txt"
-    cm.save(str(p))
+    p.write_text("0.0 1.0\n6.5 0.0\n")
     back = CostMatrix.from_file(str(p))
     assert np.array_equal(back.m, cm.m)
     bad = tmp_path / "one_line.txt"

@@ -5,7 +5,7 @@ from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
     Dataset,
-    default_synthetic_config,
+    SyntheticGenConfig,
     generate_synthetic,
 )
 from rigline.errors import ConfigError, ShapeError
@@ -129,7 +129,7 @@ def test_duplicate_rows_hit_variance_floor_not_nan():
 
 
 def test_synthetic_pipeline_recovers_minority_fraction():
-    cfg = default_synthetic_config(row_count=2000, seed=9, failure_shift_sigma=3.0)
+    cfg = SyntheticGenConfig(row_count=2000, seed=9, failure_shift_sigma=3.0)
     truth = generate_synthetic(cfg)
     unlabeled = truth.without_labels()
     gmm = em_fit(unlabeled, 2, seed=1)

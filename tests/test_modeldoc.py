@@ -9,7 +9,7 @@ from rigline.baseline_learners import (
     train_random_forest,
     train_rule_list,
 )
-from rigline.dataset import default_synthetic_config, generate_synthetic
+from rigline.dataset import SyntheticGenConfig, generate_synthetic
 from rigline.errors import ParseError
 from rigline.imbalance import CostMatrix, CostSensitiveModel
 from rigline.modeldoc import load_model, model_from_text, model_to_text, save_model
@@ -18,7 +18,7 @@ from rigline.svm_smo import SmoConfig, calibrate_probability, decision_values, s
 
 
 def synth(n=150, seed=0):
-    return generate_synthetic(default_synthetic_config(row_count=n, seed=seed))
+    return generate_synthetic(SyntheticGenConfig(row_count=n, seed=seed))
 
 
 def round_trip(model, tmp_path, name):

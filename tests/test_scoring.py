@@ -8,7 +8,7 @@ import pytest
 from rigline import svm_smo
 from rigline.baseline_learners import TrainedModel
 from rigline.cli import main
-from rigline.dataset import Dataset, default_synthetic_config, generate_synthetic
+from rigline.dataset import Dataset, SyntheticGenConfig, generate_synthetic
 from rigline.errors import ShapeError
 from rigline.evaluation import evaluate
 from rigline.imbalance import CostSensitiveModel, default_cost_matrix
@@ -18,7 +18,7 @@ from rigline.stacking import parse_stack_spec, train_learner, train_stack
 
 @pytest.fixture(scope="module")
 def data():
-    return generate_synthetic(default_synthetic_config(row_count=120, failure_fraction=0.25, seed=2))
+    return generate_synthetic(SyntheticGenConfig(row_count=120, failure_fraction=0.25, seed=2))
 
 
 @pytest.fixture(scope="module")

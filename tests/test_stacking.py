@@ -5,8 +5,8 @@ from rigline.baseline_learners import TrainedModel, train_naive_bayes
 from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
+    SyntheticGenConfig,
     class_order,
-    default_synthetic_config,
     generate_synthetic,
     split_train_test,
 )
@@ -24,7 +24,7 @@ from rigline.stacking import (
 
 
 def synth(n=400, seed=0):
-    return generate_synthetic(default_synthetic_config(row_count=n, seed=seed))
+    return generate_synthetic(SyntheticGenConfig(row_count=n, seed=seed))
 
 
 class TruthLookupModel(TrainedModel):
