@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, Standardizer, class_order
 from .errors import ConfigError, DivergenceError, ShapeError, SingleClassError
-from .util import derive_seed, diag_gaussian_log_density
+from .util import derive_seed, diag_gaussian_posterior
 
 
 class Scores(NamedTuple):
@@ -105,11 +105,7 @@ class NaiveBayesModel(TrainedModel):
         self.arity = means.shape[1]
 
     def _proba_matrix(self, X):
-        log_post = diag_gaussian_log_density(X, self.means, self.variances)
-        log_post += np.log(self.priors)
-        m = log_post.max(axis=1, keepdims=True)
-        p = np.exp(log_post - m)
-        return p / p.sum(axis=1, keepdims=True)
+        return diag_gaussian_posterior(X, self.priors, self.means, self.variances)[1]
 
 
 def train_naive_bayes(d: Dataset) -> NaiveBayesModel:

@@ -77,7 +77,7 @@ from .imbalance import (
     smote,
     undersample,
 )
-from .labeling_em import em_assign_labels, em_fit, save_gmm
+from .labeling_em import em_assign_labels, em_fit
 from .modeldoc import load_model, save_model
 from .stacking import LEARNERS, parse_stack_spec, train_learner, train_stack
 from .util import atomic_write_text, derive_seed, parse_fields
@@ -456,7 +456,7 @@ def _cmd_label(args) -> int:
         labeled, gmm = _em_label(d, args, _stage_seed(master, "label"))
         save_csv(labeled, args.out)
         if args.save_gmm:
-            save_gmm(gmm, args.save_gmm)
+            save_model(gmm, args.save_gmm)
     print(f"wrote {args.out}: {class_distribution(labeled)}")
     return 0
 
@@ -549,19 +549,19 @@ def _label_data(d: Dataset, args, seeds, artifacts):
     if args.label == "auto" and d.label_presence:
         return d
     labeled, gmm = _em_label(d, args, seeds["label"])
-    save_gmm(gmm, os.path.join(args.out, "em_model.txt"))
+    save_model(gmm, os.path.join(args.out, "em_model.txt"))
     artifacts.append("em_model.txt")
     return labeled
 
 
 def _prepare_data(args, plan, artifacts):
     """Stages load or generate -> label (writing labeled.csv) -> split into
-    args.out; returns (train, test)."""
-    os.makedirs(args.out, exist_ok=True)
+    args.out, created only once the data is in; returns (train, test)."""
     if args.data is not None:
         d = _load_input(args.data)
     else:
         d = _synthetic_data(plan["synthetic"])
+    os.makedirs(args.out, exist_ok=True)
     with _stage("label"):
         labeled = _label_data(d, args, plan["seeds"], artifacts)
         save_csv(labeled, os.path.join(args.out, "labeled.csv"))
@@ -810,7 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("label", _cmd_label, "cluster an unlabeled CSV and write labels")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="labeled.csv")
-    p.add_argument("--save-gmm", help="also write the fitted mixture parameters")
+    p.add_argument("--save-gmm",
+                   help="also write the fitted mixture as a model document (model gmm)")
     _add_em_options(p)
 
     p = command("sample", _cmd_sample, "rebalance a labeled CSV")

@@ -41,9 +41,9 @@ def class_order(labels):
     """Canonical class ordering for a label collection.
 
     The normal/failure pair orders normal first (it is the positive class);
-    any other label set is sorted ascending.
+    any other label set is sorted ascending. Names are plain str.
     """
-    classes = sorted(set(labels))
+    classes = sorted(str(c) for c in set(labels))
     if classes == [CLASS_FAILURE, CLASS_NORMAL]:
         return [CLASS_NORMAL, CLASS_FAILURE]
     return classes

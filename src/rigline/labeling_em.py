@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import CLASS_FAILURE, CLASS_NORMAL, Dataset
 from .errors import ConfigError, ShapeError
-from .util import diag_gaussian_log_density
+from .util import diag_gaussian_posterior
 
 # Mixture weights below this are treated as a collapsed component and reseeded.
 _DEGENERATE_WEIGHT = 1e-8
@@ -41,11 +41,7 @@ class GaussianMixtureModel:
 
 def _posterior(gmm: GaussianMixtureModel, X):
     """(per-row log-sum-exp, responsibilities) of the rows of X under gmm."""
-    lw = diag_gaussian_log_density(X, gmm.means, gmm.variances) + np.log(gmm.weights)
-    m = lw.max(axis=1, keepdims=True)
-    p = np.exp(lw - m)
-    s = p.sum(axis=1, keepdims=True)
-    return m[:, 0] + np.log(s[:, 0]), p / s
+    return diag_gaussian_posterior(X, gmm.weights, gmm.means, gmm.variances)
 
 
 def _check_arity(gmm: GaussianMixtureModel, d: Dataset) -> None:
@@ -177,47 +173,3 @@ def em_assign_labels(d: Dataset, gmm: GaussianMixtureModel) -> Dataset:
     normal_component = 0 if counts[0] >= counts[1] else 1
     labels = np.where(assign == normal_component, CLASS_NORMAL, CLASS_FAILURE)
     return d.with_labels(labels)
-
-
-def save_gmm(gmm: GaussianMixtureModel, path: str) -> None:
-    lines = ["model gmm", f"components {gmm.n_components}", f"dim {gmm.means.shape[1]}"]
-    lines.append("weights " + " ".join(repr(float(w)) for w in gmm.weights))
-    for k in range(gmm.n_components):
-        lines.append(f"mean {k} " + " ".join(repr(float(v)) for v in gmm.means[k]))
-        lines.append(f"var {k} " + " ".join(repr(float(v)) for v in gmm.variances[k]))
-    lines.append(f"converged {int(gmm.converged)}")
-    lines.append(f"n_iter {gmm.n_iter}")
-    if gmm.loglik_trace:
-        lines.append("trace " + " ".join(repr(float(v)) for v in gmm.loglik_trace))
-    from .util import atomic_write_text
-
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_gmm(path: str) -> GaussianMixtureModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "model gmm":
-        raise ConfigError(f"{path}: not a mixture model file")
-    fields = {}
-    means = {}
-    variances = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "mean":
-            means[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-        elif parts[0] == "var":
-            variances[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-        else:
-            fields[parts[0]] = parts[1:]
-    K = int(fields["components"][0])
-    gmm = GaussianMixtureModel(
-        weights=np.array([float(v) for v in fields["weights"]]),
-        means=np.vstack([means[k] for k in range(K)]),
-        variances=np.vstack([variances[k] for k in range(K)]),
-        converged=bool(int(fields["converged"][0])),
-        n_iter=int(fields["n_iter"][0]),
-    )
-    if "trace" in fields:
-        gmm.loglik_trace = [float(v) for v in fields["trace"]]
-    return gmm

@@ -1,11 +1,19 @@
 """Plain-text model documents.
 
-Every trained model serializes to a line-based tagged format ("model <kind>"
-first, then key/value lines; nested models wrapped in begin_model/end_model).
-Floats are written with repr so a reload reproduces the exact bits.
+Every trained model, and the EM mixture, serializes to a line-based tagged
+format ("model <kind>" first, then key/value lines; nested models wrapped in
+begin_model/end_model). Floats are written with repr so a reload reproduces
+the exact bits.
+
+Each kind's layout is one function f(doc, m) listed in _KINDS. It runs when
+writing, with m the model, and when reading, with m None; `m and text(m.x)`
+is the text to write, None when reading. Every line goes through _Doc.line,
+which on writing appends the line and then, in both modes, parses it back,
+so the writer can only produce what the reader accepts.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,340 +24,343 @@ from .baseline_learners import (
     RandomForestModel,
     Rule,
     RuleListModel,
+    TrainedModel,
     TreeNode,
 )
 from .dataset import Standardizer
 from .errors import ParseError
 from .imbalance import CostMatrix, CostSensitiveModel
+from .labeling_em import GaussianMixtureModel
 from .stacking import LearnerSpec, ScaledModel, StackSpec, StackedModel
 from .svm_smo import CalibratedSvm, KernelSpec, SvmModel
 from .util import atomic_write_text
+
+
+class _Doc:
+    """A model document being written (lines=None) or read (lines given)."""
+
+    def __init__(self, lines=None):
+        self.writing = lines is None
+        self.lines = [] if lines is None else lines
+        self.pos = 0
+
+    def _next(self, key):
+        if self.pos == len(self.lines):
+            raise ParseError(f"unexpected end of model document, expected {key!r}")
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def line(self, key, text, parse=int):
+        """The line `key text` when writing, the next line when reading;
+        returns parse of the text after the key."""
+        if self.writing:
+            self.lines.append(f"{key} {text}")
+        got = self._next(key)
+        if not got.startswith(key + " "):
+            raise ParseError(f"expected {key!r}, got {got!r}")
+        try:
+            return parse(got[len(key) + 1 :].strip())
+        except (ValueError, TypeError, KeyError, IndexError) as e:
+            raise ParseError(f"{e} in {got!r}") from e
+
+    def floats(self, key, values, n=None):
+        """A line of floats, exactly n of them unless n is None."""
+        return self.line(key, self.writing and _floats(values), _vector(n))
+
+    def optional_floats(self, key, values) -> list:
+        """A float line written only when values is non-empty and read only
+        when present; [] when absent."""
+        upcoming = self.lines[self.pos] if self.pos < len(self.lines) else ""
+        present = len(values) > 0 if self.writing else upcoming.startswith(key + " ")
+        return self.floats(key, values).tolist() if present else []
+
+    def _mark(self, key):
+        if self.writing:
+            self.lines.append(key)
+        text = self._next(key)
+        if text.strip() != key:
+            raise ParseError(f"expected {key!r}, got {text!r}")
+
+    def model(self, m, cls=object):
+        """A `model <kind>` line and the kind's layout; the kind's class must
+        be a subclass of cls."""
+
+        def kind(text):
+            if text not in _KINDS:
+                raise ValueError(f"unknown model kind {text!r}")
+            if not issubclass(_KINDS[text][0], cls):
+                raise ValueError(f"a {text} model cannot appear here")
+            return text
+
+        if self.writing and type(m) not in _KIND_OF:
+            raise ParseError(f"cannot serialize model type {type(m).__name__}")
+        name = self.line("model", m and _KIND_OF[type(m)], kind)
+        try:
+            return _KINDS[name][1](self, m)
+        except ParseError:
+            raise
+        except (ValueError, TypeError) as e:  # the model's own constructor checks
+            raise ParseError(f"inconsistent {name} model: {e}") from e
+
+    def nested(self, m, cls=TrainedModel):
+        self._mark("begin_model")
+        model = self.model(m, cls)
+        self._mark("end_model")
+        return model
 
 
 def _floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
-def _parse_floats(parts) -> np.ndarray:
-    return np.array([float(v) for v in parts])
+def _vector(n=None, cast=float):
+    """Parser of a vector of cast values, exactly n of them unless n is None."""
+
+    def parse(text):
+        v = np.array([cast(t) for t in text.split()], dtype=cast)
+        if n is not None and len(v) != n:
+            raise ValueError(f"expected {n} values, got {len(v)}")
+        return v
+
+    return parse
 
 
-class _Reader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
-
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self):
-        line = self.peek()
-        if line is None:
-            raise ParseError("unexpected end of model document")
-        self.pos += 1
-        return line
-
-    def expect(self, prefix):
-        line = self.take()
-        if not line.startswith(prefix):
-            raise ParseError(f"expected {prefix!r}, got {line!r}")
-        return line[len(prefix) :].strip()
-
-    def bad(self, why):
-        """A ParseError naming the line taken last."""
-        return ParseError(f"{why} in {self.lines[self.pos - 1]!r}")
+_flag = {"0": False, "1": True}.__getitem__
 
 
-# ---------------------------------------------------------------------------
-# Emitters
-
-def _emit_classes(model, out):
-    out.append("classes " + json.dumps(list(model.classes)))
-
-
-def _emit_tree_nodes(node: TreeNode, out):
-    if node.is_leaf:
-        out.append("node leaf " + _floats(node.counts))
-    else:
-        out.append(f"node split {int(node.feature)} {float(node.threshold)!r}")
-        _emit_tree_nodes(node.left, out)
-        _emit_tree_nodes(node.right, out)
+def _names(text) -> list:
+    names = json.loads(text)
+    if not (isinstance(names, list) and names and all(isinstance(c, str) for c in names)):
+        raise ValueError("expected a non-empty JSON list of class names")
+    return names
 
 
-def _emit_scaler(scaler: Standardizer, out):
-    out.append("scaler_means " + _floats(scaler.means))
-    out.append("scaler_scales " + _floats(scaler.scales))
+def _classes(doc, m) -> list:
+    return doc.line("classes", m and json.dumps(list(m.classes)), _names)
 
 
-def _emit_nested(model, out):
-    out.append("begin_model")
-    _emit(model, out)
-    out.append("end_model")
-
-
-def _emit(model, out):
-    if isinstance(model, NaiveBayesModel):
-        out.append("model nb")
-        _emit_classes(model, out)
-        out.append("priors " + _floats(model.priors))
-        for k in range(len(model.classes)):
-            out.append(f"mean {k} " + _floats(model.means[k]))
-            out.append(f"var {k} " + _floats(model.variances[k]))
-    elif isinstance(model, RandomForestModel):
-        out.append("model rf")
-        _emit_classes(model, out)
-        out.append(f"arity {model.arity}")
-        out.append(f"n_trees {len(model.trees)}")
-        for tree in model.trees:
-            _emit_nested(tree, out)
-    elif isinstance(model, DecisionTreeModel):
-        out.append("model tree")
-        _emit_classes(model, out)
-        out.append(f"arity {model.arity}")
-        _emit_tree_nodes(model.root, out)
-    elif isinstance(model, RuleListModel):
-        out.append("model part")
-        _emit_classes(model, out)
-        out.append(f"arity {model.arity}")
-        out.append(f"n_rules {len(model.rules)}")
-        for rule in model.rules:
-            conds = " ".join(
-                f"{int(f)} {op} {float(thr)!r}" for f, op, thr in rule.conditions
-            )
-            out.append(f"rule {len(rule.conditions)} {conds}")
-            out.append("rule_counts " + _floats(rule.counts))
-        out.append("default_counts " + _floats(model.default_counts))
-    elif isinstance(model, MlpModel):
-        out.append("model mlp")
-        _emit_classes(model, out)
-        _emit_scaler(model.scaler, out)
-        out.append(f"shape {model.W1.shape[0]} {model.W1.shape[1]} {model.W2.shape[1]}")
-        for row in model.W1:
-            out.append("w1 " + _floats(row))
-        out.append("b1 " + _floats(model.b1))
-        for row in model.W2:
-            out.append("w2 " + _floats(row))
-        out.append("b2 " + _floats(model.b2))
-    elif isinstance(model, SvmModel):
-        out.append("model svm")
-        _emit_classes(model, out)
-        k = model.kernel
-        gamma = "none" if k.gamma is None else repr(float(k.gamma))
-        out.append(f"kernel {k.kind} {gamma} {k.degree} {float(k.coef0)!r}")
-        out.append(f"c {float(model.C)!r}")
-        out.append(f"b {float(model.b)!r}")
-        out.append(f"dual_objective {float(model.dual_objective)!r}")
-        out.append(f"converged {int(model.converged)}")
-        out.append(f"n_train {model.n_train}")
-        out.append(f"arity {model.arity}")
-        out.append("sv_indices " + " ".join(str(int(i)) for i in model.sv_indices))
-        out.append(f"n_sv {len(model.alpha)}")
-        for a, y, x in zip(model.alpha, model.sv_y, model.sv_X):
-            out.append(f"sv {float(a)!r} {int(y)} " + _floats(x))
-    elif isinstance(model, CalibratedSvm):
-        out.append("model svm_cal")
-        out.append(f"a {float(model.A)!r}")
-        out.append(f"b {float(model.B)!r}")
-        out.append(f"fallback {int(model.fallback)}")
-        _emit_nested(model.svm, out)
-    elif isinstance(model, ScaledModel):
-        out.append("model scaled")
-        _emit_scaler(model.scaler, out)
-        _emit_nested(model.inner, out)
-    elif isinstance(model, CostSensitiveModel):
-        out.append("model costwrap")
-        out.append("costs0 " + _floats(model.cm.m[0]))
-        out.append("costs1 " + _floats(model.cm.m[1]))
-        _emit_nested(model.base, out)
-    elif isinstance(model, StackedModel):
-        out.append("model stack")
-        _emit_classes(model, out)
-        out.append(f"arity {model.arity}")
-        spec = model.spec
-        out.append(f"folds {spec.folds}")
-        out.append(f"seed {spec.seed}")
-        out.append(
-            "meta_spec "
-            + json.dumps({"name": spec.meta.name, "params": list(spec.meta.params)})
-        )
-        out.append(
-            "base_specs "
-            + json.dumps(
-                [{"name": ls.name, "params": list(ls.params)} for ls in spec.base]
-            )
-        )
-        for bm in model.base_models:
-            _emit_nested(bm, out)
-        _emit_nested(model.meta_model, out)
-    else:
-        raise ParseError(f"cannot serialize model type {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Parsers
-
-def _parse_classes(r: _Reader):
-    return [str(c) for c in json.loads(r.expect("classes "))]
-
-
-def _parse_feature(r: _Reader, text, arity) -> int:
+def _feature(text, arity) -> int:
     feature = int(text)
     if not 0 <= feature < arity:
-        raise r.bad(f"feature {feature} outside arity {arity}")
+        raise ValueError(f"feature {feature} outside arity {arity}")
     return feature
 
 
-def _parse_tree_nodes(r: _Reader, arity) -> TreeNode:
-    parts = r.expect("node ").split()
-    if parts[0] == "leaf":
-        return TreeNode(counts=_parse_floats(parts[1:]))
-    feature = _parse_feature(r, parts[1], arity)
-    threshold = float(parts[2])
-    left = _parse_tree_nodes(r, arity)
-    right = _parse_tree_nodes(r, arity)
-    return TreeNode(feature, threshold, left, right)
+def _gaussians(doc, m, K, dim=None):
+    """The interleaved `mean k`/`var k` lines of K diagonal Gaussians of dim
+    features (the first mean's length when None)."""
+    means, variances = [], []
+    for k in range(K):
+        means.append(doc.floats(f"mean {k}", m and m.means[k], dim))
+        dim = len(means[0])
+        variances.append(doc.floats(f"var {k}", m and m.variances[k], dim))
+    return np.vstack(means), np.vstack(variances)
 
 
-def _parse_scaler(r: _Reader) -> Standardizer:
+def _scaler(doc, s) -> Standardizer:
     scaler = Standardizer()
-    scaler.means = _parse_floats(r.expect("scaler_means ").split())
-    scaler.scales = _parse_floats(r.expect("scaler_scales ").split())
+    scaler.means = doc.floats("scaler_means", s and s.means)
+    scaler.scales = doc.floats("scaler_scales", s and s.scales, len(scaler.means))
     return scaler
 
 
-def _parse_nested(r: _Reader):
-    r.expect("begin_model")
-    model = _parse_model(r)
-    r.expect("end_model")
-    return model
+# ---------------------------------------------------------------------------
+# One layout per kind
+
+def _nb(doc, m):
+    classes = _classes(doc, m)
+    priors = doc.floats("priors", m and m.priors, len(classes))
+    return NaiveBayesModel(classes, priors, *_gaussians(doc, m, len(classes)))
 
 
-def _parse_model(r: _Reader):
-    kind = r.expect("model ")
-    if kind == "nb":
-        classes = _parse_classes(r)
-        priors = _parse_floats(r.expect("priors ").split())
-        means, variances = [], []
-        for k in range(len(classes)):
-            means.append(_parse_floats(r.expect(f"mean {k} ").split()))
-            variances.append(_parse_floats(r.expect(f"var {k} ").split()))
-        return NaiveBayesModel(classes, priors, np.vstack(means), np.vstack(variances))
-    if kind == "tree":
-        classes = _parse_classes(r)
-        arity = int(r.expect("arity "))
-        return DecisionTreeModel(classes, _parse_tree_nodes(r, arity), arity)
-    if kind == "rf":
-        classes = _parse_classes(r)
-        arity = int(r.expect("arity "))
-        n_trees = int(r.expect("n_trees "))
-        trees = [_parse_nested(r) for _ in range(n_trees)]
-        return RandomForestModel(classes, trees, arity)
-    if kind == "part":
-        classes = _parse_classes(r)
-        arity = int(r.expect("arity "))
-        n_rules = int(r.expect("n_rules "))
-        rules = []
-        for _ in range(n_rules):
-            parts = r.expect("rule ").split()
-            n_conds = int(parts[0])
-            if len(parts) != 1 + 3 * n_conds:
-                raise r.bad(f"expected {n_conds} conditions")
-            conds = []
-            for f, op, thr in zip(parts[1::3], parts[2::3], parts[3::3]):
-                if op not in ("le", "gt"):
-                    raise r.bad(f"unknown condition op {op!r}")
-                conds.append((_parse_feature(r, f, arity), op, float(thr)))
-            counts = _parse_floats(r.expect("rule_counts ").split())
-            rules.append(Rule(conds, counts))
-        default = _parse_floats(r.expect("default_counts ").split())
-        return RuleListModel(classes, rules, default, arity)
-    if kind == "mlp":
-        classes = _parse_classes(r)
-        scaler = _parse_scaler(r)
-        dim, hidden, K = (int(v) for v in r.expect("shape ").split())
-        W1 = np.vstack([_parse_floats(r.expect("w1 ").split()) for _ in range(dim)])
-        b1 = _parse_floats(r.expect("b1 ").split())
-        W2 = np.vstack([_parse_floats(r.expect("w2 ").split()) for _ in range(hidden)])
-        b2 = _parse_floats(r.expect("b2 ").split())
-        return MlpModel(classes, W1, b1, W2, b2, scaler)
-    if kind == "svm":
-        classes = _parse_classes(r)
-        kparts = r.expect("kernel ").split()
-        kernel = KernelSpec(
-            kind=kparts[0],
-            gamma=None if kparts[1] == "none" else float(kparts[1]),
-            degree=int(kparts[2]),
-            coef0=float(kparts[3]),
-        )
-        C = float(r.expect("c "))
-        b = float(r.expect("b "))
-        dual = float(r.expect("dual_objective "))
-        converged = bool(int(r.expect("converged ")))
-        n_train = int(r.expect("n_train "))
-        arity = int(r.expect("arity "))
-        idx_text = r.expect("sv_indices ")
-        sv_indices = np.array(
-            [int(v) for v in idx_text.split()] if idx_text else [], dtype=int
-        )
-        n_sv = int(r.expect("n_sv "))
-        alpha = np.empty(n_sv)
-        sv_y = np.empty(n_sv)
-        sv_X = np.empty((n_sv, arity))
-        for i in range(n_sv):
-            parts = r.expect("sv ").split()
-            alpha[i] = float(parts[0])
-            sv_y[i] = float(parts[1])
-            sv_X[i] = _parse_floats(parts[2:])
-        return SvmModel(
-            classes, sv_X, sv_y, alpha, b, kernel, C, dual, converged, sv_indices, n_train
-        )
-    if kind == "svm_cal":
-        A = float(r.expect("a "))
-        B = float(r.expect("b "))
-        fallback = bool(int(r.expect("fallback ")))
-        svm = _parse_nested(r)
-        return CalibratedSvm(svm, A, B, fallback)
-    if kind == "scaled":
-        scaler = _parse_scaler(r)
-        inner = _parse_nested(r)
-        return ScaledModel(inner, scaler)
-    if kind == "costwrap":
-        row0 = _parse_floats(r.expect("costs0 ").split())
-        row1 = _parse_floats(r.expect("costs1 ").split())
-        base = _parse_nested(r)
-        return CostSensitiveModel(base, CostMatrix([row0, row1]))
-    if kind == "stack":
-        classes = _parse_classes(r)
-        arity = int(r.expect("arity "))
-        folds = int(r.expect("folds "))
-        seed = int(r.expect("seed "))
-        meta_raw = json.loads(r.expect("meta_spec "))
-        base_raw = json.loads(r.expect("base_specs "))
+def _gmm(doc, m):
+    K = doc.line("components", m and m.n_components)
+    dim = doc.line("dim", m and m.means.shape[1])
+    weights = doc.floats("weights", m and m.weights, K)
+    means, variances = _gaussians(doc, m, K, dim)
+    converged = doc.line("converged", m and int(m.converged), _flag)
+    n_iter = doc.line("n_iter", m and m.n_iter)
+    trace = doc.optional_floats("trace", m and m.loglik_trace)
+    return GaussianMixtureModel(weights, means, variances, trace, converged, n_iter)
 
-        def to_spec(raw):
-            return LearnerSpec(raw["name"], tuple(tuple(p) for p in raw["params"]))
 
-        spec = StackSpec(
-            base=tuple(to_spec(b) for b in base_raw),
-            meta=to_spec(meta_raw),
-            folds=folds,
-            seed=seed,
-        )
-        base_models = [_parse_nested(r) for _ in spec.base]
-        meta_model = _parse_nested(r)
-        return StackedModel(spec, base_models, meta_model, classes, arity)
-    raise ParseError(f"unknown model kind {kind!r}")
+def _node_text(node) -> str:
+    if node.is_leaf:
+        return "leaf " + _floats(node.counts)
+    return f"split {int(node.feature)} {float(node.threshold)!r}"
+
+
+def _node(doc, node, arity, K) -> TreeNode:
+    """A node line, then the left and right subtrees of a split."""
+
+    def parse(text):
+        kind, *rest = text.split()
+        if kind == "leaf":
+            return TreeNode(counts=_vector(K)(" ".join(rest)))
+        if kind != "split":
+            raise ValueError(f"unknown node kind {kind!r}")
+        feature, threshold = rest
+        return TreeNode(_feature(feature, arity), float(threshold))
+
+    out = doc.line("node", node and _node_text(node), parse)
+    if not out.is_leaf:
+        out.left = _node(doc, node and node.left, arity, K)
+        out.right = _node(doc, node and node.right, arity, K)
+    return out
+
+
+def _tree(doc, m):
+    classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
+    return DecisionTreeModel(classes, _node(doc, m and m.root, arity, len(classes)), arity)
+
+
+def _rf(doc, m):
+    classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
+    n_trees = doc.line("n_trees", m and len(m.trees))
+    trees = [doc.nested(m and m.trees[i], DecisionTreeModel) for i in range(n_trees)]
+    return RandomForestModel(classes, trees, arity)
+
+
+def _conditions_text(conditions) -> str:
+    conds = " ".join(f"{int(f)} {op} {float(thr)!r}" for f, op, thr in conditions)
+    return f"{len(conditions)} {conds}"
+
+
+def _conditions(text, arity) -> list:
+    n, *parts = text.split()
+    if len(parts) != 3 * int(n):
+        raise ValueError(f"expected {n} conditions")
+    conds = []
+    for f, op, thr in zip(parts[::3], parts[1::3], parts[2::3]):
+        if op not in ("le", "gt"):
+            raise ValueError(f"unknown condition op {op!r}")
+        conds.append((_feature(f, arity), op, float(thr)))
+    return conds
+
+
+def _part(doc, m):
+    classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
+    rules = []
+    for i in range(doc.line("n_rules", m and len(m.rules))):
+        rule = m and m.rules[i]
+        conds = doc.line("rule", rule and _conditions_text(rule.conditions),
+                         lambda text: _conditions(text, arity))
+        counts = doc.floats("rule_counts", rule and rule.counts, len(classes))
+        rules.append(Rule(conds, counts))
+    default = doc.floats("default_counts", m and m.default_counts, len(classes))
+    return RuleListModel(classes, rules, default, arity)
+
+
+def _mlp(doc, m):
+    classes = _classes(doc, m)
+    scaler = _scaler(doc, m and m.scaler)
+    shape = m and f"{m.W1.shape[0]} {m.W1.shape[1]} {m.W2.shape[1]}"
+    dim, hidden, K = doc.line("shape", shape, _vector(3, int))
+    W1 = np.vstack([doc.floats("w1", m and m.W1[i], hidden) for i in range(dim)])
+    b1 = doc.floats("b1", m and m.b1, hidden)
+    W2 = np.vstack([doc.floats("w2", m and m.W2[i], K) for i in range(hidden)])
+    b2 = doc.floats("b2", m and m.b2, K)
+    return MlpModel(classes, W1, b1, W2, b2, scaler)
+
+
+def _kernel_text(k) -> str:
+    gamma = "none" if k.gamma is None else repr(float(k.gamma))
+    return f"{k.kind} {gamma} {k.degree} {float(k.coef0)!r}"
+
+
+def _kernel(text) -> KernelSpec:
+    kind, gamma, degree, coef0 = text.split()
+    gamma = None if gamma == "none" else float(gamma)
+    return KernelSpec(kind, gamma, int(degree), float(coef0))
+
+
+def _sv_text(m, i) -> str:
+    return f"{float(m.alpha[i])!r} {int(m.sv_y[i])} " + _floats(m.sv_X[i])
+
+
+def _svm(doc, m):
+    classes = _classes(doc, m)
+    kernel = doc.line("kernel", m and _kernel_text(m.kernel), _kernel)
+    C = doc.line("c", m and repr(float(m.C)), float)
+    b = doc.line("b", m and repr(float(m.b)), float)
+    dual = doc.line("dual_objective", m and repr(float(m.dual_objective)), float)
+    converged = doc.line("converged", m and int(m.converged), _flag)
+    n_train = doc.line("n_train", m and m.n_train)
+    arity = doc.line("arity", m and m.arity)
+    sv_indices = doc.line("sv_indices", m and " ".join(map(str, m.sv_indices)),
+                          _vector(cast=int))
+    n_sv = doc.line("n_sv", m and len(m.alpha))
+    # One row per support vector: alpha, y, then its features.
+    rows = [doc.line("sv", m and _sv_text(m, i), _vector(arity + 2)) for i in range(n_sv)]
+    rows = np.array(rows).reshape(n_sv, arity + 2)
+    alpha, sv_y, sv_X = rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2:].copy()
+    return SvmModel(classes, sv_X, sv_y, alpha, b, kernel, C, dual, converged, sv_indices,
+                    n_train)
+
+
+def _svm_cal(doc, m):
+    A = doc.line("a", m and repr(float(m.A)), float)
+    B = doc.line("b", m and repr(float(m.B)), float)
+    fallback = doc.line("fallback", m and int(m.fallback), _flag)
+    return CalibratedSvm(doc.nested(m and m.svm, SvmModel), A, B, fallback)
+
+
+def _scaled(doc, m):
+    scaler = _scaler(doc, m and m.scaler)
+    return ScaledModel(doc.nested(m and m.inner), scaler)
+
+
+def _costwrap(doc, m):
+    cm = CostMatrix([doc.floats(f"costs{a}", m and m.cm.m[a], 2) for a in range(2)])
+    return CostSensitiveModel(doc.nested(m and m.base), cm)
+
+
+def _spec(raw) -> LearnerSpec:
+    return LearnerSpec(raw["name"], tuple(tuple(p) for p in raw["params"]))
+
+
+def _stack(doc, m):
+    classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
+    spec = m and m.spec
+    folds = doc.line("folds", spec and spec.folds)
+    seed = doc.line("seed", spec and spec.seed)
+    meta = doc.line("meta_spec", spec and json.dumps(asdict(spec.meta)),
+                    lambda t: _spec(json.loads(t)))
+    base = doc.line("base_specs", spec and json.dumps([asdict(s) for s in spec.base]),
+                    lambda t: tuple(_spec(raw) for raw in json.loads(t)))
+    spec = StackSpec(base=base, meta=meta, folds=folds, seed=seed)
+    base_models = [doc.nested(m and m.base_models[i]) for i in range(len(base))]
+    return StackedModel(spec, base_models, doc.nested(m and m.meta_model), classes, arity)
+
+
+_KINDS = {
+    "nb": (NaiveBayesModel, _nb),
+    "rf": (RandomForestModel, _rf),
+    "tree": (DecisionTreeModel, _tree),
+    "part": (RuleListModel, _part),
+    "mlp": (MlpModel, _mlp),
+    "svm": (SvmModel, _svm),
+    "svm_cal": (CalibratedSvm, _svm_cal),
+    "scaled": (ScaledModel, _scaled),
+    "costwrap": (CostSensitiveModel, _costwrap),
+    "stack": (StackedModel, _stack),
+    "gmm": (GaussianMixtureModel, _gmm),
+}
+_KIND_OF = {cls: name for name, (cls, _) in _KINDS.items()}
 
 
 def model_to_text(model) -> str:
-    out = []
-    _emit(model, out)
-    return "\n".join(out) + "\n"
+    doc = _Doc()
+    doc.model(model)
+    return "\n".join(doc.lines) + "\n"
 
 
 def model_from_text(text: str):
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-    return _parse_model(_Reader(lines))
+    doc = _Doc([ln for ln in text.splitlines() if ln.strip()])
+    model = doc.model(None)
+    if doc.pos < len(doc.lines):
+        raise ParseError(f"unexpected line after the model: {doc.lines[doc.pos]!r}")
+    return model
 
 
 def save_model(model, path: str) -> None:

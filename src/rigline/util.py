@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, atomic file writes, the
-diagonal-Gaussian log-density that naive Bayes and EM share, and the
+diagonal-Gaussian posterior that naive Bayes and EM share, and the
 `key=value` field reader behind the CLI's option tokens and stack specs."""
 
 import os
@@ -25,22 +25,29 @@ def derive_seed(master: int, *tags) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def diag_gaussian_log_density(X, means, variances) -> np.ndarray:
-    """(n, K) log densities of each row under K diagonal-covariance Gaussians.
+def diag_gaussian_posterior(X, weights, means, variances):
+    """(lse, resp) of the rows of X under K weighted diagonal-covariance
+    Gaussians: lse (n,) is each row's log of the weighted density sum, resp
+    (n, K) the posterior component probabilities, rows summing to 1.
 
-    means and variances are (K, d); row k holds component k's parameters.
+    weights is (K,); means and variances are (K, d), row k holding component
+    k's parameters.
     """
     n, d = X.shape
     K = means.shape[0]
-    out = np.empty((n, K))
+    log_w = np.empty((n, K))
     for k in range(K):
         diff = X - means[k]
-        out[:, k] = -0.5 * (
+        log_w[:, k] = -0.5 * (
             d * np.log(2.0 * np.pi)
             + np.sum(np.log(variances[k]))
             + np.sum(diff * diff / variances[k], axis=1)
         )
-    return out
+    log_w += np.log(weights)
+    m = log_w.max(axis=1, keepdims=True)
+    p = np.exp(log_w - m)
+    s = p.sum(axis=1, keepdims=True)
+    return m[:, 0] + np.log(s[:, 0]), p / s
 
 
 def atomic_write_text(path: str, text: str) -> None:

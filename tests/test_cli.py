@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from rigline.cli import main
-from rigline.dataset import load_csv
-from rigline.labeling_em import load_gmm
+from rigline.dataset import Dataset, class_order, load_csv, save_csv
 from rigline.modeldoc import load_model
 from rigline.stacking import register_learner
 
@@ -54,7 +53,7 @@ def test_label_writes_labels_and_gmm(tmp_path):
     assert set(d.labels) == {"normal", "failure"}
     counts = {c: int(np.sum(d.labels == c)) for c in ("normal", "failure")}
     assert counts["normal"] > counts["failure"]
-    gmm = load_gmm(str(gmm_path))
+    gmm = load_model(str(gmm_path))
     assert gmm.means.shape[0] == 2
 
 
@@ -454,7 +453,17 @@ def test_failure_names_its_stage(tmp_path, capsys, stage_inputs, argv, stage):
     out = tmp_path / "missing_dir" / "x.csv" if argv[0] == "generate" else tmp_path / "out"
     assert run_cli(*argv, "--out", str(out)) == 1
     assert f"error: stage {stage}:" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "manifest.txt").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_prints_plain_class_names(tmp_path, capsys):
+    data, out = tmp_path / "ab.csv", tmp_path / "s.csv"
+    save_csv(Dataset([("x", ""), ("y", "")], np.arange(10.0).reshape(5, 2),
+                     ["a", "b", "a", "b", "b"]), str(data))
+    assert run_cli("sample", "--data", str(data), "--sample", "under",
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote {out}: {{'a': (2, 0.5), 'b': (2, 0.5)}}\n"
+    assert all(type(c) is str for c in class_order(load_csv(str(out), True).labels))
 
 
 def test_grid_degenerate_matches_run(tmp_path):

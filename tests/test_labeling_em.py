@@ -8,16 +8,15 @@ from rigline.dataset import (
     SyntheticGenConfig,
     generate_synthetic,
 )
-from rigline.errors import ConfigError, ShapeError
+from rigline.errors import ConfigError, ParseError, ShapeError
 from rigline.labeling_em import (
     GaussianMixtureModel,
     em_assign_labels,
     em_fit,
     em_loglik,
     em_responsibilities,
-    load_gmm,
-    save_gmm,
 )
+from rigline.modeldoc import load_model, save_model
 
 
 def two_blob_dataset(seed=0, n_a=300, n_b=60, sep=6.0):
@@ -144,8 +143,8 @@ def test_gmm_save_load_round_trip(tmp_path):
     d = two_blob_dataset(seed=10)
     gmm = em_fit(d, 2, seed=2)
     p = tmp_path / "gmm.txt"
-    save_gmm(gmm, str(p))
-    back = load_gmm(str(p))
+    save_model(gmm, str(p))
+    back = load_model(str(p))
     assert np.array_equal(back.weights, gmm.weights)
     assert np.array_equal(back.means, gmm.means)
     assert np.array_equal(back.variances, gmm.variances)
@@ -157,8 +156,8 @@ def test_gmm_save_load_round_trip(tmp_path):
 def test_load_gmm_rejects_other_files(tmp_path):
     p = tmp_path / "junk.txt"
     p.write_text("model tree\n")
-    with pytest.raises(ConfigError):
-        load_gmm(str(p))
+    with pytest.raises(ParseError):
+        load_model(str(p))
 
 
 def test_well_separated_components_recovered():

@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import rigline
 from rigline.baseline_learners import (
     MlpConfig,
+    TrainedModel,
     train_cart,
     train_mlp,
     train_naive_bayes,
@@ -12,9 +17,22 @@ from rigline.baseline_learners import (
 from rigline.dataset import SyntheticGenConfig, generate_synthetic
 from rigline.errors import ParseError
 from rigline.imbalance import CostMatrix, CostSensitiveModel
-from rigline.modeldoc import load_model, model_from_text, model_to_text, save_model
-from rigline.stacking import LearnerSpec, StackSpec, train_learner, train_stack
-from rigline.svm_smo import SmoConfig, calibrate_probability, decision_values, smo_train
+from rigline.labeling_em import GaussianMixtureModel, em_fit
+from rigline.modeldoc import _KINDS, load_model, model_from_text, model_to_text, save_model
+from rigline.stacking import (
+    MODEL_PRESETS,
+    LearnerSpec,
+    StackSpec,
+    train_learner,
+    train_stack,
+)
+from rigline.svm_smo import (
+    SmoConfig,
+    SvmModel,
+    calibrate_probability,
+    decision_values,
+    smo_train,
+)
 
 
 def synth(n=150, seed=0):
@@ -180,3 +198,79 @@ def test_corrupt_tree_and_rule_lines_rejected_at_load(tmp_path, capsys, learner,
                  "--out", str(tmp_path / "r.csv")]) == 1
     assert "stage load" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def _doc_of(kind):
+    d = synth(n=80, seed=14)
+    if kind.startswith("gmm"):
+        gmm = em_fit(d.without_labels(), 2, seed=1, max_iter=4)
+        if kind == "gmm-no-trace":
+            gmm = GaussianMixtureModel(gmm.weights, gmm.means, gmm.variances)
+        return model_to_text(gmm)
+    if kind == "model3":
+        return model_to_text(train_stack(d, MODEL_PRESETS["model3"]))
+    if kind == "costwrap":
+        return model_to_text(CostSensitiveModel(train_cart(d, max_depth=2),
+                                                CostMatrix([[0, 1], [4, 0]])))
+    name, _, kernel = kind.partition("-")
+    params = {"kernel": kernel} if kernel else {}
+    if name == "rf":
+        params = {"n_trees": 3, "max_depth": 2}
+    return model_to_text(train_learner(name, d, seed=0, params=params))
+
+
+KINDS = ["nb", "tree", "rf", "part", "mlp", "smo-linear", "smo-rbf", "model3", "costwrap",
+         "gmm", "gmm-no-trace"]
+
+
+@pytest.fixture(scope="module")
+def docs():
+    return {kind: _doc_of(kind) for kind in KINDS}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_is_strict(docs, kind):
+    text = docs[kind]
+    assert model_to_text(model_from_text(text)) == text
+    lines = text.splitlines()
+    # Only the mixture's closing trace line is optional.
+    required = len(lines) - (kind == "gmm")
+    for n in range(required):
+        with pytest.raises(ParseError):
+            model_from_text("\n".join(lines[:n]))
+    with pytest.raises(ParseError, match="after the model"):
+        model_from_text(text + lines[-1] + "\n")
+    garbled = {"priors": "priors x", "weights": "weights x", "classes": "classes [",
+               "arity": "arity x"}
+    hits = 0
+    for key, bad in garbled.items():
+        i = next((i for i, ln in enumerate(lines) if ln.startswith(key + " ")), None)
+        if i is None:
+            continue
+        hits += 1
+        with pytest.raises(ParseError) as err:
+            model_from_text("\n".join(lines[:i] + [bad] + lines[i + 1 :]))
+        assert repr(bad) in str(err.value)
+    assert hits > 0
+
+
+@pytest.mark.parametrize("old, new", [("components 2", "components 3"),
+                                      ("dim 5", "dim 4")])
+def test_gmm_sizes_must_match_vectors(docs, old, new):
+    assert old in docs["gmm"]
+    with pytest.raises(ParseError):
+        model_from_text(docs["gmm"].replace(old, new, 1))
+
+
+def test_every_model_class_has_a_layout():
+    for info in pkgutil.iter_modules(rigline.__path__):
+        importlib.import_module(f"rigline.{info.name}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = {c for c in subclasses(TrainedModel) if c.__module__.startswith("rigline.")}
+    classes |= {SvmModel, GaussianMixtureModel}
+    assert classes - {cls for cls, _ in _KINDS.values()} == set()
