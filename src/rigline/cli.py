@@ -540,30 +540,32 @@ def _run_plan(args) -> dict:
     return plan
 
 
-def _label_data(d: Dataset, args, seeds, artifacts):
-    """auto: label only when unlabeled; em: always re-label; none: require labels."""
+def _label_data(d: Dataset, args, seeds):
+    """auto: label only when unlabeled; em: always re-label; none: require
+    labels. Returns (labeled, mixture), the mixture None when EM did not run."""
     if args.label == "none":
         if not d.label_presence:
             raise RiglineError("--label none needs a labeled dataset")
-        return d
+        return d, None
     if args.label == "auto" and d.label_presence:
-        return d
-    labeled, gmm = _em_label(d, args, seeds["label"])
-    save_model(gmm, os.path.join(args.out, "em_model.txt"))
-    artifacts.append("em_model.txt")
-    return labeled
+        return d, None
+    return _em_label(d, args, seeds["label"])
 
 
 def _prepare_data(args, plan, artifacts):
-    """Stages load or generate -> label (writing labeled.csv) -> split into
-    args.out, created only once the data is in; returns (train, test)."""
+    """Stages load or generate -> label (writing em_model.txt and labeled.csv)
+    -> split into args.out, created only once the labels are in; returns
+    (train, test)."""
     if args.data is not None:
         d = _load_input(args.data)
     else:
         d = _synthetic_data(plan["synthetic"])
-    os.makedirs(args.out, exist_ok=True)
     with _stage("label"):
-        labeled = _label_data(d, args, plan["seeds"], artifacts)
+        labeled, gmm = _label_data(d, args, plan["seeds"])
+        os.makedirs(args.out, exist_ok=True)
+        if gmm is not None:
+            save_model(gmm, os.path.join(args.out, "em_model.txt"))
+            artifacts.append("em_model.txt")
         save_csv(labeled, os.path.join(args.out, "labeled.csv"))
         artifacts.append("labeled.csv")
     with _stage("split"):

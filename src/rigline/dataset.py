@@ -212,11 +212,12 @@ def save_csv(d: Dataset, path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for i in range(d.n_rows):
+    labels = d.labels.tolist() if d.label_presence else None
+    for i, x in enumerate(d.X.tolist()):
         row = list(d.meta[i]) if d.meta is not None else []
-        row.extend(repr(float(v)) for v in d.X[i])
-        if d.label_presence:
-            row.append(str(d.labels[i]))
+        row.extend(map(repr, x))
+        if labels is not None:
+            row.append(labels[i])
         writer.writerow(row)
     atomic_write_text(path, buf.getvalue())
 

@@ -43,6 +43,37 @@ def _two_class_split(d: Dataset):
     return minority, majority, idx
 
 
+# Rows per block of the neighbor search. A block's distances take
+# _NEIGHBOR_BLOCK * m floats, so memory grows linearly with the m rows searched.
+_NEIGHBOR_BLOCK = 256
+
+
+def _nearest_neighbors(Z: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest other rows of each row of Z, as an (m, k) index array.
+
+    Squared Euclidean distances are norms[i] + norms[j] - 2 * (z_i . z_j);
+    each row's neighbors are the first k columns of a stable argsort of its
+    distances with its own at inf: nearest first, ties broken by row index.
+    Rows are searched in blocks of _NEIGHBOR_BLOCK; needs k < m.
+    """
+    m = len(Z)
+    norms = np.sum(Z * Z, axis=1)
+    out = np.empty((m, k), dtype=np.intp)
+    for start in range(0, m, _NEIGHBOR_BLOCK):
+        rows = np.arange(start, min(start + _NEIGHBOR_BLOCK, m))
+        sq = norms[rows, None] + norms[None, :] - 2.0 * (Z[rows] @ Z.T)
+        sq[rows - start, rows] = np.inf
+        kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
+        # Every row has at least k candidates at or under its k-th distance;
+        # sort them by (row, distance, column) and keep each row's first k.
+        r, c = np.nonzero(sq <= kth[:, None])
+        order = np.lexsort((c, sq[r, c], r))
+        r, c = r[order], c[order]
+        rank = np.arange(len(r)) - np.searchsorted(r, r)
+        out[rows] = c[rank < k].reshape(-1, k)
+    return out
+
+
 def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
     """Append interpolated minority rows until minority/majority hits the
     target ratio (within one row).
@@ -64,16 +95,7 @@ def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
         return d
 
     Z = Standardizer().fit_transform(d.X)
-    zmin = Z[idx[minority]]
-    # Pairwise distances within the minority class; self excluded by +inf.
-    sq = (
-        np.sum(zmin * zmin, axis=1)[:, None]
-        + np.sum(zmin * zmin, axis=1)[None, :]
-        - 2.0 * (zmin @ zmin.T)
-    )
-    np.fill_diagonal(sq, np.inf)
-    order = np.argsort(sq, axis=1, kind="stable")
-    neighbors = order[:, : cfg.k_neighbors]
+    neighbors = _nearest_neighbors(Z[idx[minority]], cfg.k_neighbors)
 
     rng = np.random.default_rng(cfg.seed)
     Xmin = d.X[idx[minority]]

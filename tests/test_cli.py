@@ -438,6 +438,10 @@ def stage_inputs(tmp_path_factory):
     pytest.param(["grid", "--data", "missing.csv"], "load", id="grid-missing"),
     pytest.param(["label", "--data", "raw.csv", "--em-columns", "NoSuch"], "label",
                  id="label-columns"),
+    pytest.param(["run", "--data", "raw.csv", "--label", "em", "--em-columns", "NoSuch"],
+                 "label", id="run-columns"),
+    pytest.param(["grid", "--data", "raw.csv", "--label", "em", "--em-columns", "NoSuch"],
+                 "label", id="grid-columns"),
     pytest.param(["sample", "--data", "lab.csv", "--sample", "smote:k=500"], "sample",
                  id="sample-smote-k"),
     pytest.param(["train", "--data", "lab.csv", "--learner", "smo", "--params",

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigline.dataset import (
     CLASS_FAILURE,
@@ -129,6 +131,43 @@ def test_round_trip_is_bit_exact(tmp_path):
     out2 = tmp_path / "out2.csv"
     save_csv(d2, str(out2))
     assert out.read_bytes() == out2.read_bytes()
+
+
+# Cells that csv quotes or that sit at the edges of what repr and float()
+# must carry: commas, quotes, spaces, non-ASCII text; subnormals, -0.0 and
+# the largest doubles.
+_cell_text = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8)
+_label_text = _cell_text.map(str.strip).filter(bool)
+_any_double = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def csv_datasets(draw):
+    n = draw(st.integers(0, 6))
+    arity = draw(st.integers(1, 4))
+    values = draw(st.lists(_any_double, min_size=n * arity, max_size=n * arity))
+    meta = draw(st.lists(st.tuples(_cell_text, _cell_text), min_size=n, max_size=n))
+    labels = draw(st.lists(_label_text, min_size=n, max_size=n))
+    schema = [(f"f{j}", "psi" if j % 2 else "") for j in range(arity)]
+    X = np.array(values, dtype=float).reshape(n, arity)
+    return Dataset(schema, X, labels, meta, ("S No.", "Time Stamp"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(csv_datasets())
+def test_csv_round_trip_property(tmp_path_factory, d):
+    first = tmp_path_factory.getbasetemp() / "round_trip_1.csv"
+    second = tmp_path_factory.getbasetemp() / "round_trip_2.csv"
+    save_csv(d, str(first))
+    d2 = load_csv(str(first), has_labels=True)
+    assert d2.X.shape == d.X.shape and d2.X.tobytes() == d.X.tobytes()
+    assert d2.labels.tolist() == d.labels.tolist()
+    assert d2.meta == d.meta and d2.meta_schema == d.meta_schema
+    save_csv(d2, str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_unit_round_trip(tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigline.baseline_learners import TrainedModel, train_naive_bayes
 from rigline.dataset import (
@@ -12,9 +16,11 @@ from rigline.dataset import (
 )
 from rigline.errors import ConfigError, SingleClassError
 from rigline.imbalance import (
+    _NEIGHBOR_BLOCK,
     CostMatrix,
     CostSensitiveModel,
     SmoteConfig,
+    _nearest_neighbors,
     default_cost_matrix,
     smote,
     undersample,
@@ -121,6 +127,54 @@ def test_smote_zero_gap_returns_p():
     out = smote(d, SmoteConfig(k_neighbors=2, seed=0))
     synth = out.X[d.n_rows :]
     assert np.allclose(synth, 5.0)
+
+
+def dense_neighbors(Z, k):
+    """Reference: the full distance matrix, self at inf, stable argsort."""
+    norms = np.sum(Z * Z, axis=1)
+    sq = norms[:, None] + norms[None, :] - 2.0 * (Z @ Z.T)
+    np.fill_diagonal(sq, np.inf)
+    return np.argsort(sq, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def tied_neighbor_problems(draw):
+    b = _NEIGHBOR_BLOCK
+    m = draw(st.one_of(st.integers(2, 12), st.sampled_from([b - 1, b, b + 1, 2 * b + 1])))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(m - 1, 8)))
+    # Integer or half-step values on a small grid: every distance is exact
+    # and ties are common.
+    spread = draw(st.integers(1, 4))
+    step = draw(st.sampled_from([0.5, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    Z = np.random.default_rng(seed).integers(-spread, spread + 1, size=(m, dim)) * step
+    return Z, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tied_neighbor_problems())
+def test_nearest_neighbors_match_dense_stable_sort(problem):
+    Z, k = problem
+    got = _nearest_neighbors(Z, k)
+    assert got.shape == (len(Z), k)
+    assert np.array_equal(got, dense_neighbors(Z, k))
+
+
+def test_smote_memory_is_linear_in_minority_rows():
+    # A dense 4,000 x 4,000 neighbor search takes 128 MB per float or index
+    # matrix; blocks of rows keep the peak far below one of them.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(12000, 5))
+    d = Dataset([(f"c{j}", "") for j in range(5)], X, ["n"] * 8000 + ["f"] * 4000)
+    tracemalloc.start()
+    try:
+        out = smote(d, SmoteConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_rows == 16000
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
