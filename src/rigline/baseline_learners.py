@@ -307,14 +307,12 @@ def train_random_forest(
             Xb, yb = d.X[idx], y[idx]
         else:
             Xb, yb = d.X, y
-        if features_per_split == d.arity:
-            picker = lambda: list(range(d.arity))
-        else:
-            def picker(rng=rng):
-                return sorted(
-                    int(v)
-                    for v in rng.choice(d.arity, size=features_per_split, replace=False)
-                )
+
+        def picker(rng=rng):
+            return sorted(
+                int(v) for v in rng.choice(d.arity, size=features_per_split, replace=False)
+            )
+
         root = _grow_tree(Xb, yb, K, 0, max_depth, min_leaf, picker)
         trees.append(DecisionTreeModel(classes, root, d.arity))
     return RandomForestModel(classes, trees, d.arity)

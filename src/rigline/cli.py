@@ -26,12 +26,14 @@ file: flags > file > defaults, with RIGLINE_SEED over `--seed` and `seed`.
 even when the file names them. An unknown key or a bad value exits 2 and
 names the key.
 
-`--synthetic`, `--sample smote:` and stack specs are `key=value` fields read
-by `util.parse_fields`: `,`-separated for the first two and `;`-separated in
-`stack:meta=smo;base=part,mlp,nb;folds=5`. A field without `=`, an unknown
-key, a bad value or (in a stack) an unregistered learner is a usage error.
-`generate`'s `--rows/--frac/--shift` win over its `--synthetic` fields; the
-merged source is range-checked once, by `SyntheticGenConfig`, at plan time.
+`run`/`grid --synthetic`, `--sample smote:` and stack specs are `key=value`
+fields read by `util.parse_fields`: `,`-separated for the first two and
+`;`-separated in `stack:meta=smo;base=part,mlp,nb;folds=5`. A field without
+`=`, an unknown key, a bad value or (in a stack) an unregistered learner is a
+usage error. `generate` takes the same source as `--rows/--frac/--shift`; the
+source is range-checked once, by `SyntheticGenConfig`, and an out-of-range
+value names the option that set it. Costs come from `--cost a,b` (or
+`default`), on the command line or as a `cost = a,b` config line.
 `grid --models` is a comma list of learners and stack specs; a comma starts
 a new model only before `model<N>`, `stack:` or a learner name that does not
 continue the `base=` field of the stack before it, so
@@ -57,7 +59,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .dataset import (
-    LABEL_COLUMN,
     Dataset,
     Standardizer,
     SyntheticGenConfig,
@@ -103,10 +104,6 @@ def _train_seed(master: int, token: str) -> int:
     return derive_seed(master, "train", token)
 
 
-class UsageError(ConfigError):
-    """Configuration problem detected before any work starts (exit 2)."""
-
-
 class StageError(RuntimeError):
     """Failure inside a named pipeline stage (exit 1)."""
 
@@ -123,6 +120,16 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
+@contextmanager
+def _option(what: str):
+    """Check the value of option what in the block: a ValueError (a bad
+    number or a ConfigError range check) becomes a usage error naming it."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # option plumbing: flags > config file > defaults, RIGLINE_SEED on top
 
@@ -132,7 +139,7 @@ def _read_config_file(path: str) -> dict:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as e:
-        raise UsageError(f"cannot read config file: {e}")
+        raise ConfigError(f"cannot read config file: {e}")
     out = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -145,9 +152,21 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         value = value.strip()
         if not key or not value:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         out[key] = value
     return out
+
+
+def _at_least(cast, low):
+    """Option type: cast the text and reject a value under low (or NaN)."""
+    def convert(text):
+        value = cast(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    convert.__name__ = cast.__name__
+    return convert
 
 
 def _parse_bool(text: str) -> bool:
@@ -170,12 +189,12 @@ def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
     for key, text in _read_config_file(path).items():
         action = actions.get(key)
         if action is None:
-            raise UsageError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         convert = _parse_bool if action.nargs == 0 else (action.type or str)
         try:
             out[key] = convert(text)
-        except (ValueError, TypeError) as e:
-            raise UsageError(f"config key {key!r}: {e}")
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
+            raise ConfigError(f"config key {key!r}: {e}")
     return out
 
 
@@ -186,48 +205,34 @@ def _resolve_master_seed(args: argparse.Namespace) -> int:
     try:
         return int(env)
     except ValueError:
-        raise UsageError(f"RIGLINE_SEED must be an integer, got {env!r}")
+        raise ConfigError(f"RIGLINE_SEED must be an integer, got {env!r}")
 
 
 # ---------------------------------------------------------------------------
 # small token parsers
 
 
-def _parse_synthetic_token(text, seed: int, **flags) -> SyntheticGenConfig:
-    """The synthetic source: the `--synthetic` fields `rows=5000,frac=0.13,
-    shift=2.0` (each optional; text None or `default` gives the defaults)
-    under flags, generate's --rows/--frac/--shift, which win when not None.
-    A value out of range is a usage error naming the options the source
-    came from."""
+def _parse_synthetic_token(text, seed: int) -> SyntheticGenConfig:
+    """run/grid --synthetic: the fields `rows=5000,frac=0.13,shift=2.0`, each
+    optional (text None or `default` gives the defaults)."""
     spec = dict(DEFAULT_SYNTHETIC)
-    source = {}
     if text not in (None, "default"):
-        fields = parse_fields(
+        spec.update(parse_fields(
             text, ",", {"rows": int, "frac": float, "shift": float}, "--synthetic"
-        )
-        spec.update(fields)
-        source.update(dict.fromkeys(fields, "--synthetic"))
-    for key, value in flags.items():
-        if value is not None:
-            spec[key] = value
-            source[key] = f"--{key}"
-    try:
+        ))
+    with _option("--synthetic"):
         return SyntheticGenConfig(
             row_count=spec["rows"],
             failure_fraction=spec["frac"],
             seed=seed,
             failure_shift_sigma=spec["shift"],
         )
-    except ConfigError as e:
-        raise UsageError(f"{'/'.join(dict.fromkeys(source.values()))}: {e}")
 
 
 def _smote_config(k, ratio, what: str) -> SmoteConfig:
     """SmoteConfig for the given options; its range check is a usage error."""
-    try:
+    with _option(what):
         return SmoteConfig(k_neighbors=k, target_ratio=ratio)
-    except ConfigError as e:
-        raise UsageError(f"{what}: {e}")
 
 
 def _parse_sample_token(text: str):
@@ -240,34 +245,21 @@ def _parse_sample_token(text: str):
         what = "--sample smote"
         params = parse_fields(text.partition(":")[2], ",", {"k": int, "ratio": float}, what)
         return "smote", _smote_config(params.get("k", 5), params.get("ratio", 1.0), what)
-    raise UsageError(
+    raise ConfigError(
         f"invalid sampling token {text!r}; expected none, under, or smote:k=K,ratio=R"
     )
 
 
-def _parse_cost_options(cost: str, cost_file: str):
-    """--cost 'a,b' | 'default', or --cost-file PATH. Returns a CostMatrix,
-    the string 'default' (resolved against the training split later), or None.
-    """
-    if cost is not None and cost_file is not None:
-        raise UsageError("give either --cost or --cost-file, not both")
-    if cost_file is not None:
-        try:
-            return CostMatrix.from_file(cost_file)
-        except (OSError, ValueError, ConfigError) as e:
-            raise UsageError(f"--cost-file: {e}")
-    if cost is None:
-        return None
-    if cost == "default":
-        return "default"
+def _parse_cost(cost: str):
+    """--cost 'a,b' | 'default'. Returns a CostMatrix, the string 'default'
+    (resolved against the training split later), or None."""
+    if cost is None or cost == "default":
+        return cost
     parts = cost.split(",")
     if len(parts) != 2:
-        raise UsageError(f"--cost: expected 'a,b' or 'default', got {cost!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-        return CostMatrix.from_off_diagonal(a, b)
-    except (ValueError, ConfigError) as e:
-        raise UsageError(f"--cost: {e}")
+        raise ConfigError(f"--cost: expected 'a,b' or 'default', got {cost!r}")
+    with _option("--cost"):
+        return CostMatrix.from_off_diagonal(float(parts[0]), float(parts[1]))
 
 
 def _coerce_value(text: str):
@@ -292,11 +284,11 @@ def _parse_params(text: str) -> dict:
 def _parse_list(text: str, what: str, choices=None):
     items = tuple(t.strip() for t in text.split(",") if t.strip())
     if len(set(items)) != len(items):
-        raise UsageError(f"{what}: duplicate entries in {text!r}")
+        raise ConfigError(f"{what}: duplicate entries in {text!r}")
     if choices is not None:
         for item in items:
             if item not in choices:
-                raise UsageError(f"{what}: unknown entry {item!r}; choices: {sorted(choices)}")
+                raise ConfigError(f"{what}: unknown entry {item!r}; choices: {sorted(choices)}")
     return items
 
 
@@ -314,7 +306,7 @@ def _parse_models(text: str) -> tuple:
         else:
             models[-1] += "," + piece
     if len(set(models)) != len(models):
-        raise UsageError(f"--models: duplicate entries in {text!r}")
+        raise ConfigError(f"--models: duplicate entries in {text!r}")
     return tuple(models)
 
 
@@ -323,13 +315,10 @@ def _parse_models(text: str) -> tuple:
 
 
 def _load_input(path: str) -> Dataset:
-    """The load stage: read a CSV, labeled when its last header cell is the
-    label column."""
+    """The load stage: read a CSV (labeled when its header ends in the label
+    column)."""
     with _stage("load"):
-        with open(path) as fh:
-            header = fh.readline()
-        cells = [c.strip().strip('"') for c in header.rstrip("\n").split(",")]
-        return load_csv(path, has_labels=cells[-1].lower() == LABEL_COLUMN)
+        return load_csv(path)
 
 
 def _synthetic_data(cfg: SyntheticGenConfig) -> Dataset:
@@ -361,7 +350,7 @@ def _em_label(d: Dataset, args, seed: int):
     view = _em_feature_view(d, args.em_columns, args.em_raw)
     gmm = em_fit(
         view,
-        n_components=args.components,
+        n_components=2,
         seed=seed,
         tol=args.em_tol,
         max_iter=args.em_max_iter,
@@ -430,13 +419,16 @@ def _validate_model_token(token: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations (argv already resolved; raise UsageError / StageError)
+# command implementations (argv already resolved; raise ConfigError / StageError)
 
 
 def _cmd_generate(args) -> int:
     master = _resolve_master_seed(args)
-    cfg = _parse_synthetic_token(args.synthetic, _stage_seed(master, "generate"),
-                                 rows=args.rows, frac=args.frac, shift=args.shift)
+    # --rows is checked under the default fraction, then --frac on valid rows.
+    with _option("--rows"):
+        cfg = SyntheticGenConfig(row_count=args.rows, seed=_stage_seed(master, "generate"))
+    with _option("--frac"):
+        cfg = replace(cfg, failure_fraction=args.frac, failure_shift_sigma=args.shift)
     d = _synthetic_data(cfg)
     if args.unlabeled:
         d = d.without_labels()
@@ -449,8 +441,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_label(args) -> int:
     master = _resolve_master_seed(args)
-    if args.components != 2:
-        raise UsageError("labeling requires exactly 2 mixture components")
     d = _load_input(args.data)
     with _stage("label"):
         labeled, gmm = _em_label(d, args, _stage_seed(master, "label"))
@@ -475,17 +465,17 @@ def _cmd_sample(args) -> int:
 def _cmd_train(args) -> int:
     master = _resolve_master_seed(args)
     if (args.learner is None) == (args.stack is None):
-        raise UsageError("give exactly one of --learner or --stack")
-    cost_spec = _parse_cost_options(args.cost, args.cost_file)
+        raise ConfigError("give exactly one of --learner or --stack")
+    cost_spec = _parse_cost(args.cost)
     params = _parse_params(args.params)
     if args.learner is not None and args.learner not in LEARNERS:
-        raise UsageError(
+        raise ConfigError(
             f"unknown learner {args.learner!r}; choices: {sorted(LEARNERS)}"
         )
     if args.stack is not None:
         if params:
-            raise UsageError("--params applies to --learner; put stack "
-                             "parameters inside the stack spec string")
+            raise ConfigError("--params applies to --learner; put stack "
+                              "parameters inside the stack spec string")
         _validate_model_token(args.stack)
     d = _load_input(args.data)
     token = args.learner if args.learner is not None else args.stack
@@ -507,16 +497,14 @@ def _pipeline_plan(args) -> dict:
     """Validate the options run and grid share: source, labeling, split."""
     master = _resolve_master_seed(args)
     if args.data is not None and args.synthetic is not None:
-        raise UsageError("give either --data or --synthetic, not both")
+        raise ConfigError("give either --data or --synthetic, not both")
     synthetic = None if args.data is not None else _parse_synthetic_token(
         args.synthetic, _stage_seed(master, "generate")
     )
     if args.label not in ("auto", "em", "none"):
-        raise UsageError(f"--label must be auto, em, or none, got {args.label!r}")
-    if args.components != 2:
-        raise UsageError("labeling requires exactly 2 mixture components")
+        raise ConfigError(f"--label must be auto, em, or none, got {args.label!r}")
     if not 0.0 < args.split < 1.0:
-        raise UsageError(f"--split must be in (0,1), got {args.split}")
+        raise ConfigError(f"--split must be in (0,1), got {args.split}")
     return {
         "master": master,
         "synthetic": synthetic,
@@ -528,11 +516,11 @@ def _run_plan(args) -> dict:
     """Validate the whole run config before any artifact is written."""
     plan = _pipeline_plan(args)
     sample = _parse_sample_token(args.sample)
-    cost_spec = _parse_cost_options(args.cost, args.cost_file)
+    cost_spec = _parse_cost(args.cost)
     if cost_spec is not None and sample[0] != "none":
-        raise UsageError("cost-sensitive training replaces sampling; drop --sample")
+        raise ConfigError("cost-sensitive training replaces sampling; drop --sample")
     if (args.learner is not None) and (args.stack is not None):
-        raise UsageError("give at most one of --learner or --stack")
+        raise ConfigError("give at most one of --learner or --stack")
     token = args.stack if args.stack is not None else (args.learner or "smo")
     _validate_model_token(token)
     plan.update(sample=sample, cost=cost_spec, token=token)
@@ -609,7 +597,6 @@ def _echo_common_config(args, plan) -> dict:
     config = {
         "data": args.data or "-",
         "label": args.label,
-        "components": args.components,
         "em_tol": args.em_tol,
         "em_max_iter": args.em_max_iter,
         "em_columns": ",".join(args.em_columns) if args.em_columns else "-",
@@ -635,10 +622,10 @@ def _grid_plan(args) -> dict:
     plan = _pipeline_plan(args)
     regimes = _parse_list(args.regimes, "--regimes", choices=set(DEFAULT_REGIMES))
     if not regimes:
-        raise UsageError("--regimes must name at least one regime")
+        raise ConfigError("--regimes must name at least one regime")
     learners = _parse_list(args.learners, "--learners", choices=set(LEARNERS))
     if not learners:
-        raise UsageError("--learners must name at least one learner")
+        raise ConfigError("--learners must name at least one learner")
     models = _parse_models(args.models or "")
     for token in models:
         _validate_model_token(token)
@@ -646,7 +633,7 @@ def _grid_plan(args) -> dict:
         regimes=regimes,
         learners=learners,
         models=models,
-        cost=_parse_cost_options(args.cost, args.cost_file) or "default",
+        cost=_parse_cost(args.cost) or "default",
         smote=_smote_config(args.smote_k, args.smote_ratio, "--smote-k/--smote-ratio"),
     )
     for token in learners + models:
@@ -760,12 +747,11 @@ def _grid_summary(table_names, best_name, model_reports, errors) -> str:
 
 
 def _add_em_options(p) -> None:
-    p.add_argument("--components", type=int, default=2,
-                   help="mixture components (labeling needs 2)")
-    p.add_argument("--em-tol", type=float, default=1e-6,
-                   help="relative log-likelihood convergence tolerance")
-    p.add_argument("--em-max-iter", type=int, default=200,
-                   help="iteration cap for the mixture fit")
+    """The options of the two-component mixture fit that labels the data."""
+    p.add_argument("--em-tol", type=_at_least(float, 0.0), default=1e-6,
+                   help="relative log-likelihood convergence tolerance (>= 0)")
+    p.add_argument("--em-max-iter", type=_at_least(int, 1), default=200,
+                   help="iteration cap for the mixture fit (>= 1)")
     p.add_argument("--em-columns", type=lambda s: _parse_list(s, "--em-columns"),
                    help="comma-separated feature names the clustering sees (default all)")
     p.add_argument("--em-raw", action="store_true",
@@ -783,11 +769,6 @@ def _add_pipeline_options(p) -> None:
                    help="training fraction of the labeled data")
 
 
-def _add_cost_options(p, help: str) -> None:
-    p.add_argument("--cost", help=help)
-    p.add_argument("--cost-file", help="two-line cost matrix file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigline",
@@ -801,11 +782,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("generate", _cmd_generate, "write a synthetic labeled sensor CSV")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--frac", type=float)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--synthetic",
-                   help="alternative to --rows/--frac/--shift: rows=...,frac=...,shift=...")
+    p.add_argument("--rows", type=int, default=DEFAULT_SYNTHETIC["rows"],
+                   help="row count (>= 2)")
+    p.add_argument("--frac", type=float, default=DEFAULT_SYNTHETIC["frac"],
+                   help="failure fraction, in (0,1)")
+    p.add_argument("--shift", type=float, default=DEFAULT_SYNTHETIC["shift"],
+                   help="failure-class drift of the shifted columns, in stddevs")
     p.add_argument("--unlabeled", action="store_true", help="drop the class column")
     p.add_argument("--out", default="synthetic.csv")
 
@@ -827,7 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack",
                    help="preset model1..model5 or stack:meta=smo;base=part,mlp,nb;folds=5")
     p.add_argument("--params", help="learner keyword arguments, e.g. n_trees=50,max_depth=8")
-    _add_cost_options(p, "off-diagonal costs 'a,b', or 'default' for the class-ratio matrix")
+    p.add_argument("--cost",
+                   help="off-diagonal costs 'a,b', or 'default' for the class-ratio matrix")
     p.add_argument("--out", default="model.txt")
 
     p = command("evaluate", _cmd_evaluate, "score a saved model on a labeled CSV")
@@ -840,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("run", _cmd_run, "full pipeline into an output directory")
     _add_pipeline_options(p)
     p.add_argument("--sample", help="none | under | smote:k=5,ratio=1.0 (training split only)")
-    _add_cost_options(p, "train cost-sensitively: 'a,b' or 'default'")
+    p.add_argument("--cost", help="train cost-sensitively: 'a,b' or 'default'")
     p.add_argument("--learner", help="learner name (default smo)")
     p.add_argument("--stack", help="preset model1..model5 or stack:... spec")
     p.add_argument("--out", default="rigline_out", help="output directory")
@@ -856,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "stack:... specs; empty string skips the model tables")
     p.add_argument("--smote-k", type=int, default=5)
     p.add_argument("--smote-ratio", type=float, default=1.0)
-    _add_cost_options(p, "cost regime matrix: 'a,b' (default: class-ratio matrix)")
+    p.add_argument("--cost", help="cost regime matrix: 'a,b' (default: class-ratio matrix)")
     p.add_argument("--out", default="rigline_grid", help="output directory")
 
     for p in sub.choices.values():
@@ -877,7 +860,7 @@ def main(argv=None) -> int:
             command.set_defaults(**_config_defaults(command, args.config))
             args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigError as e:  # UsageError and the option parsers' errors
+    except ConfigError as e:  # usage errors, found before any work starts
         print(f"error: {e}", file=sys.stderr)
         return 2
     except StageError as e:

@@ -146,11 +146,12 @@ def _is_meta_header(cell: str) -> bool:
     return bool(_SERIAL_RE.match(name)) or bool(_TIME_RE.search(name))
 
 
-def load_csv(path: str, has_labels: bool = False) -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Load a sensor CSV. Header required; numeric cells must parse as reals.
 
-    Leading serial/timestamp columns become row metadata. With has_labels the
-    last column is read as the nominal class label.
+    Leading serial/timestamp columns become row metadata. When the last
+    header cell is the label column (`class`, any case) that column is read
+    as the nominal class label.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -162,6 +163,7 @@ def load_csv(path: str, has_labels: bool = False) -> Dataset:
     n_meta = 0
     while n_meta < min(2, len(header)) and _is_meta_header(header[n_meta]):
         n_meta += 1
+    has_labels = header[-1].lower() == LABEL_COLUMN
     label_idx = len(header) - 1 if has_labels else None
     feat_idx = [
         j for j in range(n_meta, len(header)) if label_idx is None or j != label_idx
@@ -285,7 +287,7 @@ def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
     return Dataset(DEFAULT_COLUMNS, X[perm], labels[perm])
 
 
-def split_train_test(d: Dataset, train_fraction: float, seed: int = 0, shuffle: bool = True):
+def split_train_test(d: Dataset, train_fraction: float, seed: int = 0):
     """Split into (train, test); train gets floor(fraction * n) rows.
 
     Parts are disjoint and exhaustive, and both preserve the input row order.
@@ -295,7 +297,7 @@ def split_train_test(d: Dataset, train_fraction: float, seed: int = 0, shuffle: 
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
     n_train = math.floor(train_fraction * d.n_rows)
-    idx = np.random.default_rng(seed).permutation(d.n_rows) if shuffle else np.arange(d.n_rows)
+    idx = np.random.default_rng(seed).permutation(d.n_rows)
     train_idx = np.sort(idx[:n_train])
     test_idx = np.sort(idx[n_train:])
     return d.subset(train_idx), d.subset(test_idx)

@@ -143,15 +143,6 @@ class CostMatrix:
     def from_off_diagonal(cls, first_as_second: float, second_as_first: float):
         return cls([[0.0, first_as_second], [second_as_first, 0.0]])
 
-    @classmethod
-    def from_file(cls, path: str):
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if len(lines) != 2:
-            raise ConfigError(f"{path}: cost matrix file needs exactly two lines")
-        rows = [[float(v) for v in ln.replace(",", " ").split()] for ln in lines]
-        return cls(rows)
-
 
 def default_cost_matrix(d: Dataset) -> CostMatrix:
     """Misreading the minority class costs majority/minority; the reverse

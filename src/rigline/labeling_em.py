@@ -93,6 +93,10 @@ def em_fit(
     """
     if n_components < 1:
         raise ConfigError(f"n_components must be >= 1, got {n_components}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol >= 0.0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
     if d.n_rows < n_components:
         raise ConfigError(
             f"{n_components} components need at least that many rows, got {d.n_rows}"

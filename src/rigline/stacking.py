@@ -18,7 +18,7 @@ from .baseline_learners import (
     train_rule_list,
 )
 from .dataset import Dataset, Standardizer, class_order, stratified_folds
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
 from .util import derive_seed, parse_fields
 
@@ -171,15 +171,13 @@ def parse_stack_spec(text: str, seed: int = 0) -> StackSpec:
     )
 
 
-def _aligned_proba(model: TrainedModel, X, classes) -> np.ndarray:
-    """Model probabilities re-ordered onto the global class list; classes the
-    model never saw get zero columns."""
-    P = model.predict_proba(X)
-    out = np.zeros((P.shape[0], len(classes)))
-    for j, c in enumerate(model.classes):
-        if c in classes:
-            out[:, classes.index(c)] = P[:, j]
-    return out
+def _check_classes(model: TrainedModel, classes) -> None:
+    """A base model's probability columns must be the stack's classes."""
+    if model.classes != list(classes):
+        raise ShapeError(
+            f"base model {model.learner} has classes {model.classes}, "
+            f"the stack has {list(classes)}"
+        )
 
 
 def _meta_schema(spec: StackSpec, classes):
@@ -213,7 +211,9 @@ def build_meta_features(d: Dataset, spec: StackSpec) -> Dataset:
                 seed=derive_seed(spec.seed, "fold", int(f), t),
                 params=ls.params_dict(),
             )
-            M[hold, t * K : (t + 1) * K] = _aligned_proba(model, d.X[hold], classes)
+            # Stratified folds give every training part every class.
+            _check_classes(model, classes)
+            M[hold, t * K : (t + 1) * K] = model.predict_proba(d.X[hold])
     return Dataset(_meta_schema(spec, classes), M, d.labels)
 
 
@@ -224,15 +224,15 @@ class StackedModel(TrainedModel):
 
     def __init__(self, spec: StackSpec, base_models, meta_model, classes, arity):
         super().__init__(classes)
+        for bm in base_models:
+            _check_classes(bm, self.classes)
         self.spec = spec
         self.base_models = base_models
         self.meta_model = meta_model
         self.arity = arity
 
     def _meta_matrix(self, X):
-        return np.hstack(
-            [_aligned_proba(bm, X, self.classes) for bm in self.base_models]
-        )
+        return np.hstack([bm.predict_proba(X) for bm in self.base_models])
 
     def _score(self, X):
         return self.meta_model.score(self._meta_matrix(X))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import re
@@ -5,14 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from rigline.cli import main
+from rigline.cli import build_parser, main
 from rigline.dataset import Dataset, class_order, load_csv, save_csv
 from rigline.modeldoc import load_model
 from rigline.stacking import register_learner
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    """main's exit status, also when argparse rejects an option value."""
+    try:
+        return main(list(argv))
+    except SystemExit as e:
+        return e.code
 
 
 def read(path):
@@ -28,14 +33,14 @@ def test_generate_counts_and_determinism(tmp_path):
     assert run_cli("generate", "--rows", "200", "--frac", "0.25", "--seed", "4",
                    "--out", str(b)) == 0
     assert read(a) == read(b)
-    d = load_csv(str(a), has_labels=True)
+    d = load_csv(str(a))
     assert d.n_rows == 200
     assert int(np.sum(d.labels == "failure")) == 50
 
 
 def test_generate_unlabeled_and_synthetic_token(tmp_path):
     p = tmp_path / "u.csv"
-    assert run_cli("generate", "--synthetic", "rows=50,frac=0.1", "--unlabeled",
+    assert run_cli("generate", "--rows", "50", "--frac", "0.1", "--unlabeled",
                    "--out", str(p)) == 0
     d = load_csv(str(p))
     assert d.n_rows == 50
@@ -49,7 +54,7 @@ def test_label_writes_labels_and_gmm(tmp_path):
     run_cli("generate", "--rows", "300", "--unlabeled", "--seed", "2", "--out", str(raw))
     assert run_cli("label", "--data", str(raw), "--out", str(lab),
                    "--save-gmm", str(gmm_path), "--seed", "2") == 0
-    d = load_csv(str(lab), has_labels=True)
+    d = load_csv(str(lab))
     assert set(d.labels) == {"normal", "failure"}
     counts = {c: int(np.sum(d.labels == c)) for c in ("normal", "failure")}
     assert counts["normal"] > counts["failure"]
@@ -63,7 +68,7 @@ def test_label_column_subset_and_raw(tmp_path):
     out = tmp_path / "lab.csv"
     assert run_cli("label", "--data", str(raw), "--out", str(out), "--em-raw",
                    "--em-columns", "Operating Pressure,Gas Detector") == 0
-    d = load_csv(str(out), has_labels=True)
+    d = load_csv(str(out))
     assert d.arity == 5  # labeling never drops feature columns
     assert run_cli("label", "--data", str(raw), "--out", str(out),
                    "--em-columns", "NoSuchColumn") == 1
@@ -75,7 +80,7 @@ def test_sample_under_balances(tmp_path):
     run_cli("generate", "--rows", "200", "--frac", "0.2", "--seed", "1", "--out", str(src))
     assert run_cli("sample", "--data", str(src), "--sample", "under",
                    "--out", str(out)) == 0
-    d = load_csv(str(out), has_labels=True)
+    d = load_csv(str(out))
     counts = {c: int(np.sum(d.labels == c)) for c in set(d.labels)}
     assert counts["normal"] == counts["failure"]
 
@@ -86,7 +91,7 @@ def test_sample_smote_token(tmp_path):
     run_cli("generate", "--rows", "200", "--frac", "0.2", "--seed", "1", "--out", str(src))
     assert run_cli("sample", "--data", str(src), "--sample", "smote:k=3,ratio=0.5",
                    "--out", str(out)) == 0
-    d = load_csv(str(out), has_labels=True)
+    d = load_csv(str(out))
     counts = {c: int(np.sum(d.labels == c)) for c in set(d.labels)}
     assert abs(counts["failure"] - round(0.5 * counts["normal"])) <= 1
 
@@ -172,7 +177,7 @@ def test_train_smo_one_row_minority_falls_back_to_hard_probabilities(tmp_path):
     data = tmp_path / "d.csv"
     model = tmp_path / "m.txt"
     run_cli("generate", "--rows", "20", "--frac", "0.05", "--seed", "1", "--out", str(data))
-    assert load_csv(str(data), has_labels=True).labels.tolist().count("failure") == 1
+    assert load_csv(str(data)).labels.tolist().count("failure") == 1
     assert run_cli("train", "--data", str(data), "--learner", "smo",
                    "--out", str(model)) == 0
     assert "fallback 1" in read(model).split("\n")
@@ -319,6 +324,9 @@ def test_config_switch_takes_bool_words(tmp_path, text, labeled):
     ("split = half", "split"),
     ("seed = 1.5", "seed"),
     ("config = other.cfg", "config"),
+    ("em_max_iter = 0", "em_max_iter"),
+    ("em_max_iter = -3", "em_max_iter"),
+    ("em_tol = -1", "em_tol"),
 ])
 def test_config_bad_value_names_key(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -329,22 +337,67 @@ def test_config_bad_value_names_key(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("label", "components = 2", "components"),
+    ("run", "components = 2", "components"),
+    ("train", "cost_file = costs.txt", "cost_file"),
+    ("grid", "cost_file = costs.txt", "cost_file"),
+    ("generate", "synthetic = rows=50", "synthetic"),
+])
+def test_config_removed_keys_are_unknown(tmp_path, capsys, stage_inputs, command,
+                                         line, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{line}\n")
+    data = [] if command == "generate" else ["--data", stage_inputs["lab.csv"]]
+    out = tmp_path / "out"
+    assert run_cli(command, *data, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--em-max-iter", "0"), ("--em-max-iter", "-3"), ("--em-tol", "-1"), ("--em-tol", "nan"),
+])
+@pytest.mark.parametrize("command", ["label", "run", "grid"])
+def test_em_iteration_settings_out_of_range_are_usage_errors(tmp_path, capsys, stage_inputs,
+                                                             command, flag, value):
+    out = tmp_path / "out"
+    label = [] if command == "label" else ["--label", "em"]
+    assert run_cli(command, "--data", stage_inputs["raw.csv"], *label, flag, value,
+                   "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 COMMAND_OPTIONS = {
-    "generate": ["--rows", "--frac", "--shift", "--synthetic", "--unlabeled", "--out"],
-    "label": ["--data", "--out", "--save-gmm", "--components", "--em-tol",
-              "--em-max-iter", "--em-columns", "--em-raw"],
+    "generate": ["--rows", "--frac", "--shift", "--unlabeled", "--out"],
+    "label": ["--data", "--out", "--save-gmm", "--em-tol", "--em-max-iter",
+              "--em-columns", "--em-raw"],
     "sample": ["--data", "--sample", "--out"],
-    "train": ["--data", "--learner", "--stack", "--params", "--cost", "--cost-file",
-              "--out"],
+    "train": ["--data", "--learner", "--stack", "--params", "--cost", "--out"],
     "evaluate": ["--model", "--data", "--out", "--detail", "--name"],
-    "run": ["--data", "--synthetic", "--label", "--components", "--em-tol",
-            "--em-max-iter", "--em-columns", "--em-raw", "--split", "--sample",
-            "--cost", "--cost-file", "--learner", "--stack", "--out"],
-    "grid": ["--data", "--synthetic", "--label", "--components", "--em-tol",
-             "--em-max-iter", "--em-columns", "--em-raw", "--split", "--regimes",
-             "--learners", "--models", "--smote-k", "--smote-ratio", "--cost",
-             "--cost-file", "--out"],
+    "run": ["--data", "--synthetic", "--label", "--em-tol", "--em-max-iter",
+            "--em-columns", "--em-raw", "--split", "--sample", "--cost", "--learner",
+            "--stack", "--out"],
+    "grid": ["--data", "--synthetic", "--label", "--em-tol", "--em-max-iter",
+             "--em-columns", "--em-raw", "--split", "--regimes", "--learners",
+             "--models", "--smote-k", "--smote-ratio", "--cost", "--out"],
 }
+
+
+def test_each_command_declares_exactly_its_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(COMMAND_OPTIONS)
+    settable = 0
+    for command, parser in sub.choices.items():
+        dests = [a.dest for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "config")]
+        expected = [o[2:].replace("-", "_") for o in COMMAND_OPTIONS[command]]
+        assert dests == expected + ["seed"], command
+        settable += len(dests)
+    # Every option a config file can set, over all seven commands.
+    assert settable == 61
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
@@ -400,10 +453,6 @@ def test_grid_models_hold_multi_base_stacks(tmp_path, models, columns):
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(["generate", "--rows", "1"], "--rows", id="generate-rows"),
     pytest.param(["generate", "--frac", "0"], "--frac", id="generate-frac"),
-    pytest.param(["generate", "--rows", "1", "--synthetic", "rows=50"], "--rows",
-                 id="generate-rows-over-token"),
-    pytest.param(["generate", "--synthetic", "rows=1"], "--synthetic",
-                 id="generate-token"),
     pytest.param(["run", "--synthetic", "frac=1.0"], "--synthetic", id="run"),
     pytest.param(["grid", "--synthetic", "rows=1"], "--synthetic", id="grid"),
 ])
@@ -460,6 +509,94 @@ def test_failure_names_its_stage(tmp_path, capsys, stage_inputs, argv, stage):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def hostile_inputs(tmp_path_factory):
+    """Labeled tables the pipeline was not built for: three classes (30/30/30),
+    labels up/down with a constant column, and a one-row minority (1/79)."""
+    d = tmp_path_factory.mktemp("hostile_inputs")
+    rng = np.random.default_rng(0)
+    schema = [("a", ""), ("b", ""), ("c", "")]
+    X = rng.normal(size=(90, 3))
+    X[30:60] += 3.0
+    X[60:] -= 3.0
+    tables = {"three": (X, ["x"] * 30 + ["y"] * 30 + ["z"] * 30)}
+    X = rng.normal(size=(80, 3))
+    X[:, 2] = 5.0
+    X[60:, 0] += 2.0
+    tables["updown"] = (X, ["up"] * 60 + ["down"] * 20)
+    X = rng.normal(size=(80, 3))
+    X[79] += 3.0
+    tables["onerow"] = (X, ["normal"] * 79 + ["failure"])
+    paths = {}
+    for name, (X, labels) in tables.items():
+        paths[name] = str(d / f"{name}.csv")
+        save_csv(Dataset(schema, X, labels), paths[name])
+    return paths
+
+
+HOSTILE_COMMANDS = {
+    "train-nb": ["train", "--learner", "nb"],
+    "train-smo": ["train", "--learner", "smo"],
+    "train-model1": ["train", "--stack", "model1"],
+    "sample-smote": ["sample", "--sample", "smote"],
+    "sample-under": ["sample", "--sample", "under"],
+    "run-smo": ["run", "--label", "none", "--learner", "smo"],
+    "run-model3": ["run", "--label", "none", "--stack", "model3"],
+    "grid-model2": ["grid", "--label", "none", "--models", "model2"],
+}
+TWO_CLASSES = "stage train: two-class solver, got 3 classes"
+
+
+@pytest.mark.parametrize("table, command, message", [
+    ("three", "train-smo", TWO_CLASSES),
+    ("three", "train-model1", TWO_CLASSES),
+    ("three", "run-smo", TWO_CLASSES),
+    ("three", "run-model3", TWO_CLASSES),
+    ("three", "sample-smote", "stage sample:"),
+    ("three", "sample-under", "stage sample:"),
+    ("onerow", "train-model1", "stage train: rarest class has 1 rows"),
+    ("onerow", "sample-smote", "stage sample:"),
+])
+def test_hostile_table_fails_in_its_stage(tmp_path, capsys, hostile_inputs, table, command,
+                                          message):
+    argv = HOSTILE_COMMANDS[command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--data", hostile_inputs[table], "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    if argv[0] == "run":
+        assert not (out / "manifest.txt").exists()
+    else:
+        assert os.listdir(tmp_path) == []
+
+
+# The one-row minority's SVM fallback is pinned by
+# test_train_smo_one_row_minority_falls_back_to_hard_probabilities.
+@pytest.mark.parametrize("table, command", [
+    ("three", "train-nb"),
+    *[("updown", command) for command in HOSTILE_COMMANDS],
+])
+def test_hostile_table_runs(tmp_path, hostile_inputs, table, command):
+    assert run_cli(*HOSTILE_COMMANDS[command], "--data", hostile_inputs[table],
+                   "--out", str(tmp_path / "out")) == 0
+
+
+def test_three_class_grid_marks_two_class_cells_err(tmp_path, hostile_inputs):
+    out = tmp_path / "out"
+    assert run_cli(*HOSTILE_COMMANDS["grid-model2"], "--data", hostile_inputs["three"],
+                   "--out", str(out)) == 0
+    failed = read(out / "summary.txt").partition("failed cells (ERR columns):\n")[2]
+    assert [line.split(":")[0].strip() for line in failed.splitlines()] == [
+        "none/smo", "smote", "under", "cost", "models/model2"]
+
+
+def test_train_reads_labels_after_a_leading_blank_line(tmp_path):
+    data = tmp_path / "d.csv"
+    run_cli("generate", "--rows", "60", "--seed", "1", "--out", str(data))
+    data.write_text("\n" + read(data))
+    assert run_cli("train", "--data", str(data), "--learner", "nb",
+                   "--out", str(tmp_path / "m.txt")) == 0
+
+
 def test_sample_prints_plain_class_names(tmp_path, capsys):
     data, out = tmp_path / "ab.csv", tmp_path / "s.csv"
     save_csv(Dataset([("x", ""), ("y", "")], np.arange(10.0).reshape(5, 2),
@@ -467,7 +604,7 @@ def test_sample_prints_plain_class_names(tmp_path, capsys):
     assert run_cli("sample", "--data", str(data), "--sample", "under",
                    "--out", str(out)) == 0
     assert capsys.readouterr().out == f"wrote {out}: {{'a': (2, 0.5), 'b': (2, 0.5)}}\n"
-    assert all(type(c) is str for c in class_order(load_csv(str(out), True).labels))
+    assert all(type(c) is str for c in class_order(load_csv(str(out)).labels))
 
 
 def test_grid_degenerate_matches_run(tmp_path):

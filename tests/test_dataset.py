@@ -112,10 +112,22 @@ def test_nan_cell_raises_parse_error(tmp_path):
 def test_labeled_load_and_class_column(tmp_path):
     p = tmp_path / "labeled.csv"
     p.write_text("a,b,class\n1,2,normal\n3,4,failure\n5,6,normal\n")
-    d = load_csv(str(p), has_labels=True)
+    d = load_csv(str(p))
     assert d.arity == 2
     assert list(d.labels) == ["normal", "failure", "normal"]
     assert class_order(d.labels) == [CLASS_NORMAL, CLASS_FAILURE]
+
+
+@pytest.mark.parametrize("text", [
+    "\na,b,class\n1,2,up\n3,4,down\n",
+    'a,b," Class "\n1,2,up\n3,4,down\n',
+])
+def test_label_column_is_read_from_the_header(tmp_path, text):
+    p = tmp_path / "labeled.csv"
+    p.write_text(text)
+    d = load_csv(str(p))
+    assert d.arity == 2
+    assert list(d.labels) == ["up", "down"]
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -123,7 +135,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     d = d.with_labels([CLASS_NORMAL] * 19)
     out = tmp_path / "out.csv"
     save_csv(d, str(out))
-    d2 = load_csv(str(out), has_labels=True)
+    d2 = load_csv(str(out))
     assert np.array_equal(d.X, d2.X)
     assert list(d.labels) == list(d2.labels)
     assert d2.meta == d.meta
@@ -162,7 +174,7 @@ def test_csv_round_trip_property(tmp_path_factory, d):
     first = tmp_path_factory.getbasetemp() / "round_trip_1.csv"
     second = tmp_path_factory.getbasetemp() / "round_trip_2.csv"
     save_csv(d, str(first))
-    d2 = load_csv(str(first), has_labels=True)
+    d2 = load_csv(str(first))
     assert d2.X.shape == d.X.shape and d2.X.tobytes() == d.X.tobytes()
     assert d2.labels.tolist() == d.labels.tolist()
     assert d2.meta == d.meta and d2.meta_schema == d.meta_schema
@@ -220,7 +232,7 @@ def test_split_fraction_and_disjointness():
 def test_split_large_counts():
     # floor(0.66 * 870000) = 574200
     d = Dataset([("v", "")], np.arange(870000, dtype=float).reshape(-1, 1))
-    train, test = split_train_test(d, 0.66, seed=0, shuffle=False)
+    train, test = split_train_test(d, 0.66, seed=0)
     assert train.n_rows == 574200
     assert test.n_rows == 870000 - 574200
 

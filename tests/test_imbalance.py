@@ -271,7 +271,7 @@ def test_default_cost_matrix_ratio():
     assert cm.m[0][1] == pytest.approx(1.0)
 
 
-def test_cost_matrix_validation_and_file_round_trip(tmp_path):
+def test_cost_matrix_validation():
     with pytest.raises(ConfigError):
         CostMatrix([[0, 1]])
     with pytest.raises(ConfigError):
@@ -280,12 +280,4 @@ def test_cost_matrix_validation_and_file_round_trip(tmp_path):
         CostMatrix([[0, -1], [1, 0]])
     with pytest.raises(ConfigError):
         CostMatrix([[0, 0], [0, 0]])
-    cm = CostMatrix.from_off_diagonal(1.0, 6.5)
-    p = tmp_path / "costs.txt"
-    p.write_text("0.0 1.0\n6.5 0.0\n")
-    back = CostMatrix.from_file(str(p))
-    assert np.array_equal(back.m, cm.m)
-    bad = tmp_path / "one_line.txt"
-    bad.write_text("0 1\n")
-    with pytest.raises(ConfigError):
-        CostMatrix.from_file(str(bad))
+    assert CostMatrix.from_off_diagonal(1.0, 6.5).m.tolist() == [[0.0, 1.0], [6.5, 0.0]]

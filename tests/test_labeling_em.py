@@ -108,6 +108,13 @@ def test_more_components_than_rows_rejected():
         em_fit(d, 3)
 
 
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -3}, {"tol": -1.0},
+                                    {"tol": float("nan")}])
+def test_iteration_settings_out_of_range_rejected(kwargs):
+    with pytest.raises(ConfigError):
+        em_fit(two_blob_dataset(seed=8), 2, **kwargs)
+
+
 def test_fit_determinism():
     d = two_blob_dataset(seed=8)
     g1 = em_fit(d, 2, seed=11)

@@ -262,6 +262,16 @@ def test_gmm_sizes_must_match_vectors(docs, old, new):
         model_from_text(docs["gmm"].replace(old, new, 1))
 
 
+def test_stack_base_classes_must_match_the_stack(docs):
+    lines = docs["model3"].splitlines()
+    # The stack's classes line comes first, then its first base model's.
+    i = [k for k, ln in enumerate(lines) if ln.startswith("classes ")][1]
+    assert lines[i] == 'classes ["normal", "failure"]'
+    lines[i] = 'classes ["failure", "normal"]'
+    with pytest.raises(ParseError, match="inconsistent stack model"):
+        model_from_text("\n".join(lines))
+
+
 def test_every_model_class_has_a_layout():
     for info in pkgutil.iter_modules(rigline.__path__):
         importlib.import_module(f"rigline.{info.name}")

@@ -14,6 +14,7 @@ from rigline.errors import ConfigError, ShapeError
 from rigline.stacking import (
     MODEL_PRESETS,
     LearnerSpec,
+    StackedModel,
     StackSpec,
     build_meta_features,
     parse_stack_spec,
@@ -213,6 +214,27 @@ def test_stack_arity_mismatch():
     m = train_stack(d, spec)
     with pytest.raises(ShapeError):
         m.predict_proba(np.zeros((3, 9)))
+
+
+def test_base_models_must_share_the_stack_classes():
+    d = synth(120, seed=9)
+    classes = class_order(d.labels)
+
+    def flipped(d, seed, params):
+        return TruthLookupModel(classes[::-1], {})
+
+    nb = train_naive_bayes(d)
+    with pytest.raises(ShapeError, match="classes"):
+        StackedModel(StackSpec(base=(LearnerSpec("flipped"),)), [flipped(d, 0, {})], nb,
+                     classes, d.arity)
+    register_learner("flipped", flipped)
+    try:
+        with pytest.raises(ShapeError, match="classes"):
+            build_meta_features(d, StackSpec(base=(LearnerSpec("flipped"),), folds=3))
+    finally:
+        from rigline.stacking import LEARNERS
+
+        LEARNERS.pop("flipped", None)
 
 
 def test_duplicated_base_learner_duplicates_blocks():
