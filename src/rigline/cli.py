@@ -16,31 +16,34 @@ sample stage seeds, and each training cell's seed is derived from the master
 plus the learner token, so a single grid cell reproduces the matching `run`.
 
 Every option is declared once, in its `add_argument` call, with its type
-and default. Every command accepts `--config FILE` holding `key = value`
-lines (`#` starts a comment line). A key is a long flag name with `-` turned
-into `_` (`em_tol` for `--em-tol`); its value is converted by that option's
-own type, and a switch such as `em_raw` takes 1/0, true/false, yes/no or
-on/off. File values replace the defaults and explicit flags win over the
-file: flags > file > defaults, with RIGLINE_SEED over `--seed` and `seed`.
-`--data`, `--model` and `sample --sample` are required on the command line
-even when the file names them. An unknown key or a bad value exits 2 and
-names the key.
+and default; the type is the only place its value is checked. Every command
+accepts `--config FILE` holding `key = value` lines (`#` starts a comment
+line). A key is a long flag name with `-` turned into `_` (`em_tol` for
+`--em-tol`); its value is converted by that option's own type, and a switch
+such as `em_raw` takes 1/0, true/false, yes/no or on/off. File values
+replace the defaults and explicit flags win over the file: flags > file >
+defaults, with RIGLINE_SEED over `--seed` and `seed`. `--data`, `--model`
+and `sample --sample` are required on the command line even when the file
+names them. An unknown key exits 2; a bad value exits 2 with the same reason
+as the flag, after `config key '<key>':` instead of `argument --<flag>:`.
 
 `run`/`grid --synthetic`, `--sample smote:` and stack specs are `key=value`
 fields read by `util.parse_fields`: `,`-separated for the first two and
 `;`-separated in `stack:meta=smo;base=part,mlp,nb;folds=5`. A field without
 `=`, an unknown key, a bad value or (in a stack) an unregistered learner is a
-usage error. `generate` takes the same source as `--rows/--frac/--shift`; the
-source is range-checked once, by `SyntheticGenConfig`, and an out-of-range
-value names the option that set it. Costs come from `--cost a,b` (or
-`default`), on the command line or as a `cost = a,b` config line.
+usage error. `generate` takes the same source as `--rows/--frac/--shift`.
+Range checks live in the library configs (`SyntheticGenConfig`,
+`SmoteConfig`, `CostMatrix`), which the option types call. Costs come from
+`--cost a,b` (or `default`), on the command line or as a `cost = a,b` line.
 `grid --models` is a comma list of learners and stack specs; a comma starts
 a new model only before `model<N>`, `stack:` or a learner name that does not
 continue the `base=` field of the stack before it, so
 `nb,stack:base=nb,tree;folds=3,model1` is three models.
 
-Usage and config errors exit with status 2 before any artifact is written;
-failures inside a pipeline stage exit with status 1 and name the stage:
+Usage and config errors, argparse's own (a bad value, a missing or unknown
+option) included, print one `error:` line and exit with status 2 before any
+artifact is written; only `--help` exits through SystemExit (status 0).
+Failures inside a pipeline stage exit with status 1 and name the stage:
 
 generate   generate
 label      load, label
@@ -57,6 +60,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 from .dataset import (
     Dataset,
@@ -90,7 +94,7 @@ MASTER_SEED_DEFAULT = 7
 # single run with the same master seed train the identical model.
 STAGE_OFFSETS = {"generate": 1, "label": 2, "split": 3, "sample": 4}
 
-DEFAULT_SYNTHETIC = {"rows": 5000, "frac": 0.13, "shift": 2.0}
+DEFAULT_SYNTHETIC = SyntheticGenConfig(row_count=5000)
 DEFAULT_REGIMES = ("none", "smote", "under", "cost")
 DEFAULT_GRID_LEARNERS = ("tree", "part", "mlp", "nb", "rf", "smo")
 DEFAULT_GRID_MODELS = ("model1", "model2", "model3", "model4", "model5")
@@ -120,14 +124,13 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-@contextmanager
-def _option(what: str):
-    """Check the value of option what in the block: a ValueError (a bad
-    number or a ConfigError range check) becomes a usage error naming it."""
-    try:
-        yield
-    except ValueError as e:
-        raise ConfigError(f"{what}: {e}") from e
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors (a bad value, a missing or unknown
+    option) raise ConfigError, so main returns 2 for them as for any other
+    usage error. Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +160,6 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _at_least(cast, low):
-    """Option type: cast the text and reject a value under low (or NaN)."""
-    def convert(text):
-        value = cast(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    convert.__name__ = cast.__name__
-    return convert
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -180,7 +171,7 @@ def _parse_bool(text: str) -> bool:
 
 def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
     """The config file's values for command, each converted by its option's
-    own action: _parse_bool for a switch, else the option's type."""
+    own type (_parse_bool for a switch)."""
     actions = {
         a.dest: a for a in command._actions
         if a.option_strings and a.dest not in ("help", "config")
@@ -193,7 +184,7 @@ def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
         convert = _parse_bool if action.nargs == 0 else (action.type or str)
         try:
             out[key] = convert(text)
-        except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
+        except (ValueError, argparse.ArgumentTypeError) as e:
             raise ConfigError(f"config key {key!r}: {e}")
     return out
 
@@ -209,57 +200,100 @@ def _resolve_master_seed(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# small token parsers
+# option types: each option's value is checked only here, when it is parsed
 
 
-def _parse_synthetic_token(text, seed: int) -> SyntheticGenConfig:
+def _checked(convert):
+    """Option type from convert(text): a ValueError it raises (ConfigError
+    included) becomes argparse's ArgumentTypeError with the same reason, so
+    a flag and a config line with the same bad value report it alike."""
+    def option_type(text):
+        try:
+            return convert(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from e
+
+    return option_type
+
+
+def _number(cast, ok, rule: str):
+    """Option type: cast the text and reject a value that fails ok (as NaN
+    does), stating the rule."""
+    def convert(text):
+        value = cast(text)
+        if not ok(value):
+            raise ConfigError(f"must be {rule}, got {value}")
+        return value
+
+    return _checked(convert)
+
+
+def _config_field(config, field: str, cast):
+    """Option type of one field of a library config: the cast text, range
+    checked by the config itself with its other fields as in config."""
+    return _checked(lambda text: getattr(replace(config, **{field: cast(text)}), field))
+
+
+def _one_of(choices, text: str) -> str:
+    """text, if it is one of choices; read when the option is parsed, so a
+    learner registered before then counts."""
+    if text not in choices:
+        raise ConfigError(f"{text!r} is not one of {', '.join(sorted(choices))}")
+    return text
+
+
+def _list_of(choices=None):
+    """Option type: a comma list without duplicates; given choices, a
+    non-empty list of them."""
+    def convert(text):
+        items = tuple(t.strip() for t in text.split(",") if t.strip())
+        if len(set(items)) != len(items):
+            raise ConfigError(f"duplicate entries in {text!r}")
+        if choices is not None:
+            if not items:
+                raise ConfigError("name at least one entry")
+            for item in items:
+                _one_of(choices, item)
+        return items
+
+    return _checked(convert)
+
+
+@_checked
+def _synthetic(text: str) -> SyntheticGenConfig:
     """run/grid --synthetic: the fields `rows=5000,frac=0.13,shift=2.0`, each
-    optional (text None or `default` gives the defaults)."""
-    spec = dict(DEFAULT_SYNTHETIC)
-    if text not in (None, "default"):
-        spec.update(parse_fields(
-            text, ",", {"rows": int, "frac": float, "shift": float}, "--synthetic"
-        ))
-    with _option("--synthetic"):
-        return SyntheticGenConfig(
-            row_count=spec["rows"],
-            failure_fraction=spec["frac"],
-            seed=seed,
-            failure_shift_sigma=spec["shift"],
-        )
+    optional (`default` gives the defaults); the stage seed is set later."""
+    names = {"rows": "row_count", "frac": "failure_fraction", "shift": "failure_shift_sigma"}
+    fields = {} if text == "default" else parse_fields(
+        text, ",", {"rows": int, "frac": float, "shift": float}
+    )
+    return replace(DEFAULT_SYNTHETIC, **{names[k]: v for k, v in fields.items()})
 
 
-def _smote_config(k, ratio, what: str) -> SmoteConfig:
-    """SmoteConfig for the given options; its range check is a usage error."""
-    with _option(what):
-        return SmoteConfig(k_neighbors=k, target_ratio=ratio)
-
-
-def _parse_sample_token(text: str):
+@_checked
+def _sample(text: str):
     """none | under | smote[:k=5,ratio=1.0] -> (kind, SmoteConfig or None)."""
-    if text is None or text in ("", "none"):
-        return "none", None
-    if text == "under":
-        return "under", None
+    if text in ("", "none", "under"):
+        return text or "none", None
     if text == "smote" or text.startswith("smote:"):
-        what = "--sample smote"
-        params = parse_fields(text.partition(":")[2], ",", {"k": int, "ratio": float}, what)
-        return "smote", _smote_config(params.get("k", 5), params.get("ratio", 1.0), what)
+        params = parse_fields(text.partition(":")[2], ",", {"k": int, "ratio": float}, "smote")
+        return "smote", SmoteConfig(k_neighbors=params.get("k", 5),
+                                    target_ratio=params.get("ratio", 1.0))
     raise ConfigError(
         f"invalid sampling token {text!r}; expected none, under, or smote:k=K,ratio=R"
     )
 
 
-def _parse_cost(cost: str):
-    """--cost 'a,b' | 'default'. Returns a CostMatrix, the string 'default'
-    (resolved against the training split later), or None."""
-    if cost is None or cost == "default":
-        return cost
-    parts = cost.split(",")
+@_checked
+def _cost(text: str):
+    """'a,b' | 'default' -> a CostMatrix, or 'default' for the class-ratio
+    matrix of the training split (resolved later)."""
+    if text == "default":
+        return text
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"--cost: expected 'a,b' or 'default', got {cost!r}")
-    with _option("--cost"):
-        return CostMatrix.from_off_diagonal(float(parts[0]), float(parts[1]))
+        raise ConfigError(f"expected 'a,b' or 'default', got {text!r}")
+    return CostMatrix.from_off_diagonal(float(parts[0]), float(parts[1]))
 
 
 def _coerce_value(text: str):
@@ -275,24 +309,21 @@ def _coerce_value(text: str):
     return text
 
 
-def _parse_params(text: str) -> dict:
+@_checked
+def _params(text: str) -> dict:
     """Learner keyword arguments; any key, each value int, float, bool or str."""
-    fields = parse_fields(text or "", ",", None, "--params")
-    return {k: _coerce_value(v) for k, v in fields.items()}
+    return {k: _coerce_value(v) for k, v in parse_fields(text, ",", None).items()}
 
 
-def _parse_list(text: str, what: str, choices=None):
-    items = tuple(t.strip() for t in text.split(",") if t.strip())
-    if len(set(items)) != len(items):
-        raise ConfigError(f"{what}: duplicate entries in {text!r}")
-    if choices is not None:
-        for item in items:
-            if item not in choices:
-                raise ConfigError(f"{what}: unknown entry {item!r}; choices: {sorted(choices)}")
-    return items
+def _model_token(text: str) -> str:
+    """A learner name, or a stack spec that parse_stack_spec accepts."""
+    if text not in LEARNERS:
+        parse_stack_spec(text)
+    return text
 
 
-def _parse_models(text: str) -> tuple:
+@_checked
+def _models(text: str) -> tuple:
     """grid --models: learners and stack specs, split at a comma only where
     a new model starts: `model<N>`, `stack:`, or a learner name that does
     not continue the `base=` field the model before it ends in."""
@@ -306,8 +337,8 @@ def _parse_models(text: str) -> tuple:
         else:
             models[-1] += "," + piece
     if len(set(models)) != len(models):
-        raise ConfigError(f"--models: duplicate entries in {text!r}")
-    return tuple(models)
+        raise ConfigError(f"duplicate entries in {text!r}")
+    return tuple(_model_token(m) for m in models)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +443,18 @@ def _evaluate_stage(model, test: Dataset, name: str, path: str, detail_path=None
             atomic_write_text(detail_path, render_detail(name, report))
 
 
-def _validate_model_token(token: str) -> None:
-    """Reject a learner name or stack spec that cannot be built (exit 2)."""
-    if token not in LEARNERS:
-        parse_stack_spec(token)
-
-
 # ---------------------------------------------------------------------------
 # command implementations (argv already resolved; raise ConfigError / StageError)
 
 
 def _cmd_generate(args) -> int:
     master = _resolve_master_seed(args)
-    # --rows is checked under the default fraction, then --frac on valid rows.
-    with _option("--rows"):
-        cfg = SyntheticGenConfig(row_count=args.rows, seed=_stage_seed(master, "generate"))
-    with _option("--frac"):
-        cfg = replace(cfg, failure_fraction=args.frac, failure_shift_sigma=args.shift)
-    d = _synthetic_data(cfg)
+    d = _synthetic_data(SyntheticGenConfig(
+        row_count=args.rows,
+        failure_fraction=args.frac,
+        seed=_stage_seed(master, "generate"),
+        failure_shift_sigma=args.shift,
+    ))
     if args.unlabeled:
         d = d.without_labels()
     with _stage("generate"):
@@ -453,7 +478,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_sample(args) -> int:
     master = _resolve_master_seed(args)
-    kind, params = _parse_sample_token(args.sample)
+    kind, params = args.sample
     d = _load_input(args.data)
     with _stage("sample"):
         out = _apply_sampling(d, kind, params, _stage_seed(master, "sample"))
@@ -464,22 +489,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_train(args) -> int:
     master = _resolve_master_seed(args)
-    if (args.learner is None) == (args.stack is None):
-        raise ConfigError("give exactly one of --learner or --stack")
-    cost_spec = _parse_cost(args.cost)
-    params = _parse_params(args.params)
-    if args.learner is not None and args.learner not in LEARNERS:
-        raise ConfigError(
-            f"unknown learner {args.learner!r}; choices: {sorted(LEARNERS)}"
-        )
-    if args.stack is not None:
-        if params:
-            raise ConfigError("--params applies to --learner; put stack "
-                              "parameters inside the stack spec string")
-        _validate_model_token(args.stack)
+    token = _model_choice(args)
+    if args.stack is not None and args.params:
+        raise ConfigError("--params applies to --learner; put stack "
+                          "parameters inside the stack spec string")
     d = _load_input(args.data)
-    token = args.learner if args.learner is not None else args.stack
-    model = _train_stage(token, d, master, params, cost_spec, args.out)
+    model = _train_stage(token, d, master, args.params or {}, args.cost, args.out)
     print(f"wrote {args.out}: {model.learner} model")
     return 0
 
@@ -493,39 +508,29 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _pipeline_plan(args) -> dict:
-    """Validate the options run and grid share: source, labeling, split."""
+def _model_choice(args, default=None) -> str:
+    """The model that --learner or --stack names: exactly one of them, or at
+    most one when there is a default."""
+    given = [t for t in (args.learner, args.stack) if t is not None]
+    if len(given) > 1 or not (given or default):
+        raise ConfigError(
+            f"give {'at most' if default else 'exactly'} one of --learner or --stack"
+        )
+    return given[0] if given else default
+
+
+def _pipeline_plan(args, tokens) -> dict:
+    """The master seed, the synthetic source (None with --data) and the seeds
+    of run and grid: one per stage and one per model token trained."""
     master = _resolve_master_seed(args)
     if args.data is not None and args.synthetic is not None:
         raise ConfigError("give either --data or --synthetic, not both")
-    synthetic = None if args.data is not None else _parse_synthetic_token(
-        args.synthetic, _stage_seed(master, "generate")
+    synthetic = None if args.data is not None else replace(
+        args.synthetic or DEFAULT_SYNTHETIC, seed=_stage_seed(master, "generate")
     )
-    if args.label not in ("auto", "em", "none"):
-        raise ConfigError(f"--label must be auto, em, or none, got {args.label!r}")
-    if not 0.0 < args.split < 1.0:
-        raise ConfigError(f"--split must be in (0,1), got {args.split}")
-    return {
-        "master": master,
-        "synthetic": synthetic,
-        "seeds": {name: _stage_seed(master, name) for name in STAGE_OFFSETS},
-    }
-
-
-def _run_plan(args) -> dict:
-    """Validate the whole run config before any artifact is written."""
-    plan = _pipeline_plan(args)
-    sample = _parse_sample_token(args.sample)
-    cost_spec = _parse_cost(args.cost)
-    if cost_spec is not None and sample[0] != "none":
-        raise ConfigError("cost-sensitive training replaces sampling; drop --sample")
-    if (args.learner is not None) and (args.stack is not None):
-        raise ConfigError("give at most one of --learner or --stack")
-    token = args.stack if args.stack is not None else (args.learner or "smo")
-    _validate_model_token(token)
-    plan.update(sample=sample, cost=cost_spec, token=token)
-    plan["seeds"][f"train.{token}"] = _train_seed(plan["master"], token)
-    return plan
+    seeds = {name: _stage_seed(master, name) for name in STAGE_OFFSETS}
+    seeds.update((f"train.{token}", _train_seed(master, token)) for token in tokens)
+    return {"master": master, "synthetic": synthetic, "seeds": seeds}
 
 
 def _label_data(d: Dataset, args, seeds):
@@ -570,15 +575,18 @@ def _write_manifest(command: str, args, plan, config: dict, artifacts) -> None:
 
 
 def _cmd_run(args) -> int:
-    plan = _run_plan(args)
+    kind, smote_cfg = args.sample
+    if args.cost is not None and kind != "none":
+        raise ConfigError("cost-sensitive training replaces sampling; drop --sample")
+    token = _model_choice(args, default="smo")
+    plan = _pipeline_plan(args, [token])
     artifacts = []
     train, test = _prepare_data(args, plan, artifacts)
-    kind, smote_cfg = plan["sample"]
     with _stage("sample"):
         sampled = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
-    model = _train_stage(plan["token"], sampled, plan["master"], {}, plan["cost"],
+    model = _train_stage(token, sampled, plan["master"], {}, args.cost,
                          os.path.join(args.out, "model.txt"))
-    _evaluate_stage(model, test, plan["token"], os.path.join(args.out, "report.csv"),
+    _evaluate_stage(model, test, token, os.path.join(args.out, "report.csv"),
                     os.path.join(args.out, "detail.txt"))
     artifacts += ["model.txt", "report.csv", "detail.txt"]
 
@@ -587,7 +595,7 @@ def _cmd_run(args) -> int:
         f"smote:k={smote_cfg.k_neighbors},ratio={smote_cfg.target_ratio}"
         if kind == "smote" else kind
     )
-    config["model"] = plan["token"]
+    config["model"] = token
     _write_manifest("run", args, plan, config, artifacts)
     print(f"run complete: {args.out}/report.csv")
     return 0
@@ -608,37 +616,10 @@ def _echo_common_config(args, plan) -> dict:
     config["synthetic"] = "-" if cfg is None else (
         f"rows={cfg.row_count},frac={cfg.failure_fraction},shift={cfg.failure_shift_sigma}"
     )
-    cost = plan["cost"]
-    if cost is None:
-        config["cost"] = "-"
-    elif cost == "default":
-        config["cost"] = "default"
-    else:
-        config["cost"] = f"{cost.m[0][1]},{cost.m[1][0]}"
+    cost = args.cost
+    config["cost"] = (f"{cost.m[0][1]},{cost.m[1][0]}" if isinstance(cost, CostMatrix)
+                      else cost or "-")
     return config
-
-
-def _grid_plan(args) -> dict:
-    plan = _pipeline_plan(args)
-    regimes = _parse_list(args.regimes, "--regimes", choices=set(DEFAULT_REGIMES))
-    if not regimes:
-        raise ConfigError("--regimes must name at least one regime")
-    learners = _parse_list(args.learners, "--learners", choices=set(LEARNERS))
-    if not learners:
-        raise ConfigError("--learners must name at least one learner")
-    models = _parse_models(args.models or "")
-    for token in models:
-        _validate_model_token(token)
-    plan.update(
-        regimes=regimes,
-        learners=learners,
-        models=models,
-        cost=_parse_cost(args.cost) or "default",
-        smote=_smote_config(args.smote_k, args.smote_ratio, "--smote-k/--smote-ratio"),
-    )
-    for token in learners + models:
-        plan["seeds"][f"train.{token}"] = _train_seed(plan["master"], token)
-    return plan
 
 
 def _grid_cell(token, train_set, master, cost_matrix, test, errors, cell_name):
@@ -652,8 +633,9 @@ def _grid_cell(token, train_set, master, cost_matrix, test, errors, cell_name):
 
 
 def _cmd_grid(args) -> int:
-    plan = _grid_plan(args)
+    plan = _pipeline_plan(args, args.learners + args.models)
     master = plan["master"]
+    smote_cfg = SmoteConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio)
     artifacts = []
     errors = []
     table_names = []
@@ -666,20 +648,20 @@ def _cmd_grid(args) -> int:
         table_names.append((fname, what))
 
     none_reports = {}
-    for regime in plan["regimes"]:
+    for regime in args.regimes:
         try:
             kind = regime if regime in ("smote", "under") else "none"
-            regime_train = _apply_sampling(train, kind, plan["smote"], plan["seeds"]["sample"])
-            cost_matrix = _resolve_cost(plan["cost"], train) if regime == "cost" else None
+            regime_train = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
+            cost_matrix = _resolve_cost(args.cost, train) if regime == "cost" else None
         except Exception as e:
             # A regime that cannot be built fails all of its cells.
             errors.append(f"{regime}: {e}")
-            columns = [(learner, None) for learner in plan["learners"]]
+            columns = [(learner, None) for learner in args.learners]
         else:
             columns = [
                 (learner, _grid_cell(learner, regime_train, master, cost_matrix, test,
                                      errors, f"{regime}/{learner}"))
-                for learner in plan["learners"]
+                for learner in args.learners
             ]
         if regime == "none":
             none_reports = dict(columns)
@@ -687,21 +669,21 @@ def _cmd_grid(args) -> int:
 
     best_name = None
     model_reports = {}
-    if plan["models"]:
+    if args.models:
         columns = [
             (token, _grid_cell(token, train, master, None, test, errors, f"models/{token}"))
-            for token in plan["models"]
+            for token in args.models
         ]
         write_table(columns, "stacked models, no sampling")
         model_reports = {t: r for t, r in columns if r is not None}
         scored = [
-            (r.roc_auc, r.tp_rate, -plan["models"].index(t), t)
+            (r.roc_auc, r.tp_rate, -args.models.index(t), t)
             for t, r in model_reports.items()
         ]
         if scored:
             best_name = max(scored)[3]
             versus = [(best_name, model_reports[best_name])]
-            for learner in plan["learners"]:
+            for learner in args.learners:
                 if learner in none_reports:
                     versus.append((learner, none_reports[learner]))
                 else:
@@ -715,11 +697,11 @@ def _cmd_grid(args) -> int:
     artifacts.append("summary.txt")
 
     config = _echo_common_config(args, plan)
-    config["regimes"] = ",".join(plan["regimes"])
-    config["learners"] = ",".join(plan["learners"])
-    config["models"] = ",".join(plan["models"]) if plan["models"] else "-"
-    config["smote_k"] = plan["smote"].k_neighbors
-    config["smote_ratio"] = plan["smote"].target_ratio
+    config["regimes"] = ",".join(args.regimes)
+    config["learners"] = ",".join(args.learners)
+    config["models"] = ",".join(args.models) if args.models else "-"
+    config["smote_k"] = args.smote_k
+    config["smote_ratio"] = args.smote_ratio
     _write_manifest("grid", args, plan, config, artifacts)
     print(f"grid complete: {len(table_names)} tables in {args.out}")
     return 0
@@ -748,11 +730,11 @@ def _grid_summary(table_names, best_name, model_reports, errors) -> str:
 
 def _add_em_options(p) -> None:
     """The options of the two-component mixture fit that labels the data."""
-    p.add_argument("--em-tol", type=_at_least(float, 0.0), default=1e-6,
+    p.add_argument("--em-tol", type=_number(float, lambda v: v >= 0, ">= 0"), default=1e-6,
                    help="relative log-likelihood convergence tolerance (>= 0)")
-    p.add_argument("--em-max-iter", type=_at_least(int, 1), default=200,
+    p.add_argument("--em-max-iter", type=_number(int, lambda v: v >= 1, ">= 1"), default=200,
                    help="iteration cap for the mixture fit (>= 1)")
-    p.add_argument("--em-columns", type=lambda s: _parse_list(s, "--em-columns"),
+    p.add_argument("--em-columns", type=_list_of(),
                    help="comma-separated feature names the clustering sees (default all)")
     p.add_argument("--em-raw", action="store_true",
                    help="cluster raw features instead of standardized ones")
@@ -761,16 +743,18 @@ def _add_em_options(p) -> None:
 def _add_pipeline_options(p) -> None:
     """The source, labeling and split options that run and grid share."""
     p.add_argument("--data", help="input CSV (a trailing 'class' column is used as labels)")
-    p.add_argument("--synthetic", help="synthetic source, e.g. rows=5000,frac=0.13,shift=2.0")
-    p.add_argument("--label", default="auto",
+    p.add_argument("--synthetic", type=_synthetic,
+                   help="synthetic source, e.g. rows=5000,frac=0.13,shift=2.0")
+    p.add_argument("--label", type=_checked(partial(_one_of, ("auto", "em", "none"))),
+                   default="auto",
                    help="auto (label only if unlabeled) | em (always) | none (require labels)")
     _add_em_options(p)
-    p.add_argument("--split", type=float, default=0.66,
-                   help="training fraction of the labeled data")
+    p.add_argument("--split", type=_number(float, lambda v: 0 < v < 1, "in (0,1)"),
+                   default=0.66, help="training fraction of the labeled data")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigline",
         description="failure-analysis pipeline: label, rebalance, train, compare",
     )
@@ -782,11 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("generate", _cmd_generate, "write a synthetic labeled sensor CSV")
-    p.add_argument("--rows", type=int, default=DEFAULT_SYNTHETIC["rows"],
-                   help="row count (>= 2)")
-    p.add_argument("--frac", type=float, default=DEFAULT_SYNTHETIC["frac"],
-                   help="failure fraction, in (0,1)")
-    p.add_argument("--shift", type=float, default=DEFAULT_SYNTHETIC["shift"],
+    p.add_argument("--rows", type=_config_field(DEFAULT_SYNTHETIC, "row_count", int),
+                   default=DEFAULT_SYNTHETIC.row_count, help="row count (>= 2)")
+    p.add_argument("--frac", type=_config_field(DEFAULT_SYNTHETIC, "failure_fraction", float),
+                   default=DEFAULT_SYNTHETIC.failure_fraction, help="failure fraction, in (0,1)")
+    p.add_argument("--shift", type=_checked(float), default=DEFAULT_SYNTHETIC.failure_shift_sigma,
                    help="failure-class drift of the shifted columns, in stddevs")
     p.add_argument("--unlabeled", action="store_true", help="drop the class column")
     p.add_argument("--out", default="synthetic.csv")
@@ -800,16 +784,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", _cmd_sample, "rebalance a labeled CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--sample", required=True, help="none | under | smote:k=5,ratio=1.0")
+    p.add_argument("--sample", type=_sample, required=True,
+                   help="none | under | smote:k=5,ratio=1.0")
     p.add_argument("--out", default="sampled.csv")
 
     p = command("train", _cmd_train, "fit a model on a labeled CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--learner", help=f"one of {sorted(LEARNERS)}")
-    p.add_argument("--stack",
+    p.add_argument("--learner", type=_checked(partial(_one_of, LEARNERS)),
+                   help=f"one of {sorted(LEARNERS)}")
+    p.add_argument("--stack", type=_checked(_model_token),
                    help="preset model1..model5 or stack:meta=smo;base=part,mlp,nb;folds=5")
-    p.add_argument("--params", help="learner keyword arguments, e.g. n_trees=50,max_depth=8")
-    p.add_argument("--cost",
+    p.add_argument("--params", type=_params,
+                   help="learner keyword arguments, e.g. n_trees=50,max_depth=8")
+    p.add_argument("--cost", type=_cost,
                    help="off-diagonal costs 'a,b', or 'default' for the class-ratio matrix")
     p.add_argument("--out", default="model.txt")
 
@@ -822,28 +809,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("run", _cmd_run, "full pipeline into an output directory")
     _add_pipeline_options(p)
-    p.add_argument("--sample", help="none | under | smote:k=5,ratio=1.0 (training split only)")
-    p.add_argument("--cost", help="train cost-sensitively: 'a,b' or 'default'")
-    p.add_argument("--learner", help="learner name (default smo)")
-    p.add_argument("--stack", help="preset model1..model5 or stack:... spec")
+    p.add_argument("--sample", type=_sample, default="none",
+                   help="none | under | smote:k=5,ratio=1.0 (training split only)")
+    p.add_argument("--cost", type=_cost, help="train cost-sensitively: 'a,b' or 'default'")
+    p.add_argument("--learner", type=_checked(partial(_one_of, LEARNERS)),
+                   help="learner name (default smo)")
+    p.add_argument("--stack", type=_checked(_model_token),
+                   help="preset model1..model5 or stack:... spec")
     p.add_argument("--out", default="rigline_out", help="output directory")
 
     p = command("grid", _cmd_grid, "regimes-by-learners sweep with result tables")
     _add_pipeline_options(p)
-    p.add_argument("--regimes", default=",".join(DEFAULT_REGIMES),
+    p.add_argument("--regimes", type=_list_of(DEFAULT_REGIMES),
+                   default=",".join(DEFAULT_REGIMES),
                    help=f"comma list from {list(DEFAULT_REGIMES)}")
-    p.add_argument("--learners", default=",".join(DEFAULT_GRID_LEARNERS),
+    p.add_argument("--learners", type=_list_of(LEARNERS),
+                   default=",".join(DEFAULT_GRID_LEARNERS),
                    help=f"comma list from {sorted(LEARNERS)}")
-    p.add_argument("--models", default=",".join(DEFAULT_GRID_MODELS),
+    p.add_argument("--models", type=_models, default=",".join(DEFAULT_GRID_MODELS),
                    help="comma list of learners, presets model1..model5 and "
                         "stack:... specs; empty string skips the model tables")
-    p.add_argument("--smote-k", type=int, default=5)
-    p.add_argument("--smote-ratio", type=float, default=1.0)
-    p.add_argument("--cost", help="cost regime matrix: 'a,b' (default: class-ratio matrix)")
+    p.add_argument("--smote-k", type=_config_field(SmoteConfig(), "k_neighbors", int),
+                   default=5)
+    p.add_argument("--smote-ratio", type=_config_field(SmoteConfig(), "target_ratio", float),
+                   default=1.0)
+    p.add_argument("--cost", type=_cost, default="default",
+                   help="cost regime matrix: 'a,b' or 'default' (the class-ratio matrix)")
     p.add_argument("--out", default="rigline_grid", help="output directory")
 
     for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=MASTER_SEED_DEFAULT,
+        p.add_argument("--seed", type=_checked(int), default=MASTER_SEED_DEFAULT,
                        help="master seed (RIGLINE_SEED env var overrides)")
         p.add_argument("--config", help="key = value file; explicit flags override it")
     return parser

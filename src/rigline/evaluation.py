@@ -15,6 +15,8 @@ from .dataset import Dataset, class_order
 from .errors import EmptyDatasetError, MissingLabelsError, SingleClassError
 
 MEASURE_ROWS = ("TP Rate", "FP Rate", "Precision", "Recall", "F-Measure", "ROC")
+# The EvalReport field and per-class key of each measure, in MEASURE_ROWS order.
+MEASURES = ("tp_rate", "fp_rate", "precision", "recall", "f_measure", "roc_auc")
 
 
 class ConfusionMatrix:
@@ -83,14 +85,7 @@ class EvalReport:
     per_class: dict = field(default_factory=dict)
 
     def row_values(self):
-        return (
-            self.tp_rate,
-            self.fp_rate,
-            self.precision,
-            self.recall,
-            self.f_measure,
-            self.roc_auc,
-        )
+        return tuple(getattr(self, key) for key in MEASURES)
 
 
 def _safe_div(num, den):
@@ -125,16 +120,7 @@ def metrics(cm: ConfusionMatrix, class_weights=None) -> EvalReport:
     def weighted(key):
         return sum(class_weights[c] * per_class[c][key] for c in cm.classes)
 
-    return EvalReport(
-        tp_rate=weighted("tp_rate"),
-        fp_rate=weighted("fp_rate"),
-        precision=weighted("precision"),
-        recall=weighted("recall"),
-        f_measure=weighted("f_measure"),
-        roc_auc=0.0,
-        cm=cm,
-        per_class=per_class,
-    )
+    return EvalReport(**{key: weighted(key) for key in MEASURES}, cm=cm, per_class=per_class)
 
 
 def roc_auc(scored) -> float:
@@ -210,15 +196,7 @@ def render_detail(name: str, report: EvalReport) -> str:
     header = f"{'class':<12}" + "".join(f"{k:>11}" for k in MEASURE_ROWS)
     lines.append(header)
     for c in report.cm.classes:
-        pc = report.per_class[c]
-        vals = (
-            pc["tp_rate"],
-            pc["fp_rate"],
-            pc["precision"],
-            pc["recall"],
-            pc["f_measure"],
-            pc["roc_auc"],
-        )
+        vals = (report.per_class[c][key] for key in MEASURES)
         lines.append(f"{c:<12}" + "".join(f"{v:>11.3f}" for v in vals))
     lines.append(
         f"{'weighted':<12}" + "".join(f"{v:>11.3f}" for v in report.row_values())

@@ -131,6 +131,8 @@ class CostMatrix:
         m = np.asarray(rows, dtype=float)
         if m.shape != (2, 2):
             raise ConfigError(f"cost matrix must be 2x2, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ConfigError("costs must be finite")
         if m[0, 0] != 0.0 or m[1, 1] != 0.0:
             raise ConfigError("cost matrix diagonal must be zero")
         if m[0, 1] < 0 or m[1, 0] < 0:

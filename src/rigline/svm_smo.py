@@ -41,7 +41,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
@@ -63,9 +63,9 @@ class SmoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.C <= 0:
+        if not self.C > 0:
             raise ConfigError(f"C must be > 0, got {self.C}")
-        if self.kkt_tol <= 0 or self.eps <= 0:
+        if not (self.kkt_tol > 0 and self.eps > 0):
             raise ConfigError("kkt_tol and eps must be > 0")
         if self.max_passes < 1:
             raise ConfigError("max_passes must be >= 1")

@@ -64,14 +64,15 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def parse_fields(text: str, sep: str, casts, what: str) -> dict:
+def parse_fields(text: str, sep: str, casts, what: str = "") -> dict:
     """Read sep-separated `key=value` fields into {key: cast(value)}.
 
     casts maps each allowed key to the converter of its value, or is None to
     allow any key and keep values as strings. Empty fields are skipped. A
     field without `=`, an unknown key or a value its cast rejects raises
-    ConfigError, prefixed with what.
+    ConfigError, prefixed with what when given.
     """
+    prefix = f"{what}: " if what else ""
     out = {}
     for field in text.split(sep):
         field = field.strip()
@@ -79,15 +80,15 @@ def parse_fields(text: str, sep: str, casts, what: str) -> dict:
             continue
         key, eq, value = field.partition("=")
         if not eq:
-            raise ConfigError(f"{what}: expected key=value, got {field!r}")
+            raise ConfigError(f"{prefix}expected key=value, got {field!r}")
         key, value = key.strip(), value.strip()
         if casts is None:
             out[key] = value
         elif key not in casts:
-            raise ConfigError(f"{what}: unknown key {key!r}; choices: {', '.join(casts)}")
+            raise ConfigError(f"{prefix}unknown key {key!r}; choices: {', '.join(casts)}")
         else:
             try:
                 out[key] = casts[key](value)
             except ValueError:
-                raise ConfigError(f"{what}: bad value for {key}: {value!r}")
+                raise ConfigError(f"{prefix}bad value for {key}: {value!r}")
     return out

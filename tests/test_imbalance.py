@@ -280,4 +280,7 @@ def test_cost_matrix_validation():
         CostMatrix([[0, -1], [1, 0]])
     with pytest.raises(ConfigError):
         CostMatrix([[0, 0], [0, 0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            CostMatrix.from_off_diagonal(bad, 1.0)
     assert CostMatrix.from_off_diagonal(1.0, 6.5).m.tolist() == [[0.0, 1.0], [6.5, 0.0]]

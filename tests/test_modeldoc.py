@@ -262,6 +262,13 @@ def test_gmm_sizes_must_match_vectors(docs, old, new):
         model_from_text(docs["gmm"].replace(old, new, 1))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_costwrap_costs_must_be_finite(docs, bad):
+    assert "costs1 4.0 0.0" in docs["costwrap"]
+    with pytest.raises(ParseError, match="costs must be finite"):
+        model_from_text(docs["costwrap"].replace("costs1 4.0", f"costs1 {bad}", 1))
+
+
 def test_stack_base_classes_must_match_the_stack(docs):
     lines = docs["model3"].splitlines()
     # The stack's classes line comes first, then its first base model's.

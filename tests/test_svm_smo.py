@@ -276,6 +276,12 @@ def test_kernel_and_config_validation():
         SmoConfig(C=0.0)
     with pytest.raises(ConfigError):
         SmoConfig(kkt_tol=-1.0)
+    nan = float("nan")
+    for bad in ({"C": nan}, {"kkt_tol": nan}, {"eps": nan}):
+        with pytest.raises(ConfigError):
+            SmoConfig(**bad)
+    with pytest.raises(ConfigError):
+        KernelSpec(kind="rbf", gamma=nan)
 
 
 def test_single_class_and_multiclass_rejected():
