@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rigline.dataset import (
     generate_synthetic,
 )
 from rigline.errors import ConfigError, ShapeError, SingleClassError
+from rigline.modeldoc import model_to_text
 
 
 def toy_dataset():
@@ -235,6 +237,46 @@ def test_forest_accuracy_and_fps_clamp():
         train_random_forest(d, n_trees=2, features_per_split=99, seed=0)
     with pytest.raises(ConfigError):
         train_random_forest(d, n_trees=0)
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: SHA-256 of the model documents of trees, forests and rule
+# lists on heavily tied three-class data. A change in a tree's RNG draw
+# order, its tie rule or its stopping rule changes a digest.
+
+def tied_three_class(n=90, seed=11):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(3, size=n)
+    X = rng.integers(0, 4, size=(n, 5)) + y[:, None] * (rng.random((n, 5)) < 0.4)
+    return Dataset([(f"f{j}", "") for j in range(5)], X.astype(float),
+                   [("a", "b", "c")[k] for k in y])
+
+
+GOLDEN_MODELS = {
+    "rf": (lambda d: train_random_forest(d, n_trees=9, seed=3),
+           "59a3343c3bbcebc15994408c39e0bedd216147e1e737cf2566413024068228b4"),
+    "rf-no-bootstrap-depth3": (
+        lambda d: train_random_forest(d, n_trees=6, seed=4, bootstrap=False, max_depth=3),
+        "f3192c74b77df17bf79984c4694944caa04dcc958c7c561ecf76837ea1db3f4a"),
+    "rf-min-leaf3": (lambda d: train_random_forest(d, n_trees=6, seed=5, min_leaf=3),
+                     "d14cd1607aa38d8fba699037fa2746d561af705248a6ef98379663265f57de12"),
+    "rf-clamped": (lambda d: train_random_forest(d, n_trees=4, seed=6, features_per_split=9),
+                   "d5bf4fa96a4f0840b93b18bd72d7abb3af7d5c2abd460af779df80c2d567470d"),
+    "tree": (lambda d: train_cart(d),
+             "ba2aaa24e09d6856890e8fa9a9d5854ce7b44aeaf11958ab6445a03e436af313"),
+    "tree-depth3-min-leaf3": (lambda d: train_cart(d, max_depth=3, min_leaf=3),
+                              "402a494c14c9202ca19f148ae83bddd1cbd6ded544defcb1cb46ac33f1924eaa"),
+    "part": (lambda d: train_rule_list(d),
+             "b0c688c9e18df8d353beaf9e82984e4560c668a9759049d2ed1ab74bf5aa7eb7"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:features_per_split")
+@pytest.mark.parametrize("case", sorted(GOLDEN_MODELS))
+def test_tree_models_match_golden_digests(case):
+    train, digest = GOLDEN_MODELS[case]
+    text = model_to_text(train(tied_three_class()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
