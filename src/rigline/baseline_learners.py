@@ -9,6 +9,7 @@ one pass, predict_proba the probabilities and predict the picked classes
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -189,70 +190,124 @@ def _laplace(counts):
     return (counts + 1.0) / (counts.sum() + len(counts))
 
 
-def _gini(counts):
-    """Gini impurity 1 - sum((c/n)^2) of each non-empty row of class counts."""
-    p = counts / counts.sum(axis=-1, keepdims=True)
+def _gini(counts, n):
+    """Gini impurity 1 - sum((c/n)^2) of each row of class counts c summing to n."""
+    p = counts / n
     return 1.0 - np.sum(p * p, axis=-1)
 
 
+# The segmented split search takes together the nodes whose last row falls in
+# one window of this many rows, so its temporaries stay small at any tree count.
+SPLIT_BLOCK_ROWS = 512
+
+
 def best_split(X, y, K, feature_ids, min_leaf=1):
-    """Exhaustive best Gini split over the given features.
+    """Exhaustive best Gini split of all rows of X over the given features.
 
     Candidate thresholds are midpoints between adjacent distinct values.
     Returns (feature, threshold, gain) or None when nothing improves. Ties
-    break toward the lowest feature index, then the lowest threshold.
+    break toward the lowest feature index, then the lowest threshold. This
+    is the one-segment case of the segmented search that grows every tree.
     """
-    n = len(y)
-    total = np.bincount(y, minlength=K).astype(float)
-    cols = X[:, feature_ids]
-    order = np.argsort(cols, axis=0, kind="stable")
+    return _split_block(X, y, K, [np.arange(len(y))], [list(feature_ids)], min_leaf)[0]
+
+
+def _segment_splits(X, y, K, segments, features, min_leaf):
+    """best_split of each segment (a node's row indices into X and y) over
+    its own features, all lists of one length, a SPLIT_BLOCK_ROWS block at a time."""
+    block = np.cumsum([len(r) for r in segments]) // SPLIT_BLOCK_ROWS
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(segments)]
+    return [split for a, b in zip(cuts, cuts[1:])
+            for split in _split_block(X, y, K, segments[a:b], features[a:b], min_leaf)]
+
+
+def _split_block(X, y, K, segments, features, min_leaf):
+    """_segment_splits of one block: every segment in one segmented search."""
+    sizes = np.array([len(r) for r in segments])
+    S, F, L = len(segments), len(features[0]), int(sizes.max())
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(S, dtype=np.min_scalar_type(S)), sizes)
+    rows = np.concatenate(segments)
+    # Column j of a row holds its segment's j-th feature. Sort every column
+    # by value, then stably by segment: by (segment, value).
+    cols = X[rows[:, None], np.asarray(features)[seg]]
+    order = np.argsort(cols, axis=0)
+    order = np.take_along_axis(order, np.argsort(seg[order], axis=0, kind="stable"), axis=0)
     xs = np.take_along_axis(cols, order, axis=0)
-    # left[b, j]: class counts of the b + 1 smallest rows of feature j.
-    left = np.cumsum(np.eye(K)[y[order]], axis=0)[:-1]
-    n_left = np.arange(1, n)[:, None]
-    n_right = n - n_left
-    w_impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
-    gain = _gini(total) - w_impurity
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    # Scan candidates feature by feature, then by threshold. Only a gain
-    # above every earlier one can take the lead, so the scan skips the rest.
-    gains = np.where(valid, gain, -np.inf).T.ravel()
-    lead = gains > np.maximum.accumulate(np.concatenate(([-np.inf], gains[:-1])))
-    best = None
-    for i in np.flatnonzero(lead).tolist():
-        g = float(gains[i])
-        if g > 1e-12 and (best is None or g > best[2] + 1e-12):
-            j, b = divmod(i, n - 1)
-            best = (feature_ids[j], float(0.5 * (xs[b, j] + xs[b + 1, j])), g)
-    return best
+    # left[p, j]: class counts of the rows of p's segment up to p in the
+    # order of column j; the running counts reset at each segment boundary.
+    left = np.cumsum(np.eye(K)[y[rows][order]], axis=0)
+    left[sizes[0]:] -= np.repeat(left[starts[1:] - 1], sizes[1:], axis=0)
+    total = left[starts + sizes - 1]
+    n_left = np.arange(1, len(seg) + 1) - starts[seg]
+    n_right = sizes[seg] - n_left
+    # A threshold needs a larger value next in its own segment: n_right >= 1
+    # rules out the pair that crosses into the next segment.
+    valid = np.vstack((xs[:-1] < xs[1:], np.zeros((1, F), dtype=bool)))
+    valid &= ((n_left >= min_leaf) & (n_right >= min_leaf))[:, None]
+    vp, vj = np.nonzero(valid)
+    vs, nl, nr, vl = seg[vp], n_left[vp], n_right[vp], left[vp, vj]
+    w_impurity = (nl * _gini(vl, nl[:, None])
+                  + nr * _gini(total[vs, vj] - vl, nr[:, None])) / sizes[vs]
+    # Scan each segment's candidates feature by feature, then by threshold,
+    # after a -inf in column 0. Only a gain above every earlier one can take
+    # the lead, so the scan skips the rest.
+    gains = np.full((S, 1 + F * L), -np.inf)
+    gains[vs, vj * L + nl] = _gini(total, sizes[:, None, None])[vs, vj] - w_impurity
+    lead = gains[:, 1:] > np.maximum.accumulate(gains, axis=1)[:, :-1]
+    lead_s, lead_i = np.nonzero(lead & (gains[:, 1:] > 1e-12))
+    mids, starts = 0.5 * (xs[:-1] + xs[1:]), starts.tolist()
+    splits = [None] * S
+    for s, i, g in zip(lead_s.tolist(), lead_i.tolist(), gains[lead_s, lead_i + 1].tolist()):
+        if splits[s] is None or g > splits[s][2] + 1e-12:
+            j, b = divmod(i, L)
+            splits[s] = (features[s][j], float(mids[starts[s] + b, j]), g)
+    return splits
 
 
-def _grow_tree(X, y, K, depth, max_depth, min_leaf, feature_picker):
-    counts = np.bincount(y, minlength=K).astype(float)
-    if (
-        len(y) < 2 * min_leaf
-        or (max_depth is not None and depth >= max_depth)
-        or np.count_nonzero(counts) <= 1
-    ):
-        return TreeNode(counts=counts)
-    split = best_split(X, y, K, feature_picker(), min_leaf)
-    if split is None:
-        return TreeNode(counts=counts)
-    f, thr, _ = split
-    mask = X[:, f] <= thr
-    left = _grow_tree(X[mask], y[mask], K, depth + 1, max_depth, min_leaf, feature_picker)
-    right = _grow_tree(X[~mask], y[~mask], K, depth + 1, max_depth, min_leaf, feature_picker)
-    return TreeNode(f, thr, left, right, counts)
+def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf):
+    """Grow one Gini tree on each row sample (indices into X and y); return
+    the roots. The trees grow in lockstep: at each step, every tree takes the
+    next splittable node of its pre-order walk and draws its features with
+    pick(tree index), and one segmented search splits all of those nodes, so
+    each tree draws in the order it would alone."""
+    if not (max_depth is None or isinstance(max_depth, numbers.Integral) and max_depth >= 0):
+        raise ConfigError(f"depth limit must be None or an integer >= 0, got {max_depth!r}")
+    if not (isinstance(min_leaf, numbers.Integral) and min_leaf >= 1):
+        raise ConfigError(f"min_leaf must be an integer >= 1, got {min_leaf!r}")
+    holders = [TreeNode() for _ in samples]
+    # Pending nodes per tree, next on top: (rows, depth, parent, side); roots hang off holders.
+    stacks = [[(rows, 0, h, "left")] for rows, h in zip(samples, holders)]
+    while True:
+        batch, features = [], []
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, depth, parent, side = stack.pop()
+                counts = np.bincount(y[rows], minlength=K).astype(float)
+                node = TreeNode(counts=counts)
+                setattr(parent, side, node)
+                if (len(rows) >= 2 * min_leaf and (max_depth is None or depth < max_depth)
+                        and np.count_nonzero(counts) > 1):
+                    batch.append((t, node, rows, depth))
+                    features.append(pick(t))
+                    break
+        if not batch:
+            return [h.left for h in holders]
+        splits = _segment_splits(X, y, K, [b[2] for b in batch], features, min_leaf)
+        for (t, node, rows, depth), split in zip(batch, splits):
+            if split is not None:
+                node.feature, node.threshold, _ = split
+                left = X[rows, node.feature] <= node.threshold
+                stacks[t] += [(rows[~left], depth + 1, node, "right"),
+                              (rows[left], depth + 1, node, "left")]
 
 
 def train_cart(d: Dataset, max_depth=None, min_leaf: int = 1) -> DecisionTreeModel:
     """Binary decision tree minimizing Gini impurity, greedy top-down."""
     _require_labeled(d)
-    if min_leaf < 1:
-        raise ConfigError(f"min_leaf must be >= 1, got {min_leaf}")
     classes, y = _encode_labels(d)
-    all_features = list(range(d.arity))
-    root = _grow_tree(d.X, y, len(classes), 0, max_depth, min_leaf, lambda: all_features)
+    root, = _grow_trees(d.X, y, len(classes), [np.arange(d.n_rows)],
+                        lambda t: list(range(d.arity)), max_depth, min_leaf)
     return DecisionTreeModel(classes, root, d.arity)
 
 
@@ -298,23 +353,15 @@ def train_random_forest(
     if features_per_split < 1:
         raise ConfigError("features_per_split must be >= 1")
     classes, y = _encode_labels(d)
-    K = len(classes)
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        if bootstrap:
-            idx = rng.integers(d.n_rows, size=d.n_rows)
-            Xb, yb = d.X[idx], y[idx]
-        else:
-            Xb, yb = d.X, y
+    rngs = [np.random.default_rng(derive_seed(seed, "tree", t)) for t in range(n_trees)]
+    samples = [rng.integers(d.n_rows, size=d.n_rows) if bootstrap else np.arange(d.n_rows)
+               for rng in rngs]
 
-        def picker(rng=rng):
-            return sorted(
-                int(v) for v in rng.choice(d.arity, size=features_per_split, replace=False)
-            )
+    def pick(t):
+        return sorted(rngs[t].choice(d.arity, features_per_split, replace=False).tolist())
 
-        root = _grow_tree(Xb, yb, K, 0, max_depth, min_leaf, picker)
-        trees.append(DecisionTreeModel(classes, root, d.arity))
+    roots = _grow_trees(d.X, y, len(classes), samples, pick, max_depth, min_leaf)
+    trees = [DecisionTreeModel(classes, root, d.arity) for root in roots]
     return RandomForestModel(classes, trees, d.arity)
 
 
@@ -384,8 +431,8 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     rules = []
     max_rules = 200
     while len(y) > 0 and len(rules) < max_rules:
-        all_features = list(range(d.arity))
-        root = _grow_tree(X, y, K, 0, max_rule_depth, min_leaf, lambda: all_features)
+        root, = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
+                            max_rule_depth, min_leaf)
         if root.is_leaf:
             break
         _, _, path, counts = _best_leaf_path(root, [])

@@ -60,7 +60,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 from .dataset import (
     Dataset,
@@ -622,11 +622,14 @@ def _echo_common_config(args, plan) -> dict:
     return config
 
 
-def _grid_cell(token, train_set, master, cost_matrix, test, errors, cell_name):
-    """Train and score one grid cell: its EvalReport, or None (an ERR column)
-    when training or scoring fails."""
+def _grid_cell(fit, token, cost_matrix, test, errors, cell_name):
+    """Train (fit(token)) and score one grid cell, cost-wrapped when a matrix
+    is given: its EvalReport, or None (an ERR column) when either fails."""
     try:
-        return evaluate(_train_token_model(token, train_set, master, {}, cost_matrix), test)
+        model = fit(token)
+        if cost_matrix is not None:
+            model = CostSensitiveModel(model, cost_matrix)
+        return evaluate(model, test)
     except Exception as e:
         errors.append(f"{cell_name}: {e}")
         return None
@@ -647,20 +650,26 @@ def _cmd_grid(args) -> int:
         artifacts.append(fname)
         table_names.append((fname, what))
 
+    def fit_on(rows):
+        return lambda token: _train_token_model(token, rows, master, {}, None)
+
+    fit_unsampled = cache(fit_on(train))  # shared by none, cost and the versus table
+
     none_reports = {}
     for regime in args.regimes:
         try:
             kind = regime if regime in ("smote", "under") else "none"
             regime_train = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
             cost_matrix = _resolve_cost(args.cost, train) if regime == "cost" else None
+            fit = fit_unsampled if regime_train is train else fit_on(regime_train)
         except Exception as e:
             # A regime that cannot be built fails all of its cells.
             errors.append(f"{regime}: {e}")
             columns = [(learner, None) for learner in args.learners]
         else:
             columns = [
-                (learner, _grid_cell(learner, regime_train, master, cost_matrix, test,
-                                     errors, f"{regime}/{learner}"))
+                (learner, _grid_cell(fit, learner, cost_matrix, test, errors,
+                                     f"{regime}/{learner}"))
                 for learner in args.learners
             ]
         if regime == "none":
@@ -671,7 +680,7 @@ def _cmd_grid(args) -> int:
     model_reports = {}
     if args.models:
         columns = [
-            (token, _grid_cell(token, train, master, None, test, errors, f"models/{token}"))
+            (token, _grid_cell(fit_on(train), token, None, test, errors, f"models/{token}"))
             for token in args.models
         ]
         write_table(columns, "stacked models, no sampling")
@@ -688,7 +697,7 @@ def _cmd_grid(args) -> int:
                     versus.append((learner, none_reports[learner]))
                 else:
                     versus.append((learner, _grid_cell(
-                        learner, train, master, None, test, errors, f"none/{learner}"
+                        fit_unsampled, learner, None, test, errors, f"none/{learner}"
                     )))
             write_table(versus, f"best model ({best_name}) vs single learners")
 
@@ -770,7 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_SYNTHETIC.row_count, help="row count (>= 2)")
     p.add_argument("--frac", type=_config_field(DEFAULT_SYNTHETIC, "failure_fraction", float),
                    default=DEFAULT_SYNTHETIC.failure_fraction, help="failure fraction, in (0,1)")
-    p.add_argument("--shift", type=_checked(float), default=DEFAULT_SYNTHETIC.failure_shift_sigma,
+    p.add_argument("--shift", type=_config_field(DEFAULT_SYNTHETIC, "failure_shift_sigma", float),
+                   default=DEFAULT_SYNTHETIC.failure_shift_sigma,
                    help="failure-class drift of the shifted columns, in stddevs")
     p.add_argument("--unlabeled", action="store_true", help="drop the class column")
     p.add_argument("--out", default="synthetic.csv")

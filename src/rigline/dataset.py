@@ -264,6 +264,9 @@ class SyntheticGenConfig:
             raise ConfigError(
                 f"failure_fraction must be in (0,1), got {self.failure_fraction}"
             )
+        if not math.isfinite(self.failure_shift_sigma):
+            raise ConfigError(
+                f"failure_shift_sigma must be finite, got {self.failure_shift_sigma}")
 
 
 def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:

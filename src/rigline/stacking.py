@@ -38,7 +38,7 @@ class ScaledModel(TrainedModel):
 
 
 def _train_nb(d, seed, params):
-    return train_naive_bayes(d)
+    return train_naive_bayes(d, **params)
 
 
 def _train_tree(d, seed, params):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigline import baseline_learners
 from rigline.baseline_learners import (
     MlpConfig,
     best_split,
@@ -180,6 +181,49 @@ def test_best_split_matches_oracle_on_heavy_ties(problem):
         assert abs(got[2] - want[2]) <= 1e-10
 
 
+@st.composite
+def segmented_split_problems(draw):
+    """Several segments (row samples, repeats allowed) of one tied integer
+    table, each with its own feature subset, plus a one-row segment and a
+    single-class one; and a block size, so that blocks split the batch."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 4))
+    K = draw(st.sampled_from([2, 3]))
+    values = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+    y = np.array(draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)))
+    F = draw(st.integers(1, dim))
+    segments = [np.array(rows) for rows in draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=40), min_size=1, max_size=5))]
+    segments += [np.array([n - 1]), np.flatnonzero(y == y[0])]
+    features = [sorted(draw(st.lists(st.integers(0, dim - 1), min_size=F, max_size=F,
+                                      unique=True))) for _ in segments]
+    min_leaf = draw(st.integers(1, 3))
+    block = draw(st.sampled_from([1, 16, 512]))
+    X = np.array(values, dtype=float).reshape(n, dim)
+    return X, y, K, segments, features, min_leaf, block
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(segmented_split_problems())
+def test_segmented_search_matches_oracle_per_segment(problem):
+    X, y, K, segments, features, min_leaf, block = problem
+    saved = baseline_learners.SPLIT_BLOCK_ROWS
+    baseline_learners.SPLIT_BLOCK_ROWS = block
+    try:
+        splits = baseline_learners._segment_splits(X, y, K, segments, features, min_leaf)
+    finally:
+        baseline_learners.SPLIT_BLOCK_ROWS = saved
+    assert len(splits) == len(segments)
+    for rows, feats, got in zip(segments, features, splits):
+        want = oracle_best_split(X[rows][:, feats], y[rows], K, min_leaf)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got[0] == feats[want[0]] and got[1] == want[1]
+            assert abs(got[2] - want[2]) <= 1e-10
+
+
 def test_cart_perfect_on_separable_toy():
     d = toy_dataset()
     m = train_cart(d)
@@ -198,6 +242,20 @@ def test_cart_depth_and_min_leaf_limits():
     assert deep.n_leaves() <= d.n_rows / 25 + 1
     with pytest.raises(ConfigError):
         train_cart(d, min_leaf=0)
+
+
+@pytest.mark.parametrize("max_depth, min_leaf", [
+    (float("nan"), 1), (-1, 1), (2.5, 1), (None, 0), (None, 1.5), (None, None),
+])
+def test_tree_growth_rejects_bad_depth_and_leaf_size(max_depth, min_leaf):
+    d = toy_dataset()
+    for train in (
+        lambda: train_cart(d, max_depth=max_depth, min_leaf=min_leaf),
+        lambda: train_random_forest(d, n_trees=2, max_depth=max_depth, min_leaf=min_leaf),
+        lambda: train_rule_list(d, max_rule_depth=max_depth, min_leaf=min_leaf),
+    ):
+        with pytest.raises(ConfigError):
+            train()
 
 
 def test_cart_single_class_is_a_leaf():

@@ -425,6 +425,27 @@ def test_nan_svm_setting_fails_in_train(tmp_path, capsys, stage_inputs):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("learner, params, reason", [
+    pytest.param("nb", "bogus=1", "'bogus'", id="nb-unknown-key"),
+    pytest.param("tree", "max_depth=nan", "depth limit must be None or an integer >= 0, got nan",
+                 id="tree-nan-depth"),
+    pytest.param("rf", "max_depth=-1", "depth limit must be None or an integer >= 0, got -1",
+                 id="rf-negative-depth"),
+    pytest.param("part", "max_rule_depth=2.5",
+                 "depth limit must be None or an integer >= 0, got 2.5", id="part-depth"),
+    pytest.param("part", "min_leaf=1.5", "min_leaf must be an integer >= 1, got 1.5",
+                 id="part-fractional-min-leaf"),
+])
+def test_bad_learner_params_fail_in_train(tmp_path, capsys, stage_inputs, learner, params,
+                                          reason):
+    model = tmp_path / "m.txt"
+    assert run_cli("train", "--data", stage_inputs["lab.csv"], "--learner", learner,
+                   "--params", params, "--out", str(model)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage train:") and reason in err
+    assert os.listdir(tmp_path) == []
+
+
 COMMAND_OPTIONS = {
     "generate": ["--rows", "--frac", "--shift", "--unlabeled", "--out"],
     "label": ["--data", "--out", "--save-gmm", "--em-tol", "--em-max-iter",
@@ -511,6 +532,8 @@ def test_grid_models_hold_multi_base_stacks(tmp_path, models, columns):
     pytest.param(["generate", "--frac", "0"], "--frac", id="generate-frac"),
     pytest.param(["run", "--synthetic", "frac=1.0"], "--synthetic", id="run"),
     pytest.param(["grid", "--synthetic", "rows=1"], "--synthetic", id="grid"),
+    pytest.param(["generate", "--shift", "nan"], "--shift", id="generate-shift-nan"),
+    pytest.param(["run", "--synthetic", "shift=inf"], "--synthetic", id="run-shift-inf"),
 ])
 def test_synthetic_range_is_checked_before_anything_is_written(tmp_path, capsys,
                                                                argv, flag):
@@ -772,6 +795,45 @@ def test_each_model_is_scored_once(tmp_path, monkeypatch):
     assert run_cli("run", "--synthetic", "rows=200,frac=0.2", "--learner", "nb",
                    "--seed", "31", "--out", str(tmp_path / "r")) == 0
     assert calls == ["nb"]
+
+
+def test_grid_cost_regime_wraps_the_unsampled_fits(tmp_path, monkeypatch):
+    import rigline.cli
+
+    calls = []
+    real = rigline.cli.train_learner
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(rigline.cli, "train_learner", counting)
+    assert run_cli("grid", "--synthetic", "rows=200,frac=0.2", "--seed", "31",
+                   "--regimes", "none,under,cost", "--learners", "nb,tree",
+                   "--models", "", "--out", str(tmp_path / "g")) == 0
+    # The under regime fits on its own rows; cost wraps the none regime's fits.
+    assert calls == ["nb", "tree", "nb", "tree"]
+
+
+def test_grid_failing_fit_fails_both_unsampled_regimes(tmp_path):
+    def explode(d, seed, params):
+        raise RuntimeError("no model today")
+
+    register_learner("boom", explode)
+    try:
+        out = tmp_path / "g"
+        assert run_cli("grid", "--synthetic", "rows=150,frac=0.2", "--seed", "2",
+                       "--regimes", "none,cost", "--learners", "nb,boom",
+                       "--models", "", "--out", str(out)) == 0
+        for table in ("table1.csv", "table2.csv"):
+            assert read(out / table).split("\n")[1].split(",")[2] == "ERR"
+        summary = read(out / "summary.txt")
+        assert "  none/boom: no model today\n" in summary
+        assert "  cost/boom: no model today\n" in summary
+    finally:
+        from rigline.stacking import LEARNERS
+
+        LEARNERS.pop("boom", None)
 
 
 def test_grid_rejects_unknown_learner(tmp_path, capsys):
