@@ -12,8 +12,9 @@ grid       run-per-cell sweep over sampling regimes and learners, with tables
 
 One master seed (flag `--seed`, overridden by the RIGLINE_SEED environment
 variable) drives everything: fixed offsets give the generate/label/split/
-sample stage seeds, and each training cell's seed is derived from the master
-plus the learner token, so a single grid cell reproduces the matching `run`.
+sample stage seeds, a learner's training seed is derived from the master
+plus the learner name, and a stack trains under the master seed itself, so a
+single grid cell reproduces the matching `run`.
 
 Every option is declared once, in its `add_argument` call, with its type
 and default; the type is the only place its value is checked. Every command
@@ -84,14 +85,15 @@ from .imbalance import (
 )
 from .labeling_em import em_assign_labels, em_fit
 from .modeldoc import load_model, save_model
-from .stacking import LEARNERS, parse_stack_spec, train_learner, train_stack
-from .util import atomic_write_text, derive_seed, parse_fields
+from .stacking import LEARNERS, StackMemo, parse_stack_spec, train_learner, train_seed, train_stack
+from .util import atomic_write_text, parse_fields
 
 MASTER_SEED_DEFAULT = 7
 
-# Stage seeds are the master seed plus a fixed offset; training seeds also
-# fold in the learner/stack token (see _train_seed) so that a grid cell and a
-# single run with the same master seed train the identical model.
+# Stage seeds are the master seed plus a fixed offset. A learner's training
+# seed folds in its name (stacking.train_seed); a stack's is the master seed,
+# from which its folds, fold fits and base models (the learners' standalone
+# fits) derive. So a grid cell and a single run train the identical model.
 STAGE_OFFSETS = {"generate": 1, "label": 2, "split": 3, "sample": 4}
 
 DEFAULT_SYNTHETIC = SyntheticGenConfig(row_count=5000)
@@ -102,10 +104,6 @@ DEFAULT_GRID_MODELS = ("model1", "model2", "model3", "model4", "model5")
 
 def _stage_seed(master: int, stage: str) -> int:
     return master + STAGE_OFFSETS[stage]
-
-
-def _train_seed(master: int, token: str) -> int:
-    return derive_seed(master, "train", token)
 
 
 class StageError(RuntimeError):
@@ -407,16 +405,15 @@ def _resolve_cost(cost_spec, train: Dataset):
 
 
 def _train_token_model(token: str, train: Dataset, master: int, params: dict,
-                       cost_matrix):
+                       cost_matrix, memo=None):
     """Train the learner or stack named by token; cost-wrap it when a matrix
     is given. params are learner keyword arguments; a stack spec carries its
-    own inside the token."""
-    seed = _train_seed(master, token)
+    own inside the token. A stack shares its base work through memo."""
+    seed = train_seed(master, token)
     if token in LEARNERS:
         model = train_learner(token, train, seed=seed, params=params)
     else:
-        spec = parse_stack_spec(token, seed=seed)
-        model = train_stack(train, spec)
+        model = train_stack(train, parse_stack_spec(token, seed=seed), memo)
     if cost_matrix is not None:
         model = CostSensitiveModel(model, cost_matrix)
     return model
@@ -529,7 +526,7 @@ def _pipeline_plan(args, tokens) -> dict:
         args.synthetic or DEFAULT_SYNTHETIC, seed=_stage_seed(master, "generate")
     )
     seeds = {name: _stage_seed(master, name) for name in STAGE_OFFSETS}
-    seeds.update((f"train.{token}", _train_seed(master, token)) for token in tokens)
+    seeds.update((f"train.{token}", train_seed(master, token)) for token in tokens)
     return {"master": master, "synthetic": synthetic, "seeds": seeds}
 
 
@@ -650,10 +647,15 @@ def _cmd_grid(args) -> int:
         artifacts.append(fname)
         table_names.append((fname, what))
 
-    def fit_on(rows):
-        return lambda token: _train_token_model(token, rows, master, {}, None)
+    @cache
+    def fit_unsampled(token, *params):
+        """The model token names on the unsampled rows (a learner with its
+        params as (key, value) pairs), fitted once: shared by the none and
+        cost regimes, the model tables and, as their base models, the stacks,
+        which share their out-of-fold blocks through the memo too."""
+        return _train_token_model(token, train, master, dict(params), None, memo)
 
-    fit_unsampled = cache(fit_on(train))  # shared by none, cost and the versus table
+    memo = StackMemo(train, master, fit=lambda ls: fit_unsampled(ls.name, *ls.params))
 
     none_reports = {}
     for regime in args.regimes:
@@ -661,7 +663,8 @@ def _cmd_grid(args) -> int:
             kind = regime if regime in ("smote", "under") else "none"
             regime_train = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
             cost_matrix = _resolve_cost(args.cost, train) if regime == "cost" else None
-            fit = fit_unsampled if regime_train is train else fit_on(regime_train)
+            fit = fit_unsampled if regime_train is train else partial(
+                _train_token_model, train=regime_train, master=master, params={}, cost_matrix=None)
         except Exception as e:
             # A regime that cannot be built fails all of its cells.
             errors.append(f"{regime}: {e}")
@@ -680,7 +683,7 @@ def _cmd_grid(args) -> int:
     model_reports = {}
     if args.models:
         columns = [
-            (token, _grid_cell(fit_on(train), token, None, test, errors, f"models/{token}"))
+            (token, _grid_cell(fit_unsampled, token, None, test, errors, f"models/{token}"))
             for token in args.models
         ]
         write_table(columns, "stacked models, no sampling")
@@ -691,14 +694,11 @@ def _cmd_grid(args) -> int:
         ]
         if scored:
             best_name = max(scored)[3]
-            versus = [(best_name, model_reports[best_name])]
-            for learner in args.learners:
-                if learner in none_reports:
-                    versus.append((learner, none_reports[learner]))
-                else:
-                    versus.append((learner, _grid_cell(
-                        fit_unsampled, learner, None, test, errors, f"none/{learner}"
-                    )))
+            versus = [(best_name, model_reports[best_name])] + [
+                (learner, none_reports[learner] if learner in none_reports else _grid_cell(
+                    fit_unsampled, learner, None, test, errors, f"none/{learner}"))
+                for learner in args.learners
+            ]
             write_table(versus, f"best model ({best_name}) vs single learners")
 
     summary = _grid_summary(table_names, best_name, model_reports, errors)

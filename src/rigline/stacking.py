@@ -5,6 +5,7 @@ Also houses the learner registry the CLI and the model presets build on.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -37,26 +38,6 @@ class ScaledModel(TrainedModel):
         return self.inner.score(self.scaler.transform(X))
 
 
-def _train_nb(d, seed, params):
-    return train_naive_bayes(d, **params)
-
-
-def _train_tree(d, seed, params):
-    return train_cart(d, **params)
-
-
-def _train_rf(d, seed, params):
-    return train_random_forest(d, seed=seed, **params)
-
-
-def _train_part(d, seed, params):
-    return train_rule_list(d, **params)
-
-
-def _train_mlp(d, seed, params):
-    return train_mlp(d, MlpConfig(seed=seed, **params))
-
-
 def _train_smo(d, seed, params):
     params = dict(params)
     cal_folds = int(params.pop("cal_folds", 3))
@@ -75,11 +56,11 @@ def _train_smo(d, seed, params):
 
 
 LEARNERS = {
-    "nb": _train_nb,
-    "tree": _train_tree,
-    "rf": _train_rf,
-    "part": _train_part,
-    "mlp": _train_mlp,
+    "nb": lambda d, seed, params: train_naive_bayes(d, **params),
+    "tree": lambda d, seed, params: train_cart(d, **params),
+    "rf": lambda d, seed, params: train_random_forest(d, seed=seed, **params),
+    "part": lambda d, seed, params: train_rule_list(d, **params),
+    "mlp": lambda d, seed, params: train_mlp(d, MlpConfig(seed=seed, **params)),
     "smo": _train_smo,
 }
 
@@ -87,6 +68,12 @@ LEARNERS = {
 def register_learner(name: str, trainer) -> None:
     """Add a learner to the registry. trainer(d, seed, params) -> TrainedModel."""
     LEARNERS[name] = trainer
+
+
+def train_seed(master: int, token: str) -> int:
+    """The seed a learner trains under, on its own and as a stack's base
+    model; a stack token trains under the master seed itself."""
+    return derive_seed(master, "train", token) if token in LEARNERS else master
 
 
 def train_learner(name: str, d: Dataset, seed: int = 0, params=None) -> TrainedModel:
@@ -111,7 +98,7 @@ class StackSpec:
     base: tuple
     meta: LearnerSpec = LearnerSpec("smo")
     folds: int = 5
-    seed: int = 0
+    seed: int = 0  # the master seed; see build_meta_features and train_stack
 
     def __post_init__(self):
         if len(self.base) < 1:
@@ -180,45 +167,61 @@ def _check_classes(model: TrainedModel, classes) -> None:
         )
 
 
-def _meta_schema(spec: StackSpec, classes):
-    schema = []
-    for t, ls in enumerate(spec.base):
-        for c in classes:
-            schema.append((f"b{t}_{ls.name}_p_{c}", "prob"))
-    return schema
+class StackMemo:
+    """The base-learner work that stacks on one training set d share under
+    one master seed. fit(ls) is the learner's full-data model: its
+    standalone fit, seeded train_seed(seed, name), or what the caller's own
+    fit returns for it (the caller's cache of standalone fits). blocks
+    holds one out-of-fold probability block (rows x classes) per
+    (LearnerSpec, folds); fold models are dropped once they have predicted."""
+
+    def __init__(self, d: Dataset, seed: int, fit=None):
+        self.d, self.seed, self.blocks = d, seed, {}
+        self.fit = cache(fit or (lambda ls: train_learner(
+            ls.name, d, seed=train_seed(seed, ls.name), params=ls.params_dict()
+        )))
+
+    def check(self, d: Dataset, spec: StackSpec) -> "StackMemo":
+        if d is not self.d or spec.seed != self.seed:
+            raise ConfigError("a stack memo serves only the rows and seed it was made for")
+        return self
 
 
-def build_meta_features(d: Dataset, spec: StackSpec) -> Dataset:
+def build_meta_features(d: Dataset, spec: StackSpec, memo=None) -> Dataset:
     """Out-of-fold meta-dataset: every base learner is trained on k-1 folds
     and predicts the held-out fold, so no row's meta-features come from a
-    model that trained on that row. Labels carry over unchanged."""
+    model that trained on that row. Labels carry over unchanged.
+
+    The folds come from the master seed spec.seed and the fold count, and a
+    fold fit's seed from (learner, fold count, fold), so a learner's block is
+    the same in every stack: memo (a StackMemo of d under spec.seed, a
+    private one when None) computes each block once."""
     if not d.label_presence:
         raise ConfigError("stacking needs a labeled dataset")
+    memo = (memo or StackMemo(d, spec.seed)).check(d, spec)
     classes = class_order(d.labels)
-    assign = stratified_folds(
-        d.labels, spec.folds, seed=derive_seed(spec.seed, "folds")
-    )
-    T = len(spec.base)
-    K = len(classes)
-    M = np.empty((d.n_rows, T * K))
-    for f in sorted(set(assign)):
-        hold = assign == f
-        train_part = d.subset(np.flatnonzero(~hold))
-        for t, ls in enumerate(spec.base):
-            model = train_learner(
-                ls.name,
-                train_part,
-                seed=derive_seed(spec.seed, "fold", int(f), t),
-                params=ls.params_dict(),
-            )
+    assign = stratified_folds(d.labels, spec.folds, derive_seed(spec.seed, "folds", spec.folds))
+    for ls in spec.base:
+        if (ls, spec.folds) in memo.blocks:
+            continue
+        block = np.empty((d.n_rows, len(classes)))
+        for f in sorted(set(assign)):
+            hold = assign == f
+            seed = derive_seed(spec.seed, "fold", ls.name, spec.folds, int(f))
+            model = train_learner(ls.name, d.subset(np.flatnonzero(~hold)), seed=seed,
+                                  params=ls.params_dict())
             # Stratified folds give every training part every class.
             _check_classes(model, classes)
-            M[hold, t * K : (t + 1) * K] = model.predict_proba(d.X[hold])
-    return Dataset(_meta_schema(spec, classes), M, d.labels)
+            block[hold] = model.predict_proba(d.X[hold])
+        memo.blocks[ls, spec.folds] = block
+    schema = [(f"b{t}_{ls.name}_p_{c}", "prob")
+              for t, ls in enumerate(spec.base) for c in classes]
+    M = np.hstack([memo.blocks[ls, spec.folds] for ls in spec.base])
+    return Dataset(schema, M, d.labels)
 
 
 class StackedModel(TrainedModel):
-    """Base models refit on the full training data plus the meta-model."""
+    """The base models (the standalone full-data fits) plus the meta-model."""
 
     learner = "stack"
 
@@ -238,20 +241,16 @@ class StackedModel(TrainedModel):
         return self.meta_model.score(self._meta_matrix(X))
 
 
-def train_stack(d: Dataset, spec: StackSpec) -> StackedModel:
-    """Meta-learner on out-of-fold base probabilities; bases refit on all rows."""
-    meta_d = build_meta_features(d, spec)
-    meta_model = train_learner(
-        spec.meta.name,
-        meta_d,
-        seed=derive_seed(spec.seed, "meta"),
-        params=spec.meta.params_dict(),
-    )
-    base_models = [
-        train_learner(
-            ls.name, d, seed=derive_seed(spec.seed, "refit", t), params=ls.params_dict()
-        )
-        for t, ls in enumerate(spec.base)
-    ]
+def train_stack(d: Dataset, spec: StackSpec, memo=None) -> StackedModel:
+    """Meta-learner on out-of-fold base probabilities, seeded
+    derive_seed(spec.seed, "meta"); the base models are memo.fit's
+    standalone full-data fits. spec.seed is the master seed, so stacks that
+    share a memo (a StackMemo of d under spec.seed, a private one when None)
+    share their base fits and blocks, and a stack trained with or without
+    one is the same model."""
+    memo = (memo or StackMemo(d, spec.seed)).check(d, spec)
+    meta_model = train_learner(spec.meta.name, build_meta_features(d, spec, memo),
+                               seed=derive_seed(spec.seed, "meta"),
+                               params=spec.meta.params_dict())
+    base_models = [memo.fit(ls) for ls in spec.base]
     return StackedModel(spec, base_models, meta_model, class_order(d.labels), d.arity)
-

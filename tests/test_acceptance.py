@@ -350,7 +350,7 @@ def pipeline_reports():
     t0 = time.time()
     smo = train_learner("smo", train, seed=derive_seed(master, "train", "smo"))
     rep_smo = evaluate(smo, test)
-    spec = parse_stack_spec("model3", seed=derive_seed(master, "train", "model3"))
+    spec = parse_stack_spec("model3", seed=master)  # as run --stack model3 builds it
     rep_stack = evaluate(train_stack(train, spec), test)
     elapsed = time.time() - t0
 

@@ -699,6 +699,20 @@ def test_grid_degenerate_matches_run(tmp_path):
     assert read(grid_out / "table1.csv") == read(run_out / "report.csv")
 
 
+def test_grid_stack_cell_matches_run(tmp_path):
+    data = tmp_path / "d.csv"
+    # Overlapping classes, so that the report shows a base model's seed.
+    assert run_cli("generate", "--rows", "160", "--frac", "0.25", "--shift", "1.0",
+                   "--seed", "4", "--out", str(data)) == 0
+    common = ("--data", str(data), "--seed", "17")
+    assert run_cli("grid", *common, "--regimes", "none", "--learners", "nb",
+                   "--models", "model3", "--out", str(tmp_path / "grid")) == 0
+    assert run_cli("run", *common, "--stack", "model3", "--out", str(tmp_path / "run")) == 0
+    # The grid's model3 shares its nb base with the nb column and its folds
+    # with any other stack; run trains it alone, to the same model.
+    assert read(tmp_path / "grid" / "table2.csv") == read(tmp_path / "run" / "report.csv")
+
+
 def test_grid_tables_and_summary(tmp_path):
     out = tmp_path / "g"
     assert run_cli("grid", "--synthetic", "rows=240,frac=0.2", "--seed", "9",
@@ -813,6 +827,36 @@ def test_grid_cost_regime_wraps_the_unsampled_fits(tmp_path, monkeypatch):
                    "--models", "", "--out", str(tmp_path / "g")) == 0
     # The under regime fits on its own rows; cost wraps the none regime's fits.
     assert calls == ["nb", "tree", "nb", "tree"]
+
+
+@pytest.mark.parametrize("options, fits", [
+    # 48 fits: 6 learners x (none, smote, under), 5 base learners x 5 folds
+    # and 5 meta learners. Stacks reuse the unsampled fits as base models.
+    pytest.param((), {"tree": 8, "part": 8, "mlp": 8, "nb": 8, "rf": 8, "smo": 8},
+                 id="default"),
+    # The models table's nb is the none regime's nb; model2 adds its folds and
+    # meta learner, and rf fitted once on all rows.
+    pytest.param(("--regimes", "none", "--learners", "nb", "--models", "nb,model2"),
+                 {"nb": 6, "rf": 6, "smo": 1}, id="learner-in-models"),
+])
+def test_grid_fits_each_model_once(tmp_path, monkeypatch, options, fits):
+    from rigline.stacking import LEARNERS
+
+    calls = {}
+
+    def counting(name, trainer):
+        def train(d, seed, params):
+            calls[name] = calls.get(name, 0) + 1
+            return trainer(d, seed, params)
+        return train
+
+    for name, trainer in list(LEARNERS.items()):
+        monkeypatch.setitem(LEARNERS, name, counting(name, trainer))
+    out = tmp_path / "g"
+    assert run_cli("grid", "--synthetic", "rows=120,frac=0.3", "--seed", "1", *options,
+                   "--out", str(out)) == 0
+    assert "failed cells" not in read(out / "summary.txt")
+    assert calls == fits
 
 
 def test_grid_failing_fit_fails_both_unsampled_regimes(tmp_path):

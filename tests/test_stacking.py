@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from rigline.dataset import (
     split_train_test,
 )
 from rigline.errors import ConfigError, ShapeError
+from rigline.modeldoc import model_to_text
 from rigline.stacking import (
     MODEL_PRESETS,
     LearnerSpec,
     StackedModel,
+    StackMemo,
     StackSpec,
     build_meta_features,
     parse_stack_spec,
@@ -270,3 +274,50 @@ def test_smo_learner_wrapper_scales_and_calibrates():
     assert np.allclose(P.sum(axis=1), 1.0)
     acc = float(np.mean(m.predict(d.X) == d.labels))
     assert acc > 0.9
+
+
+# Stacks that share a base learner; the last two differ only in the tree's
+# params, so a memo keyed without them would hand one tree's block to both.
+SHARED_BASE_SPECS = {
+    **MODEL_PRESETS,
+    "tree3-nb": StackSpec(base=(LearnerSpec("tree", (("max_depth", 3),)), LearnerSpec("nb"))),
+    "tree-nb": StackSpec(base=(LearnerSpec("tree"), LearnerSpec("nb"))),
+}
+
+
+@pytest.fixture(scope="module")
+def stacks_alone():
+    """Each spec of SHARED_BASE_SPECS trained under master seed 5 with no memo."""
+    d = synth(120, seed=14)
+    alone = {name: model_to_text(train_stack(d, replace(spec, seed=5)))
+             for name, spec in SHARED_BASE_SPECS.items()}
+    return d, alone
+
+
+@pytest.mark.parametrize("first, second", [
+    ("model2", "model5"), ("model1", "model3"), ("model1", "model5"), ("model2", "model3"),
+    ("model2", "model4"), ("model3", "model4"), ("model3", "model5"), ("model4", "model5"),
+    ("tree3-nb", "tree-nb"), ("tree-nb", "tree3-nb"),
+])
+def test_a_filled_memo_changes_no_stack(stacks_alone, first, second):
+    d, alone = stacks_alone
+    memo = StackMemo(d, 5)
+    train_stack(d, replace(SHARED_BASE_SPECS[first], seed=5), memo)
+    spec = replace(SHARED_BASE_SPECS[second], seed=5)
+    assert {(ls, spec.folds) for ls in spec.base} & set(memo.blocks)  # a filled block is read
+    shared = train_stack(d, spec, memo)
+    assert model_to_text(shared) == alone[second]
+
+
+def test_stacks_that_differ_in_base_params_differ(stacks_alone):
+    _, alone = stacks_alone
+    assert alone["tree3-nb"] != alone["tree-nb"]
+
+
+def test_memo_serves_only_its_rows_and_seed():
+    d = synth(120, seed=15)
+    spec = StackSpec(base=(LearnerSpec("nb"),), folds=3, seed=2)
+    with pytest.raises(ConfigError, match="memo"):
+        train_stack(d, spec, StackMemo(d, 3))
+    with pytest.raises(ConfigError, match="memo"):
+        build_meta_features(d, spec, StackMemo(synth(120, seed=15), 2))
