@@ -88,7 +88,7 @@ class Dataset:
             self.labels = labels
             self.labels.setflags(write=False)
         if meta is not None:
-            meta = [tuple(str(c) for c in row) for row in meta]
+            meta = [tuple(map(str, row)) for row in meta]
             if len(meta) != X.shape[0]:
                 raise ArityError(f"{len(meta)} meta rows for {X.shape[0]} rows")
         self.meta = meta
@@ -146,31 +146,82 @@ def _is_meta_header(cell: str) -> bool:
     return bool(_SERIAL_RE.match(name)) or bool(_TIME_RE.search(name))
 
 
+def _layout(path, header):
+    """Column roles from the stripped header cells: (n_meta, feat_idx, has_labels)."""
+    n_meta = 0
+    while n_meta < min(2, len(header)) and _is_meta_header(header[n_meta]):
+        n_meta += 1
+    has_labels = header[-1].lower() == LABEL_COLUMN
+    feat_idx = list(range(n_meta, len(header) - 1 if has_labels else len(header)))
+    if not feat_idx:
+        raise EmptyDatasetError(f"{path}: no feature columns in header")
+    return n_meta, feat_idx, has_labels
+
+
+def _dataset(header, n_meta, feat_idx, X, labels, meta):
+    schema = [_parse_header_cell(header[j]) for j in feat_idx]
+    return Dataset(schema, X, labels, meta, header[:n_meta] if n_meta else None)
+
+
 def load_csv(path: str) -> Dataset:
     """Load a sensor CSV. Header required; numeric cells must parse as reals.
 
     Leading serial/timestamp columns become row metadata. When the last
     header cell is the label column (`class`, any case) that column is read
     as the nominal class label.
+
+    A file without quotes, lone carriage returns or NUL characters is parsed
+    column-wise by `_load_plain`; anything that path does not accept goes
+    through the per-cell reference loop `_load_cells`, which names the row
+    and column of a bad cell.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        text = fh.read()
+    plain = text.replace("\r\n", "\n") if "\r" in text else text
+    if not any(c in plain for c in '"\r\0'):
+        d = _load_plain(path, plain)
+        if d is not None:
+            return d
+    return _load_cells(path, text)
+
+
+def _load_plain(path, text):
+    """Columnar parse of unquoted text split on newlines and commas.
+
+    On such text `csv.reader` yields exactly the comma-separated fields of
+    each line. Returns None when a row's arity, a cell `np.loadtxt` rejects
+    or a non-finite value needs the reference loop to decide.
+    """
+    lines = [ln for ln in text.split("\n") if ln.replace(",", "").strip()]
+    if not lines:
+        return None
+    header = [c.strip() for c in lines[0].split(",")]
+    n_meta, feat_idx, has_labels = _layout(path, header)
+    body = lines[1:]
+    commas = len(header) - 1
+    if any(ln.count(",") != commas for ln in body):
+        return None
+    X = np.empty((0, len(feat_idx)))
+    if body:
+        try:
+            X = np.loadtxt(body, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if X.shape != (len(body), len(feat_idx)) or not np.isfinite(X).all():
+            return None
+    labels = [ln.rpartition(",")[2].strip() for ln in body] if has_labels else None
+    meta = [ln.split(",", n_meta)[:n_meta] for ln in body] if n_meta else None
+    return _dataset(header, n_meta, feat_idx, X, labels, meta)
+
+
+def _load_cells(path, text):
+    """Reference parse: `csv.reader` rows and one `float()` per cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [row for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise EmptyDatasetError(f"{path}: file has no header row")
     header = [c.strip() for c in rows[0]]
-
-    n_meta = 0
-    while n_meta < min(2, len(header)) and _is_meta_header(header[n_meta]):
-        n_meta += 1
-    has_labels = header[-1].lower() == LABEL_COLUMN
-    label_idx = len(header) - 1 if has_labels else None
-    feat_idx = [
-        j for j in range(n_meta, len(header)) if label_idx is None or j != label_idx
-    ]
-    if not feat_idx:
-        raise EmptyDatasetError(f"{path}: no feature columns in header")
-    schema = [_parse_header_cell(header[j]) for j in feat_idx]
+    n_meta, feat_idx, has_labels = _layout(path, header)
 
     X = np.empty((len(rows) - 1, len(feat_idx)), dtype=float)
     labels = [] if has_labels else None
@@ -194,10 +245,10 @@ def load_csv(path: str) -> Dataset:
                 )
             X[i - 2, k] = v
         if has_labels:
-            labels.append(row[label_idx].strip())
+            labels.append(row[-1].strip())
         if n_meta:
-            meta.append(tuple(row[:n_meta]))
-    return Dataset(schema, X, labels, meta, header[:n_meta] if n_meta else None)
+            meta.append(row[:n_meta])
+    return _dataset(header, n_meta, feat_idx, X, labels, meta)
 
 
 def save_csv(d: Dataset, path: str) -> None:
@@ -211,16 +262,14 @@ def save_csv(d: Dataset, path: str) -> None:
         header.append(f"{name} (in {unit})" if unit else name)
     if d.label_presence:
         header.append(LABEL_COLUMN)
+    cols = list(zip(*d.meta)) if d.meta is not None else []
+    cols.extend(map(repr, column) for column in d.X.T.tolist())
+    if d.label_presence:
+        cols.append(d.labels.tolist())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    labels = d.labels.tolist() if d.label_presence else None
-    for i, x in enumerate(d.X.tolist()):
-        row = list(d.meta[i]) if d.meta is not None else []
-        row.extend(map(repr, x))
-        if labels is not None:
-            row.append(labels[i])
-        writer.writerow(row)
+    writer.writerows(zip(*cols))
     atomic_write_text(path, buf.getvalue())
 
 

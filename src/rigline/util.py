@@ -51,11 +51,18 @@ def diag_gaussian_posterior(X, weights, means, variances):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see partial files."""
+    """Write text to path via a temp file + rename so readers never see partial files.
+
+    The file gets the mode a plain `open(path, "w")` would give it under the
+    current umask; `mkstemp` alone would leave it 0600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_rigline_")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -1,11 +1,16 @@
+import csv
+import io
 import math
 import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigline import dataset
 from rigline.dataset import (
     CLASS_FAILURE,
     CLASS_NORMAL,
@@ -28,6 +33,7 @@ from rigline.errors import (
     EmptyDatasetError,
     MissingLabelsError,
     ParseError,
+    RiglineError,
 )
 
 HERE = os.path.dirname(__file__)
@@ -188,6 +194,203 @@ def test_unit_round_trip(tmp_path):
     save_csv(d, str(out))
     d2 = load_csv(str(out))
     assert d2.schema == d.schema
+
+
+def test_saved_files_get_the_mode_open_would_give(tmp_path):
+    out = tmp_path / "out.csv"
+    old = os.umask(0o022)
+    try:
+        save_csv(load_csv(SAMPLE), str(out))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+# ---------------------------------------------------------------------------
+# load_csv's columnar path (`_load_plain`) against the per-cell reference
+# loop (`_load_cells`): the same Dataset down to the feature bits, or the same
+# error.
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def _contents(d):
+    labels = None if d.labels is None else d.labels.tolist()
+    return d.schema, d.X.shape, d.X.tobytes(), labels, d.meta, d.meta_schema
+
+
+def _outcome(load, *args):
+    try:
+        return _contents(load(*args))
+    except RiglineError as e:
+        return type(e), str(e)
+
+
+def _csv_text(rows, **fmt):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", **fmt).writerows(rows)
+    return buf.getvalue()
+
+
+# Cells that float() and np.loadtxt may judge apart, or that sit at the edge
+# of either: a digit separator and Arabic-Indic digits (float() only), NBSP,
+# form feed and spaces around a number, non-finite and out-of-range
+# spellings, an empty cell and hex.
+_HOSTILE_CELLS = (
+    "1_000", "\u0661\u0662", "\xa07.5", "2.5\xa0", "\x0c3\x0c", " 4 ", "nan",
+    "-Infinity", "1e999", "4.9e-325", "", "0x10",
+)
+_feature_cell = st.one_of(
+    st.sampled_from(_HOSTILE_CELLS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# Free text that csv never quotes: no comma, quote, line break or NUL.
+_plain_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\x00'),
+    max_size=6,
+)
+
+
+@st.composite
+def plain_tables(draw):
+    n_meta = draw(st.integers(0, 2))
+    arity = draw(st.integers(1, 3))
+    labeled = draw(st.booleans())
+    header = ["S No.", "Time Stamp"][:n_meta] + [f"f{j}" for j in range(arity)]
+    header += ["class"] if labeled else []
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        cells = draw(st.lists(_plain_text, min_size=n_meta, max_size=n_meta))
+        cells += draw(st.lists(_feature_cell, min_size=arity, max_size=arity))
+        cells += [draw(_plain_text)] if labeled else []
+        ragged = draw(st.sampled_from([0] * 8 + [-1, 1]))
+        cells = cells[:-1] if ragged < 0 else cells + ["9"] * ragged
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(plain_tables())
+def test_fast_path_matches_the_per_cell_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "plain.csv"
+    path.write_text(text, newline="")
+    raw = _read(path)
+    reference = _outcome(dataset._load_cells, str(path), raw)
+    assert _outcome(load_csv, str(path)) == reference
+    fast = dataset._load_plain(str(path), raw)
+    if fast is not None:
+        assert _contents(fast) == reference
+
+
+def test_cells_only_float_accepts_load_through_the_fallback(tmp_path):
+    p = tmp_path / "separators.csv"
+    p.write_text("a,b\n1_000,\u0661\u0662\n")
+    assert dataset._load_plain(str(p), _read(p)) is None
+    assert load_csv(str(p)).X.tolist() == [[1000.0, 12.0]]
+
+
+# A header with meta and label columns, a blank row, an all-comma row, and
+# cells with padding that is kept (meta) or stripped (features, labels).
+_TWIN_ROWS = [
+    ["S No.", "Time Stamp", "Operating Pressure (in psi)", "Flow Rate", " Class"],
+    ["1048576", "2/8/2014 2:28", "75.57", " 359 ", "normal"],
+    [],
+    ["", "", "", "", ""],
+    ["1048577", " 2/8/2014 2:29", "-0.0", "4.9e-324", " failure "],
+]
+
+
+@pytest.mark.parametrize("twin", ["quoted", "crlf", "lone_cr"])
+def test_quoted_and_crlf_twins_load_the_same_dataset(tmp_path, twin):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(_csv_text(_TWIN_ROWS), newline="")
+    other = tmp_path / f"{twin}.csv"
+    other.write_text({
+        "quoted": _csv_text(_TWIN_ROWS, quoting=csv.QUOTE_ALL),
+        "crlf": _csv_text(_TWIN_ROWS).replace("\n", "\r\n"),
+        "lone_cr": _csv_text(_TWIN_ROWS).replace("\n", "\r"),
+    }[twin], newline="")
+    d = load_csv(str(plain))
+    assert d.schema == (("Operating Pressure", "psi"), ("Flow Rate", ""))
+    assert d.X.tobytes() == np.array([[75.57, 359.0], [-0.0, 5e-324]]).tobytes()
+    assert d.labels.tolist() == ["normal", "failure"]
+    assert d.meta == [("1048576", "2/8/2014 2:28"), ("1048577", " 2/8/2014 2:29")]
+    assert _contents(load_csv(str(other))) == _contents(d)
+    assert _contents(dataset._load_cells(str(plain), _read(plain))) == _contents(d)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,class\n",
+    "a,b,class\n,,\n\n",
+    "\n , ,\na,b,class\n,,\n",
+])
+def test_header_only_files_on_both_paths(tmp_path, text):
+    p = tmp_path / "header.csv"
+    p.write_text(text)
+    d = load_csv(str(p))
+    assert d.X.shape == (0, 2) and d.labels.tolist() == []
+    assert _contents(dataset._load_cells(str(p), _read(p))) == _contents(d)
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+@pytest.mark.parametrize("row, error, message", [
+    (["3"], ArityError, "row 3 has 1 cells, header has 2"),
+    (["3", "4", "5"], ArityError, "row 3 has 3 cells, header has 2"),
+    (["3", " oops"], ParseError, "row 3, column 'b': cannot parse 'oops'"),
+    (["3", "1_"], ParseError, "row 3, column 'b': cannot parse '1_'"),
+    (["3", " inf"], ParseError, "row 3, column 'b': non-finite value 'inf'"),
+    (["3", "1e999"], ParseError, "row 3, column 'b': non-finite value '1e999'"),
+])
+def test_bad_rows_give_the_same_error_on_both_paths(tmp_path, quoting, row, error, message):
+    # The blank row is not counted: row 3 is the third non-blank row.
+    p = tmp_path / "bad.csv"
+    p.write_text(_csv_text([["a", "b"], ["1", "2"], [], row], quoting=quoting), newline="")
+    with pytest.raises(error) as exc:
+        load_csv(str(p))
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_plain_files_load_without_the_csv_module(tmp_path, monkeypatch):
+    # Guards the fast path: if an edit sent every load through the reference
+    # loop, these loads would reach csv.reader.
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_text(_csv_text(_TWIN_ROWS).replace("\n", "\r\n"), newline="")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(_csv_text(_TWIN_ROWS, quoting=csv.QUOTE_ALL), newline="")
+    paths = [SAMPLE, str(crlf)]
+    expected = [_contents(load_csv(p)) for p in paths]
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(dataset.csv, "reader", no_reader)
+    assert [_contents(load_csv(p)) for p in paths] == expected
+    with pytest.raises(AssertionError):
+        load_csv(str(quoted))
+
+
+def test_load_csv_peak_memory_is_bounded(tmp_path):
+    # A 40,000-row export: serial and timestamp columns, 5 features. Keeping
+    # every row as a list of cell strings (csv.reader) peaked at 28.6 MB; the
+    # columnar path, holding the lines, the meta cells and the array, at 22.8.
+    rng = np.random.default_rng(0)
+    lines = ["S No.,Time Stamp,a,b,c,d,e"]
+    for i, x in enumerate(rng.normal(100.0, 10.0, size=(40000, 5)).tolist()):
+        lines.append(f"{1048576 + i},2/8/2014 {i // 240 % 24}:{i // 4 % 60:02d},"
+                     + ",".join(map(repr, x)))
+    p = tmp_path / "export.csv"
+    p.write_text("\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        d = load_csv(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n_rows == 40000 and len(d.meta) == 40000
+    assert peak < 26 * 2**20
 
 
 def test_class_order_pair_and_generic():
