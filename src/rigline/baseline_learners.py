@@ -343,6 +343,8 @@ def train_random_forest(
     _require_labeled(d)
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    if not isinstance(bootstrap, bool):
+        raise ConfigError(f"bootstrap must be True or False, got {bootstrap!r}")
     if features_per_split is None:
         features_per_split = int(math.ceil(math.sqrt(d.arity)))
     if features_per_split > d.arity:

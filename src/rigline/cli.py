@@ -61,7 +61,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import cache, partial
+from functools import partial
 
 from .dataset import (
     Dataset,
@@ -85,13 +85,14 @@ from .imbalance import (
 )
 from .labeling_em import em_assign_labels, em_fit
 from .modeldoc import load_model, save_model
-from .stacking import LEARNERS, StackMemo, parse_stack_spec, train_learner, train_seed, train_stack
+from .stacking import LEARNERS, StackMemo, parse_stack_spec, train_seed
 from .util import atomic_write_text, parse_fields
 
 MASTER_SEED_DEFAULT = 7
 
-# Stage seeds are the master seed plus a fixed offset. A learner's training
-# seed folds in its name (stacking.train_seed); a stack's is the master seed,
+# Stage seeds are the master seed plus a fixed offset. Every model on one
+# set of rows is trained through one stacking.StackMemo: a learner's seed
+# folds in its name (stacking.train_seed) and a stack's is the master seed,
 # from which its folds, fold fits and base models (the learners' standalone
 # fits) derive. So a grid cell and a single run train the identical model.
 STAGE_OFFSETS = {"generate": 1, "label": 2, "split": 3, "sample": 4}
@@ -146,10 +147,7 @@ def _read_config_file(path: str) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-        else:
-            key, _, value = line.partition(" ")
+        key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
         if not key or not value:
@@ -404,28 +402,19 @@ def _resolve_cost(cost_spec, train: Dataset):
     return cost_spec
 
 
-def _train_token_model(token: str, train: Dataset, master: int, params: dict,
-                       cost_matrix, memo=None):
-    """Train the learner or stack named by token; cost-wrap it when a matrix
-    is given. params are learner keyword arguments; a stack spec carries its
-    own inside the token. A stack shares its base work through memo."""
-    seed = train_seed(master, token)
-    if token in LEARNERS:
-        model = train_learner(token, train, seed=seed, params=params)
-    else:
-        model = train_stack(train, parse_stack_spec(token, seed=seed), memo)
-    if cost_matrix is not None:
-        model = CostSensitiveModel(model, cost_matrix)
-    return model
+def _cost_wrapped(model, cost_matrix):
+    """model, cost-sensitive under cost_matrix when a matrix is given."""
+    return model if cost_matrix is None else CostSensitiveModel(model, cost_matrix)
 
 
 def _train_stage(token: str, train: Dataset, master: int, params: dict, cost_spec,
                  path: str):
-    """The train stage: fit the model token names on train, cost-wrapped
-    under cost_spec (a CostMatrix, 'default' or None), and write it to path."""
+    """The train stage: fit the model token names (a learner with params, or
+    a stack spec) on train, cost-wrapped under cost_spec (a CostMatrix,
+    'default' or None), and write it to path."""
     with _stage("train"):
-        model = _train_token_model(token, train, master, params,
-                                   _resolve_cost(cost_spec, train))
+        model = _cost_wrapped(StackMemo(train, master).model(token, params.items()),
+                              _resolve_cost(cost_spec, train))
         save_model(model, path)
     return model
 
@@ -619,14 +608,12 @@ def _echo_common_config(args, plan) -> dict:
     return config
 
 
-def _grid_cell(fit, token, cost_matrix, test, errors, cell_name):
-    """Train (fit(token)) and score one grid cell, cost-wrapped when a matrix
-    is given: its EvalReport, or None (an ERR column) when either fails."""
+def _grid_cell(memo, token, cost_matrix, test, errors, cell_name):
+    """Train (memo.model(token)) and score one grid cell, cost-wrapped when a
+    matrix is given: its EvalReport, or None (an ERR column) when either
+    fails."""
     try:
-        model = fit(token)
-        if cost_matrix is not None:
-            model = CostSensitiveModel(model, cost_matrix)
-        return evaluate(model, test)
+        return evaluate(_cost_wrapped(memo.model(token), cost_matrix), test)
     except Exception as e:
         errors.append(f"{cell_name}: {e}")
         return None
@@ -647,15 +634,10 @@ def _cmd_grid(args) -> int:
         artifacts.append(fname)
         table_names.append((fname, what))
 
-    @cache
-    def fit_unsampled(token, *params):
-        """The model token names on the unsampled rows (a learner with its
-        params as (key, value) pairs), fitted once: shared by the none and
-        cost regimes, the model tables and, as their base models, the stacks,
-        which share their out-of-fold blocks through the memo too."""
-        return _train_token_model(token, train, master, dict(params), None, memo)
-
-    memo = StackMemo(train, master, fit=lambda ls: fit_unsampled(ls.name, *ls.params))
+    # The unsampled rows' fits serve the none and cost regimes, the model
+    # tables and, as their base models, the stacks; each sampled regime has
+    # its own memo.
+    unsampled = StackMemo(train, master)
 
     none_reports = {}
     for regime in args.regimes:
@@ -663,15 +645,14 @@ def _cmd_grid(args) -> int:
             kind = regime if regime in ("smote", "under") else "none"
             regime_train = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
             cost_matrix = _resolve_cost(args.cost, train) if regime == "cost" else None
-            fit = fit_unsampled if regime_train is train else partial(
-                _train_token_model, train=regime_train, master=master, params={}, cost_matrix=None)
+            memo = unsampled if regime_train is train else StackMemo(regime_train, master)
         except Exception as e:
             # A regime that cannot be built fails all of its cells.
             errors.append(f"{regime}: {e}")
             columns = [(learner, None) for learner in args.learners]
         else:
             columns = [
-                (learner, _grid_cell(fit, learner, cost_matrix, test, errors,
+                (learner, _grid_cell(memo, learner, cost_matrix, test, errors,
                                      f"{regime}/{learner}"))
                 for learner in args.learners
             ]
@@ -683,7 +664,7 @@ def _cmd_grid(args) -> int:
     model_reports = {}
     if args.models:
         columns = [
-            (token, _grid_cell(fit_unsampled, token, None, test, errors, f"models/{token}"))
+            (token, _grid_cell(unsampled, token, None, test, errors, f"models/{token}"))
             for token in args.models
         ]
         write_table(columns, "stacked models, no sampling")
@@ -696,7 +677,7 @@ def _cmd_grid(args) -> int:
             best_name = max(scored)[3]
             versus = [(best_name, model_reports[best_name])] + [
                 (learner, none_reports[learner] if learner in none_reports else _grid_cell(
-                    fit_unsampled, learner, None, test, errors, f"none/{learner}"))
+                    unsampled, learner, None, test, errors, f"none/{learner}"))
                 for learner in args.learners
             ]
             write_table(versus, f"best model ({best_name}) vs single learners")

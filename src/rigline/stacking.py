@@ -40,13 +40,9 @@ class ScaledModel(TrainedModel):
 
 def _train_smo(d, seed, params):
     params = dict(params)
-    cal_folds = int(params.pop("cal_folds", 3))
-    kernel = KernelSpec(
-        kind=params.pop("kernel", "linear"),
-        gamma=params.pop("gamma", None),
-        degree=int(params.pop("degree", 3)),
-        coef0=float(params.pop("coef0", 1.0)),
-    )
+    cal_folds = params.pop("cal_folds", 3)
+    kernel = KernelSpec(params.pop("kernel", "linear"),
+                        **{k: params.pop(k) for k in ("gamma", "degree", "coef0") if k in params})
     cfg = SmoConfig(kernel=kernel, seed=seed, **params)
     scaler = Standardizer().fit(d.X)
     zd = scaler.transform_dataset(d)
@@ -168,18 +164,26 @@ def _check_classes(model: TrainedModel, classes) -> None:
 
 
 class StackMemo:
-    """The base-learner work that stacks on one training set d share under
-    one master seed. fit(ls) is the learner's full-data model: its
-    standalone fit, seeded train_seed(seed, name), or what the caller's own
-    fit returns for it (the caller's cache of standalone fits). blocks
-    holds one out-of-fold probability block (rows x classes) per
-    (LearnerSpec, folds); fold models are dropped once they have predicted."""
+    """Every model trained on one training set d under one master seed, and
+    the base-learner work its stacks share. fit(ls) is the learner's
+    full-data model, seeded train_seed(seed, name) and fitted once, whether
+    it is asked for on its own or as a stack's base model; model(token)
+    names a learner or a stack. blocks holds one out-of-fold probability
+    block (rows x classes) per (LearnerSpec, folds); fold models are dropped
+    once they have predicted."""
 
-    def __init__(self, d: Dataset, seed: int, fit=None):
+    def __init__(self, d: Dataset, seed: int):
         self.d, self.seed, self.blocks = d, seed, {}
-        self.fit = cache(fit or (lambda ls: train_learner(
+        self.fit = cache(lambda ls: train_learner(
             ls.name, d, seed=train_seed(seed, ls.name), params=ls.params_dict()
-        )))
+        ))
+
+    def model(self, token: str, params=()) -> TrainedModel:
+        """The learner token with params ((key, value) pairs), or the stack
+        spec token trained through this memo."""
+        if token in LEARNERS:
+            return self.fit(LearnerSpec(token, tuple(params)))
+        return train_stack(self.d, parse_stack_spec(token, seed=self.seed), self)
 
     def check(self, d: Dataset, spec: StackSpec) -> "StackMemo":
         if d is not self.d or spec.seed != self.seed:

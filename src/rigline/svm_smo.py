@@ -10,6 +10,7 @@ order maps the first class to +1 and the second to -1.
 """
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -41,8 +42,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not math.isfinite(self.coef0):
+            raise ConfigError(f"coef0 must be finite, got {self.coef0}")
+        if not isinstance(self.degree, numbers.Integral):
+            raise ConfigError(f"degree must be an integer, got {self.degree!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
 
@@ -63,12 +68,14 @@ class SmoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ConfigError(f"C must be > 0, got {self.C}")
-        if not (self.kkt_tol > 0 and self.eps > 0):
-            raise ConfigError("kkt_tol and eps must be > 0")
-        if self.max_passes < 1:
-            raise ConfigError("max_passes must be >= 1")
+        for name in ("C", "kkt_tol", "eps"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not (isinstance(self.max_passes, numbers.Integral) and self.max_passes >= 1):
+            raise ConfigError(f"max_passes must be an integer >= 1, got {self.max_passes!r}")
 
 
 def resolve_kernel(spec: KernelSpec, n_features: int) -> KernelSpec:
@@ -542,6 +549,8 @@ def calibrate_probability(
     """
     if not d.label_presence:
         raise SingleClassError("calibration needs a labeled dataset")
+    if not isinstance(folds, numbers.Integral):
+        raise ConfigError(f"calibration folds must be an integer, got {folds!r}")
     if folds < 2:
         raise ConfigError(f"calibration folds must be >= 2, got {folds}")
     try:

@@ -297,6 +297,12 @@ def test_forest_accuracy_and_fps_clamp():
         train_random_forest(d, n_trees=0)
 
 
+@pytest.mark.parametrize("bootstrap", ["no", "False", 0, 1, None])
+def test_forest_rejects_a_bootstrap_that_is_not_a_bool(bootstrap):
+    with pytest.raises(ConfigError, match="bootstrap must be True or False"):
+        train_random_forest(toy_dataset(), n_trees=2, bootstrap=bootstrap)
+
+
 # ---------------------------------------------------------------------------
 # Golden pins: SHA-256 of the model documents of trees, forests and rule
 # lists on heavily tied three-class data. A change in a tree's RNG draw

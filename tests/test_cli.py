@@ -333,6 +333,16 @@ def test_config_bad_value_names_key(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["seed 5", "learner", "= nb", "seed ="])
+def test_config_line_without_key_and_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"synthetic = rows=100\n{line}\n")
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"bad.cfg:2: expected 'key = value', got {line + chr(10)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, line, key", [
     ("label", "components = 2", "components"),
     ("run", "components = 2", "components"),
@@ -435,6 +445,17 @@ def test_nan_svm_setting_fails_in_train(tmp_path, capsys, stage_inputs):
                  "depth limit must be None or an integer >= 0, got 2.5", id="part-depth"),
     pytest.param("part", "min_leaf=1.5", "min_leaf must be an integer >= 1, got 1.5",
                  id="part-fractional-min-leaf"),
+    pytest.param("rf", "bootstrap=no", "bootstrap must be True or False, got 'no'",
+                 id="rf-bootstrap-word"),
+    pytest.param("smo", "eps=inf", "eps must be finite, got inf", id="smo-infinite-eps"),
+    pytest.param("smo", "kkt_tol=inf", "kkt_tol must be finite, got inf",
+                 id="smo-infinite-kkt-tol"),
+    pytest.param("smo", "degree=2.5", "degree must be an integer, got 2.5",
+                 id="smo-fractional-degree"),
+    pytest.param("smo", "cal_folds=2.5", "calibration folds must be an integer, got 2.5",
+                 id="smo-fractional-cal-folds"),
+    pytest.param("smo", "max_passes=1.5", "max_passes must be an integer >= 1, got 1.5",
+                 id="smo-fractional-max-passes"),
 ])
 def test_bad_learner_params_fail_in_train(tmp_path, capsys, stage_inputs, learner, params,
                                           reason):
@@ -812,16 +833,16 @@ def test_each_model_is_scored_once(tmp_path, monkeypatch):
 
 
 def test_grid_cost_regime_wraps_the_unsampled_fits(tmp_path, monkeypatch):
-    import rigline.cli
+    import rigline.stacking
 
     calls = []
-    real = rigline.cli.train_learner
+    real = rigline.stacking.train_learner
 
     def counting(name, *args, **kwargs):
         calls.append(name)
         return real(name, *args, **kwargs)
 
-    monkeypatch.setattr(rigline.cli, "train_learner", counting)
+    monkeypatch.setattr(rigline.stacking, "train_learner", counting)
     assert run_cli("grid", "--synthetic", "rows=200,frac=0.2", "--seed", "31",
                    "--regimes", "none,under,cost", "--learners", "nb,tree",
                    "--models", "", "--out", str(tmp_path / "g")) == 0

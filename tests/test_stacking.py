@@ -321,3 +321,13 @@ def test_memo_serves_only_its_rows_and_seed():
         train_stack(d, spec, StackMemo(d, 3))
     with pytest.raises(ConfigError, match="memo"):
         build_meta_features(d, spec, StackMemo(synth(120, seed=15), 2))
+
+
+def test_memo_model_is_the_one_fit_of_each_learner():
+    d = synth(120, seed=16)
+    memo = StackMemo(d, 4)
+    assert memo.model("nb") is memo.fit(LearnerSpec("nb"))
+    stack = memo.model("model2")
+    assert stack.spec == replace(MODEL_PRESETS["model2"], seed=4)
+    assert stack.base_models[0] is memo.model("rf")
+    assert stack.base_models[1] is memo.model("nb")

@@ -284,6 +284,24 @@ def test_kernel_and_config_validation():
         KernelSpec(kind="rbf", gamma=nan)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SmoConfig(C=math.inf),
+    lambda: SmoConfig(kkt_tol=math.inf),
+    lambda: SmoConfig(eps=math.inf),
+    lambda: SmoConfig(max_passes=1.5),
+    lambda: SmoConfig(max_passes=0),
+    lambda: KernelSpec(kind="polynomial", degree=2.5),
+    lambda: KernelSpec(degree=2.0),
+    lambda: KernelSpec(kind="rbf", gamma=math.inf),
+    lambda: KernelSpec(kind="polynomial", coef0=-math.inf),
+    lambda: KernelSpec(coef0=float("nan")),
+], ids=["C-inf", "kkt_tol-inf", "eps-inf", "max_passes-fraction", "max_passes-0",
+        "degree-fraction", "degree-float", "gamma-inf", "coef0-inf", "coef0-nan"])
+def test_non_finite_and_non_integer_settings_rejected(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 def test_single_class_and_multiclass_rejected():
     X = np.array([[1.0], [2.0]])
     with pytest.raises(SingleClassError):
@@ -371,6 +389,15 @@ def test_calibration_rejects_fewer_than_two_folds(folds):
     cfg = SmoConfig(C=1.0, kernel=LINEAR)
     m = smo_train(d, cfg)
     with pytest.raises(ConfigError, match="folds must be >= 2"):
+        calibrate_probability(m, d, cfg, folds=folds)
+
+
+@pytest.mark.parametrize("folds", [2.5, 3.0, "3"])
+def test_calibration_rejects_non_integer_folds(folds):
+    d = blobs(n_per=10, gap=3.0, seed=17)
+    cfg = SmoConfig(C=1.0, kernel=LINEAR)
+    m = smo_train(d, cfg)
+    with pytest.raises(ConfigError, match="folds must be an integer"):
         calibrate_probability(m, d, cfg, folds=folds)
 
 
