@@ -9,7 +9,6 @@ one pass, predict_proba the probabilities and predict the picked classes
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, Standardizer, class_order
 from .errors import ConfigError, DivergenceError, ShapeError, SingleClassError
-from .util import derive_seed, diag_gaussian_posterior
+from .util import check_number, derive_seed, diag_gaussian_posterior
 
 
 class Scores(NamedTuple):
@@ -265,16 +264,16 @@ def _split_block(X, y, K, segments, features, min_leaf):
     return splits
 
 
-def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf):
+def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_depth"):
     """Grow one Gini tree on each row sample (indices into X and y); return
     the roots. The trees grow in lockstep: at each step, every tree takes the
     next splittable node of its pre-order walk and draws its features with
     pick(tree index), and one segmented search splits all of those nodes, so
-    each tree draws in the order it would alone."""
-    if not (max_depth is None or isinstance(max_depth, numbers.Integral) and max_depth >= 0):
-        raise ConfigError(f"depth limit must be None or an integer >= 0, got {max_depth!r}")
-    if not (isinstance(min_leaf, numbers.Integral) and min_leaf >= 1):
-        raise ConfigError(f"min_leaf must be an integer >= 1, got {min_leaf!r}")
+    each tree draws in the order it would alone. max_depth (None for no
+    limit) is checked under depth_name, the caller's name for it."""
+    if max_depth is not None:
+        check_number(depth_name, max_depth, int, lambda v: v >= 0, ">= 0")
+    check_number("min_leaf", min_leaf, int, lambda v: v >= 1, ">= 1")
     holders = [TreeNode() for _ in samples]
     # Pending nodes per tree, next on top: (rows, depth, parent, side); roots hang off holders.
     stacks = [[(rows, 0, h, "left")] for rows, h in zip(samples, holders)]
@@ -341,19 +340,18 @@ def train_random_forest(
     """Forest of Gini trees on bootstrap samples, choosing among a random
     feature subset at every node. Defaults to ceil(sqrt(arity)) features."""
     _require_labeled(d)
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    check_number("n_trees", n_trees, int, lambda v: v >= 1, ">= 1")
+    check_number("seed", seed, int)
     if not isinstance(bootstrap, bool):
         raise ConfigError(f"bootstrap must be True or False, got {bootstrap!r}")
     if features_per_split is None:
         features_per_split = int(math.ceil(math.sqrt(d.arity)))
+    check_number("features_per_split", features_per_split, int, lambda v: v >= 1, ">= 1")
     if features_per_split > d.arity:
         warnings.warn(
             f"features_per_split={features_per_split} exceeds arity {d.arity}; clamping"
         )
         features_per_split = d.arity
-    if features_per_split < 1:
-        raise ConfigError("features_per_split must be >= 1")
     classes, y = _encode_labels(d)
     rngs = [np.random.default_rng(derive_seed(seed, "tree", t)) for t in range(n_trees)]
     samples = [rng.integers(d.n_rows, size=d.n_rows) if bootstrap else np.arange(d.n_rows)
@@ -434,7 +432,7 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     max_rules = 200
     while len(y) > 0 and len(rules) < max_rules:
         root, = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
-                            max_rule_depth, min_leaf)
+                            max_rule_depth, min_leaf, "max_rule_depth")
         if root.is_leaf:
             break
         _, _, path, counts = _best_leaf_path(root, [])
@@ -466,16 +464,13 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_units is not None and self.hidden_units < 1:
-            raise ConfigError("hidden_units must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0,1)")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if self.hidden_units is not None:
+            check_number("hidden_units", self.hidden_units, int, lambda v: v >= 1, ">= 1")
+        check_number("learning_rate", self.learning_rate, float, lambda v: v > 0, "> 0")
+        check_number("momentum", self.momentum, float, lambda v: 0 <= v < 1, "in [0,1)")
+        check_number("epochs", self.epochs, int, lambda v: v >= 1, ">= 1")
+        check_number("batch_size", self.batch_size, int, lambda v: v >= 1, ">= 1")
+        check_number("seed", self.seed, int, lambda v: v >= 0, ">= 0")
 
 
 class MlpModel(TrainedModel):

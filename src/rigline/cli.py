@@ -33,9 +33,13 @@ fields read by `util.parse_fields`: `,`-separated for the first two and
 `;`-separated in `stack:meta=smo;base=part,mlp,nb;folds=5`. A field without
 `=`, an unknown key, a bad value or (in a stack) an unregistered learner is a
 usage error. `generate` takes the same source as `--rows/--frac/--shift`.
-Range checks live in the library configs (`SyntheticGenConfig`,
-`SmoteConfig`, `CostMatrix`), which the option types call. Costs come from
-`--cost a,b` (or `default`), on the command line or as a `cost = a,b` line.
+Every numeric setting is checked by `util.check_number`, whose ConfigError
+names it: the source and `smote:` option types build the library configs,
+and `--em-tol`, `--em-max-iter` and `--split` call the checker under
+`em_fit`'s and `split_train_test`'s names, so a flag and a library call
+reject a value alike; learner `--params` are checked in stage train.
+Costs come from `--cost a,b` (or `default`), on the command line or as a
+`cost = a,b` line.
 `grid --models` is a comma list of learners and stack specs; a comma starts
 a new model only before `model<N>`, `stack:` or a learner name that does not
 continue the `base=` field of the stack before it, so
@@ -86,7 +90,7 @@ from .imbalance import (
 from .labeling_em import em_assign_labels, em_fit
 from .modeldoc import load_model, save_model
 from .stacking import LEARNERS, StackMemo, parse_stack_spec, train_seed
-from .util import atomic_write_text, parse_fields
+from .util import atomic_write_text, check_number, parse_fields
 
 MASTER_SEED_DEFAULT = 7
 
@@ -210,18 +214,6 @@ def _checked(convert):
             raise argparse.ArgumentTypeError(str(e)) from e
 
     return option_type
-
-
-def _number(cast, ok, rule: str):
-    """Option type: cast the text and reject a value that fails ok (as NaN
-    does), stating the rule."""
-    def convert(text):
-        value = cast(text)
-        if not ok(value):
-            raise ConfigError(f"must be {rule}, got {value}")
-        return value
-
-    return _checked(convert)
 
 
 def _config_field(config, field: str, cast):
@@ -720,10 +712,12 @@ def _grid_summary(table_names, best_name, model_reports, errors) -> str:
 
 def _add_em_options(p) -> None:
     """The options of the two-component mixture fit that labels the data."""
-    p.add_argument("--em-tol", type=_number(float, lambda v: v >= 0, ">= 0"), default=1e-6,
-                   help="relative log-likelihood convergence tolerance (>= 0)")
-    p.add_argument("--em-max-iter", type=_number(int, lambda v: v >= 1, ">= 1"), default=200,
-                   help="iteration cap for the mixture fit (>= 1)")
+    p.add_argument("--em-tol", type=_checked(lambda text: check_number(
+                       "tol", float(text), float, lambda v: v >= 0, ">= 0")),
+                   default=1e-6, help="relative log-likelihood convergence tolerance (>= 0)")
+    p.add_argument("--em-max-iter", type=_checked(lambda text: check_number(
+                       "max_iter", int(text), int, lambda v: v >= 1, ">= 1")),
+                   default=200, help="iteration cap for the mixture fit (>= 1)")
     p.add_argument("--em-columns", type=_list_of(),
                    help="comma-separated feature names the clustering sees (default all)")
     p.add_argument("--em-raw", action="store_true",
@@ -739,7 +733,8 @@ def _add_pipeline_options(p) -> None:
                    default="auto",
                    help="auto (label only if unlabeled) | em (always) | none (require labels)")
     _add_em_options(p)
-    p.add_argument("--split", type=_number(float, lambda v: 0 < v < 1, "in (0,1)"),
+    p.add_argument("--split", type=_checked(lambda text: check_number(
+                       "train_fraction", float(text), float, lambda v: 0 < v < 1, "in (0,1)")),
                    default=0.66, help="training fraction of the labeled data")
 
 

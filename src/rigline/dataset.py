@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (
     MissingLabelsError,
     ParseError,
 )
-from .util import atomic_write_text
+from .util import atomic_write_text, check_number
 
 CLASS_NORMAL = "normal"
 CLASS_FAILURE = "failure"
@@ -307,15 +308,11 @@ class SyntheticGenConfig:
     failure_shift_sigma: float = 2.0
 
     def __post_init__(self):
-        if self.row_count < 2:
-            raise ConfigError(f"row_count must be >= 2, got {self.row_count}")
-        if not 0.0 < self.failure_fraction < 1.0:
-            raise ConfigError(
-                f"failure_fraction must be in (0,1), got {self.failure_fraction}"
-            )
-        if not math.isfinite(self.failure_shift_sigma):
-            raise ConfigError(
-                f"failure_shift_sigma must be finite, got {self.failure_shift_sigma}")
+        check_number("row_count", self.row_count, int, lambda v: v >= 2, ">= 2")
+        check_number("failure_fraction", self.failure_fraction, float,
+                     lambda v: 0 < v < 1, "in (0,1)")
+        check_number("seed", self.seed, int, lambda v: v >= 0, ">= 0")
+        check_number("failure_shift_sigma", self.failure_shift_sigma, float)
 
 
 def generate_synthetic(cfg: SyntheticGenConfig) -> Dataset:
@@ -346,8 +343,8 @@ def split_train_test(d: Dataset, train_fraction: float, seed: int = 0):
     """
     if d.n_rows == 0:
         raise EmptyDatasetError("cannot split an empty dataset")
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
+    check_number("train_fraction", train_fraction, float, lambda v: 0 < v < 1, "in (0,1)")
+    check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
     n_train = math.floor(train_fraction * d.n_rows)
     idx = np.random.default_rng(seed).permutation(d.n_rows)
     train_idx = np.sort(idx[:n_train])
@@ -365,8 +362,8 @@ def stratified_folds(labels, n_folds: int, seed: int = 0):
     sees every class.
     """
     labels = np.asarray(labels, dtype=str)
-    if n_folds < 2:
-        raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
+    check_number("n_folds", n_folds, int, lambda v: v >= 2, ">= 2")
+    check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
     counts = [int(np.sum(labels == c)) for c in class_order(labels)]
     rarest = min(counts)
     if rarest < n_folds:
@@ -374,8 +371,6 @@ def stratified_folds(labels, n_folds: int, seed: int = 0):
             raise ConfigError(
                 f"rarest class has {rarest} rows; need at least 2 to fold"
             )
-        import warnings
-
         warnings.warn(f"reducing folds from {n_folds} to {rarest} (rarest class)")
         n_folds = rarest
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ import numpy as np
 from .baseline_learners import TrainedModel
 from .dataset import Dataset, Standardizer, class_order
 from .errors import ConfigError, SingleClassError
+from .util import check_number
 
 
 @dataclass(frozen=True)
@@ -20,12 +21,9 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not 0.0 < self.target_ratio <= 1.0:
-            raise ConfigError(
-                f"target_ratio must be in (0,1], got {self.target_ratio}"
-            )
+        check_number("k_neighbors", self.k_neighbors, int, lambda v: v >= 1, ">= 1")
+        check_number("target_ratio", self.target_ratio, float, lambda v: 0 < v <= 1, "in (0,1]")
+        check_number("seed", self.seed, int, lambda v: v >= 0, ">= 0")
 
 
 def _two_class_split(d: Dataset):

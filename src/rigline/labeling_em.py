@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import CLASS_FAILURE, CLASS_NORMAL, Dataset
 from .errors import ConfigError, ShapeError
-from .util import diag_gaussian_posterior
+from .util import check_number, diag_gaussian_posterior
 
 # Mixture weights below this are treated as a collapsed component and reseeded.
 _DEGENERATE_WEIGHT = 1e-8
@@ -91,12 +91,10 @@ def em_fit(
     the trace improves by at most tol * |loglik| between iterations. Collapsed
     components (vanishing weight) are reseeded at a random row.
     """
-    if n_components < 1:
-        raise ConfigError(f"n_components must be >= 1, got {n_components}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol >= 0.0:
-        raise ConfigError(f"tol must be >= 0, got {tol}")
+    check_number("n_components", n_components, int, lambda v: v >= 1, ">= 1")
+    check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
+    check_number("tol", tol, float, lambda v: v >= 0, ">= 0")
+    check_number("max_iter", max_iter, int, lambda v: v >= 1, ">= 1")
     if d.n_rows < n_components:
         raise ConfigError(
             f"{n_components} components need at least that many rows, got {d.n_rows}"

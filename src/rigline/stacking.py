@@ -21,7 +21,7 @@ from .baseline_learners import (
 from .dataset import Dataset, Standardizer, class_order, stratified_folds
 from .errors import ConfigError, ShapeError
 from .svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
-from .util import derive_seed, parse_fields
+from .util import check_number, derive_seed, parse_fields
 
 
 class ScaledModel(TrainedModel):
@@ -99,8 +99,8 @@ class StackSpec:
     def __post_init__(self):
         if len(self.base) < 1:
             raise ConfigError("a stack needs at least one base learner")
-        if self.folds < 2:
-            raise ConfigError(f"fold count must be >= 2, got {self.folds}")
+        check_number("folds", self.folds, int, lambda v: v >= 2, ">= 2")
+        check_number("seed", self.seed, int)
 
 
 def _preset(*names):

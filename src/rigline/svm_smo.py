@@ -10,7 +10,7 @@ order maps the first class to +1 and the second to -1.
 """
 
 import math
-import numbers
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, class_order, stratified_folds
 from .errors import ConfigError, ShapeError, SingleClassError
 from .baseline_learners import Scores, TrainedModel, sigmoid
-from .util import derive_seed
+from .util import check_number, derive_seed
 
 _SNAP = 1e-8  # multipliers this close to a bound are set exactly onto it
 _KERNEL_CACHE_BYTES = 256 * 1024 * 1024  # LRU budget for memoized kernel rows
@@ -42,14 +42,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not math.isfinite(self.coef0):
-            raise ConfigError(f"coef0 must be finite, got {self.coef0}")
-        if not isinstance(self.degree, numbers.Integral):
-            raise ConfigError(f"degree must be an integer, got {self.degree!r}")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ConfigError(f"degree must be >= 1, got {self.degree}")
+        if self.gamma is not None:
+            check_number("gamma", self.gamma, float, lambda v: v > 0, "> 0")
+        check_number("degree", self.degree, int, lambda v: v >= 1, ">= 1")
+        check_number("coef0", self.coef0, float)
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,9 @@ class SmoConfig:
 
     def __post_init__(self):
         for name in ("C", "kkt_tol", "eps"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if not (isinstance(self.max_passes, numbers.Integral) and self.max_passes >= 1):
-            raise ConfigError(f"max_passes must be an integer >= 1, got {self.max_passes!r}")
+            check_number(name, getattr(self, name), float, lambda v: v > 0, "> 0")
+        check_number("max_passes", self.max_passes, int, lambda v: v >= 1, ">= 1")
+        check_number("seed", self.seed, int, lambda v: v >= 0, ">= 0")
 
 
 def resolve_kernel(spec: KernelSpec, n_features: int) -> KernelSpec:
@@ -365,9 +357,10 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
 
     Alternates a sweep over all rows with sweeps over the non-bound subset
     until a full sweep changes nothing. Hitting max_passes sweeps first
-    returns the current iterate flagged non-converged. The returned bias is
-    recomputed from the final multipliers (see _final_bias); the running
-    value is only pinned down while interior multipliers exist.
+    returns the current iterate flagged non-converged, with a UserWarning.
+    The returned bias is recomputed from the final multipliers (see
+    _final_bias); the running value is only pinned down while interior
+    multipliers exist.
     """
     if not d.label_presence:
         raise SingleClassError("smo_train needs a labeled dataset")
@@ -398,6 +391,9 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
                 num_changed += examine_example(state, int(i2))
             if num_changed == 0:
                 examine_all = True
+    if not converged:
+        warnings.warn(f"SMO stopped at max_passes={cfg.max_passes} without converging; "
+                      "the model is flagged converged 0")
 
     sv = np.flatnonzero(state.alpha > 0)
     w = dual_objective_value(state.X, state.y, state.alpha, state.kernel)
@@ -549,10 +545,7 @@ def calibrate_probability(
     """
     if not d.label_presence:
         raise SingleClassError("calibration needs a labeled dataset")
-    if not isinstance(folds, numbers.Integral):
-        raise ConfigError(f"calibration folds must be an integer, got {folds!r}")
-    if folds < 2:
-        raise ConfigError(f"calibration folds must be >= 2, got {folds}")
+    check_number("folds", folds, int, lambda v: v >= 2, ">= 2")
     try:
         assign = stratified_folds(d.labels, folds)
     except ConfigError:

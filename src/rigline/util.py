@@ -1,7 +1,10 @@
 """Small shared helpers: seed derivation, atomic file writes, the
-diagonal-Gaussian posterior that naive Bayes and EM share, and the
-`key=value` field reader behind the CLI's option tokens and stack specs."""
+diagonal-Gaussian posterior that naive Bayes and EM share, the checker of
+every numeric setting, and the `key=value` field reader behind the CLI's
+option tokens and stack specs."""
 
+import math
+import numbers
 import os
 import tempfile
 
@@ -69,6 +72,27 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def check_number(name: str, value, kind, ok=None, rule: str = ""):
+    """Return value if it is a valid numeric setting, else raise ConfigError
+    "<name> must be <an integer|a finite number> <rule>, got <value!r>".
+
+    kind int takes any Integral, kind float any Real that is a finite float
+    (integers included); a bool is neither. ok, when given, is the range
+    predicate that rule states. The value is returned as it came.
+    """
+    if kind is int:
+        noun, fits = "an integer", isinstance(value, numbers.Integral)
+    else:
+        noun = "a finite number"
+        try:
+            fits = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            fits = False
+    if isinstance(value, bool) or not fits or not (ok is None or ok(value)):
+        raise ConfigError(f"{name} must be {noun}{' ' + rule if rule else ''}, got {value!r}")
+    return value
 
 
 def parse_fields(text: str, sep: str, casts, what: str = "") -> dict:

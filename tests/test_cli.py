@@ -2,10 +2,13 @@ import argparse
 import csv
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rigline
 from rigline.cli import build_parser, main
 from rigline.dataset import Dataset, class_order, load_csv, save_csv
 from rigline.modeldoc import load_model
@@ -103,8 +106,9 @@ def test_sample_invalid_token_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("token, message", [
-    pytest.param("smote:k=0", "k_neighbors must be >= 1", id="smote:k=0"),
-    pytest.param("smote:ratio=2", "target_ratio must be in (0,1]", id="smote:ratio=2"),
+    pytest.param("smote:k=0", "k_neighbors must be an integer >= 1", id="smote:k=0"),
+    pytest.param("smote:ratio=2", "target_ratio must be a finite number in (0,1]",
+                 id="smote:ratio=2"),
 ])
 def test_sample_out_of_range_smote_is_usage_error(tmp_path, capsys, token, message):
     src = tmp_path / "s.csv"
@@ -198,8 +202,9 @@ def test_run_writes_all_artifacts(tmp_path):
 
 @pytest.mark.parametrize("token, message", [
     pytest.param("upside", "sampling token", id="upside"),
-    pytest.param("smote:k=0", "k_neighbors must be >= 1", id="smote:k=0"),
-    pytest.param("smote:ratio=2", "target_ratio must be in (0,1]", id="smote:ratio=2"),
+    pytest.param("smote:k=0", "k_neighbors must be an integer >= 1", id="smote:k=0"),
+    pytest.param("smote:ratio=2", "target_ratio must be a finite number in (0,1]",
+                 id="smote:ratio=2"),
 ])
 def test_run_invalid_sampling_leaves_no_artifacts(tmp_path, capsys, token, message):
     out = tmp_path / "nope"
@@ -431,31 +436,55 @@ def test_nan_svm_setting_fails_in_train(tmp_path, capsys, stage_inputs):
     model = tmp_path / "m.txt"
     assert run_cli("train", "--data", stage_inputs["lab.csv"], "--learner", "smo",
                    "--params", "C=nan", "--out", str(model)) == 1
-    assert "stage train: C must be > 0, got nan" in capsys.readouterr().err
+    assert "stage train: C must be a finite number > 0, got nan" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("learner, params, reason", [
     pytest.param("nb", "bogus=1", "'bogus'", id="nb-unknown-key"),
-    pytest.param("tree", "max_depth=nan", "depth limit must be None or an integer >= 0, got nan",
+    pytest.param("tree", "max_depth=nan", "max_depth must be an integer >= 0, got nan",
                  id="tree-nan-depth"),
-    pytest.param("rf", "max_depth=-1", "depth limit must be None or an integer >= 0, got -1",
+    pytest.param("rf", "max_depth=-1", "max_depth must be an integer >= 0, got -1",
                  id="rf-negative-depth"),
     pytest.param("part", "max_rule_depth=2.5",
-                 "depth limit must be None or an integer >= 0, got 2.5", id="part-depth"),
+                 "max_rule_depth must be an integer >= 0, got 2.5", id="part-depth"),
     pytest.param("part", "min_leaf=1.5", "min_leaf must be an integer >= 1, got 1.5",
                  id="part-fractional-min-leaf"),
     pytest.param("rf", "bootstrap=no", "bootstrap must be True or False, got 'no'",
                  id="rf-bootstrap-word"),
-    pytest.param("smo", "eps=inf", "eps must be finite, got inf", id="smo-infinite-eps"),
-    pytest.param("smo", "kkt_tol=inf", "kkt_tol must be finite, got inf",
+    pytest.param("smo", "eps=inf", "eps must be a finite number > 0, got inf",
+                 id="smo-infinite-eps"),
+    pytest.param("smo", "kkt_tol=inf", "kkt_tol must be a finite number > 0, got inf",
                  id="smo-infinite-kkt-tol"),
-    pytest.param("smo", "degree=2.5", "degree must be an integer, got 2.5",
+    pytest.param("smo", "degree=2.5", "degree must be an integer >= 1, got 2.5",
                  id="smo-fractional-degree"),
-    pytest.param("smo", "cal_folds=2.5", "calibration folds must be an integer, got 2.5",
+    pytest.param("smo", "cal_folds=2.5", "folds must be an integer >= 2, got 2.5",
                  id="smo-fractional-cal-folds"),
     pytest.param("smo", "max_passes=1.5", "max_passes must be an integer >= 1, got 1.5",
                  id="smo-fractional-max-passes"),
+    # Values that once trained a model or failed with an error that did
+    # not name the setting: a bool is not an integer, and every float
+    # setting is finite.
+    pytest.param("rf", "n_trees=true,max_depth=true", "n_trees must be an integer >= 1, got True",
+                 id="rf-bool-trees-and-depth"),
+    pytest.param("tree", "min_leaf=true", "min_leaf must be an integer >= 1, got True",
+                 id="tree-bool-min-leaf"),
+    pytest.param("smo", "C=true", "C must be a finite number > 0, got True", id="smo-bool-C"),
+    pytest.param("smo", "max_passes=true", "max_passes must be an integer >= 1, got True",
+                 id="smo-bool-max-passes"),
+    pytest.param("rf", "n_trees=2.5", "n_trees must be an integer >= 1, got 2.5",
+                 id="rf-fractional-trees"),
+    pytest.param("rf", "features_per_split=1.5",
+                 "features_per_split must be an integer >= 1, got 1.5",
+                 id="rf-fractional-features-per-split"),
+    pytest.param("mlp", "epochs=2.5", "epochs must be an integer >= 1, got 2.5",
+                 id="mlp-fractional-epochs"),
+    pytest.param("mlp", "hidden_units=2.5", "hidden_units must be an integer >= 1, got 2.5",
+                 id="mlp-fractional-hidden-units"),
+    pytest.param("mlp", "learning_rate=inf", "learning_rate must be a finite number > 0, got inf",
+                 id="mlp-infinite-learning-rate"),
+    pytest.param("smo", "kernel=polynomial,degree=true", "degree must be an integer >= 1, got True",
+                 id="smo-bool-degree"),
 ])
 def test_bad_learner_params_fail_in_train(tmp_path, capsys, stage_inputs, learner, params,
                                           reason):
@@ -465,6 +494,20 @@ def test_bad_learner_params_fail_in_train(tmp_path, capsys, stage_inputs, learne
     err = capsys.readouterr().err
     assert err.startswith("error: stage train:") and reason in err
     assert os.listdir(tmp_path) == []
+
+
+def test_train_smo_stopped_by_max_passes_warns_on_stderr(tmp_path, stage_inputs):
+    # A fresh interpreter, so the warning reaches stderr as a user sees it.
+    model = tmp_path / "m.txt"
+    src = os.path.dirname(os.path.dirname(rigline.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "rigline.cli", "train", "--data", stage_inputs["lab.csv"],
+         "--learner", "smo", "--params", "max_passes=1", "--out", str(model)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert "UserWarning: SMO stopped at max_passes=1 without converging" in done.stderr
+    assert "converged 0" in read(model).split("\n")
 
 
 COMMAND_OPTIONS = {

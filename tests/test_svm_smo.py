@@ -315,10 +315,23 @@ def test_single_class_and_multiclass_rejected():
 
 def test_non_convergence_flag_and_model_still_usable():
     d = blobs(n_per=40, gap=0.1, seed=12)
-    m = smo_train(d, SmoConfig(C=10.0, kernel=LINEAR, max_passes=2))
+    with pytest.warns(UserWarning, match="max_passes=2"):
+        m = smo_train(d, SmoConfig(C=10.0, kernel=LINEAR, max_passes=2))
     assert not m.converged
     preds = sign_rule(m, d.X)
     assert set(preds) <= {"up", "down"}
+
+
+def test_every_solve_stopped_by_max_passes_warns():
+    d = blobs(n_per=40, gap=0.1, seed=12)
+    cfg = SmoConfig(C=10.0, kernel=LINEAR, max_passes=1)
+    with pytest.warns(UserWarning, match="max_passes=1") as record:
+        m = smo_train(d, cfg)
+    assert len(record) == 1 and not m.converged
+    # Each calibration fold is a solve of its own under the same cap.
+    with pytest.warns(UserWarning, match="max_passes=1") as record:
+        cal = calibrate_probability(m, d, cfg, folds=3)
+    assert len(record) == 3 and not cal.fallback
 
 
 def test_determinism_same_seed_same_model():
@@ -388,7 +401,7 @@ def test_calibration_rejects_fewer_than_two_folds(folds):
     d = blobs(n_per=10, gap=3.0, seed=17)
     cfg = SmoConfig(C=1.0, kernel=LINEAR)
     m = smo_train(d, cfg)
-    with pytest.raises(ConfigError, match="folds must be >= 2"):
+    with pytest.raises(ConfigError, match="folds must be an integer >= 2"):
         calibrate_probability(m, d, cfg, folds=folds)
 
 
