@@ -10,11 +10,11 @@ evaluate   score a saved model against a labeled CSV
 run        full pipeline: data -> label -> split -> sample -> train -> evaluate
 grid       run-per-cell sweep over sampling regimes and learners, with tables
 
-One master seed (flag `--seed`, overridden by the RIGLINE_SEED environment
-variable) drives everything: fixed offsets give the generate/label/split/
-sample stage seeds, a learner's training seed is derived from the master
-plus the learner name, and a stack trains under the master seed itself, so a
-single grid cell reproduces the matching `run`.
+One master seed, an integer >= 0 (flag `--seed`, overridden by the
+RIGLINE_SEED environment variable), drives everything: fixed offsets give
+the generate/label/split/sample stage seeds, a learner's training seed is
+derived from the master plus the learner name, and a stack trains under the
+master seed itself, so a single grid cell reproduces the matching `run`.
 
 Every option is declared once, in its `add_argument` call, with its type
 and default; the type is the only place its value is checked. Every command
@@ -189,14 +189,19 @@ def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
     return out
 
 
+def _master_seed(text: str, name: str = "seed") -> int:
+    """A master seed, from `--seed`, a `seed` line or RIGLINE_SEED (name):
+    an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return check_number(name, value, int, lambda v: v >= 0, ">= 0")
+
+
 def _resolve_master_seed(args: argparse.Namespace) -> int:
     env = os.environ.get("RIGLINE_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"RIGLINE_SEED must be an integer, got {env!r}")
+    return args.seed if env is None else _master_seed(env, "RIGLINE_SEED")
 
 
 # ---------------------------------------------------------------------------
@@ -497,59 +502,70 @@ def _model_choice(args, default=None) -> str:
     return given[0] if given else default
 
 
-def _pipeline_plan(args, tokens) -> dict:
-    """The master seed, the synthetic source (None with --data) and the seeds
-    of run and grid: one per stage and one per model token trained."""
-    master = _resolve_master_seed(args)
-    if args.data is not None and args.synthetic is not None:
-        raise ConfigError("give either --data or --synthetic, not both")
-    synthetic = None if args.data is not None else replace(
-        args.synthetic or DEFAULT_SYNTHETIC, seed=_stage_seed(master, "generate")
-    )
-    seeds = {name: _stage_seed(master, name) for name in STAGE_OFFSETS}
-    seeds.update((f"train.{token}", train_seed(master, token)) for token in tokens)
-    return {"master": master, "synthetic": synthetic, "seeds": seeds}
+class _Run:
+    """One `run` or `grid` into args.out: its master seed, synthetic source
+    (None with --data) and seeds, one per stage and one per model token
+    trained; the artifacts it writes, in write order; and grid's failed
+    cells. finish() writes them all to manifest.txt."""
+
+    def __init__(self, command: str, args, tokens):
+        self.command, self.args = command, args
+        self.master = _resolve_master_seed(args)
+        if args.data is not None and args.synthetic is not None:
+            raise ConfigError("give either --data or --synthetic, not both")
+        self.synthetic = None if args.data is not None else replace(
+            args.synthetic or DEFAULT_SYNTHETIC, seed=_stage_seed(self.master, "generate")
+        )
+        self.seeds = {name: _stage_seed(self.master, name) for name in STAGE_OFFSETS}
+        self.seeds.update((f"train.{token}", train_seed(self.master, token)) for token in tokens)
+        self.artifacts = []
+        self.errors = []
+
+    def path(self, name: str) -> str:
+        """The path of name in args.out, recorded as an artifact in call order."""
+        self.artifacts.append(name)
+        return os.path.join(self.args.out, name)
+
+    def finish(self, **config) -> None:
+        """Write manifest.txt: the seeds, the command's config keys with the
+        options run and grid share, and the artifacts, itself last."""
+        args, cfg, cost = self.args, self.synthetic, self.args.cost
+        config.update(
+            data=args.data or "-", label=args.label, em_tol=args.em_tol,
+            em_max_iter=args.em_max_iter, em_columns=",".join(args.em_columns or ()) or "-",
+            em_raw=args.em_raw, split=args.split, out=args.out,
+            synthetic="-" if cfg is None else
+            f"rows={cfg.row_count},frac={cfg.failure_fraction},shift={cfg.failure_shift_sigma}",
+            cost=f"{cost.m[0][1]},{cost.m[1][0]}" if isinstance(cost, CostMatrix) else cost or "-",
+        )
+        path = self.path("manifest.txt")
+        lines = [f"command = {self.command}", f"master_seed = {self.master}"]
+        lines += [f"seed.{name} = {self.seeds[name]}" for name in sorted(self.seeds)]
+        lines += [f"config.{key} = {config[key]}" for key in sorted(config)]
+        lines += [f"artifact = {name}" for name in self.artifacts]
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _label_data(d: Dataset, args, seeds):
-    """auto: label only when unlabeled; em: always re-label; none: require
-    labels. Returns (labeled, mixture), the mixture None when EM did not run."""
-    if args.label == "none":
-        if not d.label_presence:
-            raise RiglineError("--label none needs a labeled dataset")
-        return d, None
-    if args.label == "auto" and d.label_presence:
-        return d, None
-    return _em_label(d, args, seeds["label"])
-
-
-def _prepare_data(args, plan, artifacts):
+def _prepare_data(run: _Run):
     """Stages load or generate -> label (writing em_model.txt and labeled.csv)
     -> split into args.out, created only once the labels are in; returns
     (train, test)."""
-    if args.data is not None:
-        d = _load_input(args.data)
-    else:
-        d = _synthetic_data(plan["synthetic"])
+    args = run.args
+    d = _synthetic_data(run.synthetic) if args.data is None else _load_input(args.data)
     with _stage("label"):
-        labeled, gmm = _label_data(d, args, plan["seeds"])
+        # --label auto labels only an unlabeled table, em always re-labels,
+        # none needs the table's own labels.
+        if args.label == "none" and not d.label_presence:
+            raise RiglineError("--label none needs a labeled dataset")
+        gmm = None
+        if args.label == "em" or not d.label_presence:
+            d, gmm = _em_label(d, args, run.seeds["label"])
         os.makedirs(args.out, exist_ok=True)
         if gmm is not None:
-            save_model(gmm, os.path.join(args.out, "em_model.txt"))
-            artifacts.append("em_model.txt")
-        save_csv(labeled, os.path.join(args.out, "labeled.csv"))
-        artifacts.append("labeled.csv")
+            save_model(gmm, run.path("em_model.txt"))
+        save_csv(d, run.path("labeled.csv"))
     with _stage("split"):
-        return split_train_test(labeled, args.split, seed=plan["seeds"]["split"])
-
-
-def _write_manifest(command: str, args, plan, config: dict, artifacts) -> None:
-    seeds = plan["seeds"]
-    lines = [f"command = {command}", f"master_seed = {plan['master']}"]
-    lines += [f"seed.{name} = {seeds[name]}" for name in sorted(seeds)]
-    lines += [f"config.{key} = {config[key]}" for key in sorted(config)]
-    lines += [f"artifact = {name}" for name in artifacts + ["manifest.txt"]]
-    atomic_write_text(os.path.join(args.out, "manifest.txt"), "\n".join(lines) + "\n")
+        return split_train_test(d, args.split, seed=run.seeds["split"])
 
 
 def _cmd_run(args) -> int:
@@ -557,153 +573,105 @@ def _cmd_run(args) -> int:
     if args.cost is not None and kind != "none":
         raise ConfigError("cost-sensitive training replaces sampling; drop --sample")
     token = _model_choice(args, default="smo")
-    plan = _pipeline_plan(args, [token])
-    artifacts = []
-    train, test = _prepare_data(args, plan, artifacts)
+    run = _Run("run", args, [token])
+    train, test = _prepare_data(run)
     with _stage("sample"):
-        sampled = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
-    model = _train_stage(token, sampled, plan["master"], {}, args.cost,
-                         os.path.join(args.out, "model.txt"))
-    _evaluate_stage(model, test, token, os.path.join(args.out, "report.csv"),
-                    os.path.join(args.out, "detail.txt"))
-    artifacts += ["model.txt", "report.csv", "detail.txt"]
-
-    config = _echo_common_config(args, plan)
-    config["sample"] = (
-        f"smote:k={smote_cfg.k_neighbors},ratio={smote_cfg.target_ratio}"
-        if kind == "smote" else kind
+        sampled = _apply_sampling(train, kind, smote_cfg, run.seeds["sample"])
+    model = _train_stage(token, sampled, run.master, {}, args.cost, run.path("model.txt"))
+    _evaluate_stage(model, test, token, run.path("report.csv"), run.path("detail.txt"))
+    run.finish(
+        sample=(f"smote:k={smote_cfg.k_neighbors},ratio={smote_cfg.target_ratio}"
+                if kind == "smote" else kind),
+        model=token,
     )
-    config["model"] = token
-    _write_manifest("run", args, plan, config, artifacts)
     print(f"run complete: {args.out}/report.csv")
     return 0
 
 
-def _echo_common_config(args, plan) -> dict:
-    config = {
-        "data": args.data or "-",
-        "label": args.label,
-        "em_tol": args.em_tol,
-        "em_max_iter": args.em_max_iter,
-        "em_columns": ",".join(args.em_columns) if args.em_columns else "-",
-        "em_raw": args.em_raw,
-        "split": args.split,
-        "out": args.out,
-    }
-    cfg = plan["synthetic"]
-    config["synthetic"] = "-" if cfg is None else (
-        f"rows={cfg.row_count},frac={cfg.failure_fraction},shift={cfg.failure_shift_sigma}"
-    )
-    cost = args.cost
-    config["cost"] = (f"{cost.m[0][1]},{cost.m[1][0]}" if isinstance(cost, CostMatrix)
-                      else cost or "-")
-    return config
-
-
-def _grid_cell(memo, token, cost_matrix, test, errors, cell_name):
+def _grid_cell(run: _Run, cell_name: str, memo, token, cost_matrix, test):
     """Train (memo.model(token)) and score one grid cell, cost-wrapped when a
-    matrix is given: its EvalReport, or None (an ERR column) when either
-    fails."""
+    matrix is given: its EvalReport, or None (an ERR column, the failure in
+    run.errors) when either fails."""
     try:
         return evaluate(_cost_wrapped(memo.model(token), cost_matrix), test)
     except Exception as e:
-        errors.append(f"{cell_name}: {e}")
+        run.errors.append(f"{cell_name}: {e}")
         return None
 
 
 def _cmd_grid(args) -> int:
-    plan = _pipeline_plan(args, args.learners + args.models)
-    master = plan["master"]
+    run = _Run("grid", args, args.learners + args.models)
     smote_cfg = SmoteConfig(k_neighbors=args.smote_k, target_ratio=args.smote_ratio)
-    artifacts = []
-    errors = []
-    table_names = []
-    train, test = _prepare_data(args, plan, artifacts)
+    train, test = _prepare_data(run)
+    tables = []  # the summary's line for each table written
 
     def write_table(columns, what):
-        fname = f"table{len(table_names) + 1}.csv"
-        atomic_write_text(os.path.join(args.out, fname), compare_table(columns))
-        artifacts.append(fname)
-        table_names.append((fname, what))
+        fname = f"table{len(tables) + 1}.csv"
+        atomic_write_text(run.path(fname), compare_table(columns))
+        tables.append(f"  {fname}: {what}")
 
     # The unsampled rows' fits serve the none and cost regimes, the model
     # tables and, as their base models, the stacks; each sampled regime has
     # its own memo.
-    unsampled = StackMemo(train, master)
+    unsampled = StackMemo(train, run.master)
 
     none_reports = {}
     for regime in args.regimes:
         try:
             kind = regime if regime in ("smote", "under") else "none"
-            regime_train = _apply_sampling(train, kind, smote_cfg, plan["seeds"]["sample"])
+            regime_train = _apply_sampling(train, kind, smote_cfg, run.seeds["sample"])
             cost_matrix = _resolve_cost(args.cost, train) if regime == "cost" else None
-            memo = unsampled if regime_train is train else StackMemo(regime_train, master)
+            memo = unsampled if regime_train is train else StackMemo(regime_train, run.master)
         except Exception as e:
             # A regime that cannot be built fails all of its cells.
-            errors.append(f"{regime}: {e}")
+            run.errors.append(f"{regime}: {e}")
             columns = [(learner, None) for learner in args.learners]
         else:
             columns = [
-                (learner, _grid_cell(memo, learner, cost_matrix, test, errors,
-                                     f"{regime}/{learner}"))
+                (learner, _grid_cell(run, f"{regime}/{learner}", memo, learner,
+                                     cost_matrix, test))
                 for learner in args.learners
             ]
         if regime == "none":
             none_reports = dict(columns)
         write_table(columns, f"regime {regime}")
 
-    best_name = None
-    model_reports = {}
+    ranking = []  # the summary's best-model lines
     if args.models:
         columns = [
-            (token, _grid_cell(unsampled, token, None, test, errors, f"models/{token}"))
+            (token, _grid_cell(run, f"models/{token}", unsampled, token, None, test))
             for token in args.models
         ]
         write_table(columns, "stacked models, no sampling")
-        model_reports = {t: r for t, r in columns if r is not None}
         scored = [
-            (r.roc_auc, r.tp_rate, -args.models.index(t), t)
-            for t, r in model_reports.items()
+            (r.roc_auc, r.tp_rate, -args.models.index(t), t, r)
+            for t, r in columns if r is not None
         ]
         if scored:
-            best_name = max(scored)[3]
-            versus = [(best_name, model_reports[best_name])] + [
+            roc, tp, _, best_name, best = max(scored)
+            versus = [(best_name, best)] + [
                 (learner, none_reports[learner] if learner in none_reports else _grid_cell(
-                    unsampled, learner, None, test, errors, f"none/{learner}"))
+                    run, f"none/{learner}", unsampled, learner, None, test))
                 for learner in args.learners
             ]
             write_table(versus, f"best model ({best_name}) vs single learners")
+            ranking = [f"best model: {best_name} (ROC {roc:.3f}, TP rate {tp:.3f})",
+                       "rank rule: highest ROC, then highest TP rate, then earliest column"]
 
-    summary = _grid_summary(table_names, best_name, model_reports, errors)
-    atomic_write_text(os.path.join(args.out, "summary.txt"), summary)
-    artifacts.append("summary.txt")
+    summary = ["tables:", *tables, *ranking]
+    if run.errors:
+        summary += ["failed cells (ERR columns):", *(f"  {e}" for e in run.errors)]
+    atomic_write_text(run.path("summary.txt"), "\n".join(summary) + "\n")
 
-    config = _echo_common_config(args, plan)
-    config["regimes"] = ",".join(args.regimes)
-    config["learners"] = ",".join(args.learners)
-    config["models"] = ",".join(args.models) if args.models else "-"
-    config["smote_k"] = args.smote_k
-    config["smote_ratio"] = args.smote_ratio
-    _write_manifest("grid", args, plan, config, artifacts)
-    print(f"grid complete: {len(table_names)} tables in {args.out}")
+    run.finish(
+        regimes=",".join(args.regimes),
+        learners=",".join(args.learners),
+        models=",".join(args.models) if args.models else "-",
+        smote_k=args.smote_k,
+        smote_ratio=args.smote_ratio,
+    )
+    print(f"grid complete: {len(tables)} tables in {args.out}")
     return 0
-
-
-def _grid_summary(table_names, best_name, model_reports, errors) -> str:
-    lines = ["tables:"]
-    for fname, what in table_names:
-        lines.append(f"  {fname}: {what}")
-    if best_name is not None:
-        r = model_reports[best_name]
-        lines.append(
-            f"best model: {best_name} (ROC {r.roc_auc:.3f}, TP rate {r.tp_rate:.3f})"
-        )
-        lines.append("rank rule: highest ROC, then highest TP rate, then earliest column")
-    if errors:
-        lines.append("failed cells (ERR columns):")
-        for e in errors:
-            lines.append(f"  {e}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="rigline_grid", help="output directory")
 
     for p in sub.choices.values():
-        p.add_argument("--seed", type=_checked(int), default=MASTER_SEED_DEFAULT,
-                       help="master seed (RIGLINE_SEED env var overrides)")
+        p.add_argument("--seed", type=_checked(_master_seed), default=MASTER_SEED_DEFAULT,
+                       help="master seed, an integer >= 0 (RIGLINE_SEED env var overrides)")
         p.add_argument("--config", help="key = value file; explicit flags override it")
     return parser
 

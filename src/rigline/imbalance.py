@@ -112,6 +112,7 @@ def undersample(d: Dataset, seed: int = 0) -> Dataset:
     Minority rows and the relative order of survivors are untouched; balanced
     input comes back unchanged.
     """
+    check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
     minority, majority, idx = _two_class_split(d)
     n_min = len(idx[minority])
     if len(idx[majority]) == n_min:

@@ -200,6 +200,41 @@ def test_run_writes_all_artifacts(tmp_path):
     assert len(report.strip().split("\n")) == 7
 
 
+def test_run_manifest_text(tmp_path, monkeypatch):
+    # The manifest layout: command, master seed, sorted stage and train
+    # seeds, sorted config echo, then the artifacts in write order.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--synthetic", "rows=260,frac=0.15", "--label", "em",
+                   "--learner", "nb", "--seed", "8", "--out", "out") == 0
+    assert read(tmp_path / "out" / "manifest.txt") == (
+        "command = run\n"
+        "master_seed = 8\n"
+        "seed.generate = 9\n"
+        "seed.label = 10\n"
+        "seed.sample = 12\n"
+        "seed.split = 11\n"
+        "seed.train.nb = 2920529380\n"
+        "config.cost = -\n"
+        "config.data = -\n"
+        "config.em_columns = -\n"
+        "config.em_max_iter = 200\n"
+        "config.em_raw = False\n"
+        "config.em_tol = 1e-06\n"
+        "config.label = em\n"
+        "config.model = nb\n"
+        "config.out = out\n"
+        "config.sample = none\n"
+        "config.split = 0.66\n"
+        "config.synthetic = rows=260,frac=0.15,shift=2.0\n"
+        "artifact = em_model.txt\n"
+        "artifact = labeled.csv\n"
+        "artifact = model.txt\n"
+        "artifact = report.csv\n"
+        "artifact = detail.txt\n"
+        "artifact = manifest.txt\n"
+    )
+
+
 @pytest.mark.parametrize("token, message", [
     pytest.param("upside", "sampling token", id="upside"),
     pytest.param("smote:k=0", "k_neighbors must be an integer >= 1", id="smote:k=0"),
@@ -393,6 +428,7 @@ BAD_VALUES = [
     ("run", "--cost", "1"),
     ("run", "--cost", "nan,1"),
     ("run", "--cost", "inf,1"),
+    ("run", "--seed", "-1"),
 ]
 
 
@@ -418,6 +454,22 @@ def test_flag_and_config_line_give_the_same_reason(tmp_path, capsys, stage_input
         reasons[prefix] = err[len(prefix):]
         assert os.listdir(tmp_path) == ["bad.cfg"]
     assert len(set(reasons.values())) == 1, reasons
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate"],
+    ["label", "--data", "raw.csv"],
+    ["sample", "--data", "lab.csv", "--sample", "under"],
+    ["train", "--data", "lab.csv", "--learner", "nb"],
+    ["run", "--data", "lab.csv"],
+    ["grid", "--data", "lab.csv"],
+], ids=lambda argv: argv[0])
+def test_negative_env_seed_is_usage_error(tmp_path, capsys, monkeypatch, stage_inputs, argv):
+    monkeypatch.setenv("RIGLINE_SEED", "-1")
+    argv = [stage_inputs.get(a, a) for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: RIGLINE_SEED must be an integer >= 0, got -1\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -812,25 +864,83 @@ def test_grid_determinism(tmp_path):
             assert read(out1 / name) == read(out2 / name), name
 
 
-def test_grid_cell_failure_marks_err_and_continues(tmp_path):
+@pytest.fixture
+def boom_learner():
+    """A registered learner `boom` whose every fit fails."""
     def explode(d, seed, params):
         raise RuntimeError("no model today")
 
     register_learner("boom", explode)
-    try:
-        out = tmp_path / "g"
-        assert run_cli("grid", "--synthetic", "rows=150,frac=0.2", "--seed", "2",
-                       "--regimes", "none", "--learners", "nb,boom",
-                       "--models", "", "--out", str(out)) == 0
-        table = read(out / "table1.csv")
-        header, tp = table.strip().split("\n")[:2]
-        assert header == "Measure,nb,boom"
-        assert tp.split(",")[2] == "ERR"
-        assert "no model today" in read(out / "summary.txt")
-    finally:
-        from rigline.stacking import LEARNERS
+    yield "boom"
+    from rigline.stacking import LEARNERS
 
-        LEARNERS.pop("boom", None)
+    LEARNERS.pop("boom", None)
+
+
+def test_grid_cell_failure_marks_err_and_continues(tmp_path, boom_learner):
+    out = tmp_path / "g"
+    assert run_cli("grid", "--synthetic", "rows=150,frac=0.2", "--seed", "2",
+                   "--regimes", "none", "--learners", "nb,boom",
+                   "--models", "", "--out", str(out)) == 0
+    table = read(out / "table1.csv")
+    header, tp = table.strip().split("\n")[:2]
+    assert header == "Measure,nb,boom"
+    assert tp.split(",")[2] == "ERR"
+    assert "no model today" in read(out / "summary.txt")
+
+
+def test_grid_manifest_and_summary_text(tmp_path, monkeypatch, boom_learner):
+    # A failing learner (boom) in every table and a failing regime (smote:
+    # 40 rows at 15% failures leave too few minority rows for k=5).
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("grid", "--synthetic", "rows=40,frac=0.15", "--seed", "3",
+                   "--regimes", "none,smote", "--learners", "nb,boom",
+                   "--models", "nb,boom", "--out", "g") == 0
+    assert read(tmp_path / "g" / "summary.txt") == (
+        "tables:\n"
+        "  table1.csv: regime none\n"
+        "  table2.csv: regime smote\n"
+        "  table3.csv: stacked models, no sampling\n"
+        "  table4.csv: best model (nb) vs single learners\n"
+        "best model: nb (ROC 1.000, TP rate 1.000)\n"
+        "rank rule: highest ROC, then highest TP rate, then earliest column\n"
+        "failed cells (ERR columns):\n"
+        "  none/boom: no model today\n"
+        "  smote: minority class has 5 rows; need more than k=5\n"
+        "  models/boom: no model today\n"
+    )
+    assert read(tmp_path / "g" / "manifest.txt") == (
+        "command = grid\n"
+        "master_seed = 3\n"
+        "seed.generate = 4\n"
+        "seed.label = 5\n"
+        "seed.sample = 7\n"
+        "seed.split = 6\n"
+        "seed.train.boom = 168887340\n"
+        "seed.train.nb = 1614433154\n"
+        "config.cost = default\n"
+        "config.data = -\n"
+        "config.em_columns = -\n"
+        "config.em_max_iter = 200\n"
+        "config.em_raw = False\n"
+        "config.em_tol = 1e-06\n"
+        "config.label = auto\n"
+        "config.learners = nb,boom\n"
+        "config.models = nb,boom\n"
+        "config.out = g\n"
+        "config.regimes = none,smote\n"
+        "config.smote_k = 5\n"
+        "config.smote_ratio = 1.0\n"
+        "config.split = 0.66\n"
+        "config.synthetic = rows=40,frac=0.15,shift=2.0\n"
+        "artifact = labeled.csv\n"
+        "artifact = table1.csv\n"
+        "artifact = table2.csv\n"
+        "artifact = table3.csv\n"
+        "artifact = table4.csv\n"
+        "artifact = summary.txt\n"
+        "artifact = manifest.txt\n"
+    )
 
 
 def test_grid_failing_regime_marks_err_and_continues(tmp_path):

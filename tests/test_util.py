@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rigline.baseline_learners import MlpConfig, train_cart, train_random_forest, train_rule_list
 from rigline.dataset import Dataset, SyntheticGenConfig, split_train_test, stratified_folds
 from rigline.errors import ConfigError
-from rigline.imbalance import SmoteConfig
+from rigline.imbalance import SmoteConfig, undersample
 from rigline.labeling_em import em_fit
 from rigline.stacking import LearnerSpec, StackSpec
 from rigline.svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
@@ -126,6 +126,8 @@ CONFIGS = {
 TINY = Dataset([("f0", ""), ("f1", "")], np.arange(24.0).reshape(12, 2) % 7,
                ["a", "b"] * 6)
 TINY_SVM = smo_train(TINY, SmoConfig())
+# undersample returns a balanced table before it draws; this one is not.
+UNBALANCED = TINY.subset([0, 1, 2, 3, 4, 6, 8, 10])
 
 # Each trainer with its leading positional arguments, its numeric
 # parameters and the parameters that are neither numeric nor data.
@@ -141,6 +143,7 @@ TRAINERS = {
     stratified_folds: ((TINY.labels, 2), {"n_folds": integer(2), "seed": integer(0)}, ()),
     split_train_test: ((TINY, 0.5), {"train_fraction": OPEN_UNIT, "seed": integer(0)}, ()),
     calibrate_probability: ((TINY_SVM, TINY, SmoConfig()), {"folds": integer(2)}, ()),
+    undersample: ((UNBALANCED,), {"seed": integer(0)}, ()),
 }
 
 
