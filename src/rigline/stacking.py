@@ -43,7 +43,7 @@ def _train_smo(d, seed, params):
     cal_folds = params.pop("cal_folds", 3)
     kernel = KernelSpec(params.pop("kernel", "linear"),
                         **{k: params.pop(k) for k in ("gamma", "degree", "coef0") if k in params})
-    cfg = SmoConfig(kernel=kernel, seed=seed, **params)
+    cfg = SmoConfig(kernel=kernel, **params)
     scaler = Standardizer().fit(d.X)
     zd = scaler.transform_dataset(d)
     svm = smo_train(zd, cfg)

@@ -80,7 +80,7 @@ def solved_small_cases():
         d = random_small_dataset(rng)
         C = [0.1, 1.0, 10.0][trial % 3]
         kernel = KernelSpec(kind="linear") if trial % 2 else KernelSpec(kind="rbf")
-        cfg = SmoConfig(C=C, kkt_tol=1e-5, eps=1e-7, kernel=kernel)
+        cfg = SmoConfig(C=C, kkt_tol=1e-5, kernel=kernel)
         steps = []
 
         def watch(state):
@@ -128,7 +128,7 @@ def test_criterion_2_kkt_clean_at_convergence(solved_small_cases):
     d = generate_synthetic(SyntheticGenConfig(row_count=500, seed=3))
     scaler = Standardizer()
     ds = Dataset(d.schema, scaler.fit_transform(d.X), d.labels)
-    m = smo_train(ds, SmoConfig(kkt_tol=1e-4, eps=1e-6))
+    m = smo_train(ds, SmoConfig(kkt_tol=1e-4))
     big = sum(kkt_report(m, ds, tol=1e-3).values())
     ok = small == 0 and big == 0 and m.converged
     verdict(2, ok, f"violations at tol 1e-3: {small} over 200 small, {big} on 500 rows")

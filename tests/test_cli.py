@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -504,7 +505,8 @@ def test_nan_svm_setting_fails_in_train(tmp_path, capsys, stage_inputs):
                  id="part-fractional-min-leaf"),
     pytest.param("rf", "bootstrap=no", "bootstrap must be True or False, got 'no'",
                  id="rf-bootstrap-word"),
-    pytest.param("smo", "eps=inf", "eps must be a finite number > 0, got inf",
+    # The solver has no eps setting: a step either moves the pair or not.
+    pytest.param("smo", "eps=inf", "unexpected keyword argument 'eps'",
                  id="smo-infinite-eps"),
     pytest.param("smo", "kkt_tol=inf", "kkt_tol must be a finite number > 0, got inf",
                  id="smo-infinite-kkt-tol"),
@@ -512,8 +514,8 @@ def test_nan_svm_setting_fails_in_train(tmp_path, capsys, stage_inputs):
                  id="smo-fractional-degree"),
     pytest.param("smo", "cal_folds=2.5", "folds must be an integer >= 2, got 2.5",
                  id="smo-fractional-cal-folds"),
-    pytest.param("smo", "max_passes=1.5", "max_passes must be an integer >= 1, got 1.5",
-                 id="smo-fractional-max-passes"),
+    pytest.param("smo", "max_steps=1.5", "max_steps must be an integer >= 1, got 1.5",
+                 id="smo-fractional-max-steps"),
     # Values that once trained a model or failed with an error that did
     # not name the setting: a bool is not an integer, and every float
     # setting is finite.
@@ -522,8 +524,8 @@ def test_nan_svm_setting_fails_in_train(tmp_path, capsys, stage_inputs):
     pytest.param("tree", "min_leaf=true", "min_leaf must be an integer >= 1, got True",
                  id="tree-bool-min-leaf"),
     pytest.param("smo", "C=true", "C must be a finite number > 0, got True", id="smo-bool-C"),
-    pytest.param("smo", "max_passes=true", "max_passes must be an integer >= 1, got True",
-                 id="smo-bool-max-passes"),
+    pytest.param("smo", "max_steps=true", "max_steps must be an integer >= 1, got True",
+                 id="smo-bool-max-steps"),
     pytest.param("rf", "n_trees=2.5", "n_trees must be an integer >= 1, got 2.5",
                  id="rf-fractional-trees"),
     pytest.param("rf", "features_per_split=1.5",
@@ -548,17 +550,22 @@ def test_bad_learner_params_fail_in_train(tmp_path, capsys, stage_inputs, learne
     assert os.listdir(tmp_path) == []
 
 
-def test_train_smo_stopped_by_max_passes_warns_on_stderr(tmp_path, stage_inputs):
-    # A fresh interpreter, so the warning reaches stderr as a user sees it.
+def test_train_smo_runaway_stopped_by_max_steps_warns_on_stderr(tmp_path, stage_inputs):
+    # C=1e308 on overlapping classes never converges; the pair-update cap
+    # ends it. A fresh interpreter, so the warning reaches stderr as a user
+    # sees it.
     model = tmp_path / "m.txt"
     src = os.path.dirname(os.path.dirname(rigline.__file__))
+    started = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-m", "rigline.cli", "train", "--data", stage_inputs["lab.csv"],
-         "--learner", "smo", "--params", "max_passes=1", "--out", str(model)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+         "--learner", "smo", "--params", "C=1e308,max_steps=50", "--out", str(model)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0
-    assert "UserWarning: SMO stopped at max_passes=1 without converging" in done.stderr
+    assert time.monotonic() - started < 30.0
+    assert ("UserWarning: SMO stopped after 50 pair updates (max_steps=50) without converging"
+            in done.stderr)
     assert "converged 0" in read(model).split("\n")
 
 

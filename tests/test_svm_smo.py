@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rigline.dataset import Dataset, class_order
 from rigline.errors import ConfigError, ShapeError, SingleClassError
+from rigline.modeldoc import model_to_text
 from rigline.svm_smo import (
     CalibratedSvm,
     KernelSpec,
@@ -174,6 +175,36 @@ def test_every_step_keeps_errors_box_and_equality(problem):
     smo_train(d, SmoConfig(C=C, kernel=kernel), step_monitor=monitor)
 
 
+# Feature values from a small set, so that points repeat (a pair with zero
+# kernel distance takes the curvature floor) and multipliers reach C.
+REPEATING = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def repeating_problems(draw):
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(REPEATING, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    signs = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    labels = ["p", "m"] + ["p" if s else "m" for s in signs]
+    kernel = draw(st.sampled_from([LINEAR, KernelSpec(kind="rbf")]))
+    C = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return Dataset([(f"f{i}", "") for i in range(dim)], X, labels), SmoConfig(C=C, kernel=kernel)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(repeating_problems())
+def test_stopping_rule_gives_a_kkt_clean_converged_model(problem):
+    # Stopping when max E over I_low minus min E over I_up is below kkt_tol
+    # must leave no optimality case violated at that tolerance, also when a
+    # step rounds a multiplier to just off a bound.
+    d, cfg = problem
+    m = smo_train(d, cfg)
+    assert m.converged
+    assert kkt_report(m, d, cfg.kkt_tol) == {"alpha_zero": 0, "alpha_interior": 0,
+                                             "alpha_at_c": 0}
+
+
 def test_take_step_degenerate_segment_returns_false():
     # Same point twice with equal labels: the diagonal segment collapses.
     d = Dataset([("x", "")], [[1.0], [1.0]], ["a", "b"])
@@ -219,9 +250,7 @@ def test_separable_margins_where_alpha_zero():
 
 def test_kkt_report_converged_perturbed_and_inf_tol():
     d = blobs(n_per=25, gap=2.0, seed=8)
-    # Reporting at a looser tol than the solver trained to: steps smaller
-    # than eps are skipped, so violations can survive right at kkt_tol.
-    cfg = SmoConfig(C=1.0, kernel=KernelSpec(kind="rbf"), kkt_tol=1e-4, eps=1e-6)
+    cfg = SmoConfig(C=1.0, kernel=KernelSpec(kind="rbf"), kkt_tol=1e-4)
     m = smo_train(d, cfg)
     assert m.converged
     report = kkt_report(m, d, 1e-3)
@@ -277,7 +306,7 @@ def test_kernel_and_config_validation():
     with pytest.raises(ConfigError):
         SmoConfig(kkt_tol=-1.0)
     nan = float("nan")
-    for bad in ({"C": nan}, {"kkt_tol": nan}, {"eps": nan}):
+    for bad in ({"C": nan}, {"kkt_tol": nan}, {"max_steps": nan}):
         with pytest.raises(ConfigError):
             SmoConfig(**bad)
     with pytest.raises(ConfigError):
@@ -287,15 +316,14 @@ def test_kernel_and_config_validation():
 @pytest.mark.parametrize("make", [
     lambda: SmoConfig(C=math.inf),
     lambda: SmoConfig(kkt_tol=math.inf),
-    lambda: SmoConfig(eps=math.inf),
-    lambda: SmoConfig(max_passes=1.5),
-    lambda: SmoConfig(max_passes=0),
+    lambda: SmoConfig(max_steps=1.5),
+    lambda: SmoConfig(max_steps=0),
     lambda: KernelSpec(kind="polynomial", degree=2.5),
     lambda: KernelSpec(degree=2.0),
     lambda: KernelSpec(kind="rbf", gamma=math.inf),
     lambda: KernelSpec(kind="polynomial", coef0=-math.inf),
     lambda: KernelSpec(coef0=float("nan")),
-], ids=["C-inf", "kkt_tol-inf", "eps-inf", "max_passes-fraction", "max_passes-0",
+], ids=["C-inf", "kkt_tol-inf", "max_steps-fraction", "max_steps-0",
         "degree-fraction", "degree-float", "gamma-inf", "coef0-inf", "coef0-nan"])
 def test_non_finite_and_non_integer_settings_rejected(make):
     with pytest.raises(ConfigError):
@@ -315,34 +343,42 @@ def test_single_class_and_multiclass_rejected():
 
 def test_non_convergence_flag_and_model_still_usable():
     d = blobs(n_per=40, gap=0.1, seed=12)
-    with pytest.warns(UserWarning, match="max_passes=2"):
-        m = smo_train(d, SmoConfig(C=10.0, kernel=LINEAR, max_passes=2))
+    with pytest.warns(UserWarning, match=r"after 2 pair updates \(max_steps=2\)"):
+        m = smo_train(d, SmoConfig(C=10.0, kernel=LINEAR, max_steps=2))
     assert not m.converged
+    assert m.n_support() > 0
     preds = sign_rule(m, d.X)
     assert set(preds) <= {"up", "down"}
 
 
-def test_every_solve_stopped_by_max_passes_warns():
+def test_pair_that_cannot_move_stops_the_solve_unconverged():
+    # The optimum a = 2 / (2e6)^2 lies inside the snap zone, so the only
+    # pair's step rounds back to 0 and every further step would repeat it.
+    d = Dataset([("x", "")], [[1e6], [-1e6]], ["a", "b"])
+    with pytest.warns(UserWarning, match="after 0 pair updates"):
+        m = smo_train(d, SmoConfig(C=1.0, kernel=LINEAR))
+    assert not m.converged
+
+
+def test_every_solve_stopped_by_max_steps_warns():
     d = blobs(n_per=40, gap=0.1, seed=12)
-    cfg = SmoConfig(C=10.0, kernel=LINEAR, max_passes=1)
-    with pytest.warns(UserWarning, match="max_passes=1") as record:
+    cfg = SmoConfig(C=10.0, kernel=LINEAR, max_steps=1)
+    with pytest.warns(UserWarning, match="max_steps=1") as record:
         m = smo_train(d, cfg)
     assert len(record) == 1 and not m.converged
     # Each calibration fold is a solve of its own under the same cap.
-    with pytest.warns(UserWarning, match="max_passes=1") as record:
+    with pytest.warns(UserWarning, match="max_steps=1") as record:
         cal = calibrate_probability(m, d, cfg, folds=3)
     assert len(record) == 3 and not cal.fallback
 
 
 def test_determinism_same_seed_same_model():
+    # The solver draws nothing at random: the same input twice gives the
+    # same model document, calibration folds included.
     d = blobs(n_per=30, gap=0.8, seed=13)
-    cfg = SmoConfig(C=1.0, kernel=KernelSpec(kind="rbf"), seed=5)
-    m1 = smo_train(d, cfg)
-    m2 = smo_train(d, cfg)
-    assert np.array_equal(m1.alpha, m2.alpha)
-    assert np.array_equal(m1.sv_indices, m2.sv_indices)
-    assert m1.b == m2.b
-    assert m1.dual_objective == m2.dual_objective
+    cfg = SmoConfig(C=1.0, kernel=KernelSpec(kind="rbf"))
+    texts = [model_to_text(calibrate_probability(smo_train(d, cfg), d, cfg)) for _ in range(2)]
+    assert texts[0] == texts[1]
 
 
 def test_gamma_resolution_default():

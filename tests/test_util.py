@@ -109,8 +109,8 @@ CONFIGS = {
     MlpConfig: ({}, {"hidden_units": integer(1), "learning_rate": POSITIVE,
                      "momentum": real(BELOW_ZERO, st.floats(min_value=1.0)),
                      "epochs": integer(1), "batch_size": integer(1), "seed": integer(0)}, ()),
-    SmoConfig: ({}, {"C": POSITIVE, "kkt_tol": POSITIVE, "eps": POSITIVE,
-                     "max_passes": integer(1), "seed": integer(0)}, ("kernel",)),
+    SmoConfig: ({}, {"C": POSITIVE, "kkt_tol": POSITIVE, "max_steps": integer(1)},
+                ("kernel",)),
     KernelSpec: ({"kind": "polynomial"}, {"gamma": POSITIVE, "degree": integer(1),
                                           "coef0": real()}, ("kind",)),
     SmoteConfig: ({}, {"k_neighbors": integer(1),
