@@ -11,6 +11,7 @@ one pass, predict_proba the probabilities and predict the picked classes
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -145,7 +146,83 @@ class TreeNode:
         return self.feature < 0
 
 
+# Prediction routes a block of this many rows through every tree at once, so
+# its (rows, trees) temporaries stay small at any row count.
+WALK_BLOCK_ROWS = 512
+
+
+class NodeArrays(NamedTuple):
+    """Trees compiled into pre-order node arrays, one tree after another.
+
+    A row at node i moves to child[i, 1] (the left child, i + 1) when its
+    value of feature[i] is <= threshold[i], else to child[i, 0] (the right
+    child). A leaf has feature -1 (the walk reads a row's last value there),
+    a NaN threshold, which no value is <=, and itself as right child, so a
+    row that reached it stays there."""
+
+    feature: np.ndarray  # (N,) split feature, -1 at a leaf
+    threshold: np.ndarray  # (N,) split threshold, NaN at a leaf
+    child: np.ndarray  # (N, 2) right and left child
+    proba: np.ndarray  # (N, K) Laplace rows of the leaves' class counts
+    roots: np.ndarray  # (T,) index of each tree's root
+    depth: int  # deepest leaf of any tree
+
+
+def _compile_trees(roots, K) -> NodeArrays:
+    """Compile the TreeNode graphs under roots, in tree order, into NodeArrays."""
+    feature, threshold, right, leaves, counts, starts = [], [], [], [], [], []
+    depth = 0
+    for root in roots:
+        starts.append(len(feature))
+        stack = [(root, 0, -1)]  # (node, its depth, the split it is the right child of)
+        while stack:
+            node, d, parent = stack.pop()
+            i = len(feature)
+            if parent >= 0:
+                right[parent] = i
+            depth = max(depth, d)
+            right.append(i)
+            if node.is_leaf:
+                feature.append(-1)
+                threshold.append(np.nan)
+                leaves.append(i)
+                counts.append(node.counts)
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                stack += [(node.right, d + 1, i), (node.left, d + 1, -1)]
+    N = len(feature)
+    C = np.zeros((N, K))
+    C[leaves] = counts
+    return NodeArrays(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+                      np.column_stack([right, np.arange(1, N + 1)]),
+                      (C + 1.0) / (C.sum(axis=1, keepdims=True) + K),
+                      np.array(starts, dtype=np.intp), depth)
+
+
+def _walk_trees(nodes: NodeArrays, X):
+    """Mean of the trees' leaf probabilities for each row of X. Every (row,
+    tree) pair of a block of rows takes one step down per depth level, and
+    each class's leaf probabilities add up in tree order."""
+    T, K = len(nodes.roots), nodes.proba.shape[1]
+    child = nodes.child.ravel()
+    P = np.empty((X.shape[0], K))
+    for a in range(0, X.shape[0], WALK_BLOCK_ROWS):
+        block = X[a : a + WALK_BLOCK_ROWS]
+        cells = block.ravel()
+        row_start = np.arange(len(block))[:, None] * block.shape[1]
+        at = np.broadcast_to(nodes.roots, (len(block), T))
+        for _ in range(nodes.depth):
+            left = cells[row_start + nodes.feature[at]] <= nodes.threshold[at]
+            at = child[2 * at + left]
+        for k in range(K):
+            P[a : a + len(block), k] = np.cumsum(nodes.proba[at, k], axis=1)[:, -1] / T
+    return P
+
+
 class DecisionTreeModel(TrainedModel):
+    """One tree; prediction walks the tree compiled on first use."""
+
     learner = "tree"
 
     def __init__(self, classes, root, arity):
@@ -153,35 +230,18 @@ class DecisionTreeModel(TrainedModel):
         self.root = root
         self.arity = arity
 
+    @cached_property
+    def nodes(self) -> NodeArrays:
+        return _compile_trees([self.root], len(self.classes))
+
     def _proba_matrix(self, X):
-        P = np.empty((X.shape[0], len(self.classes)))
-
-        def route(node, rows):
-            if node.is_leaf:
-                P[rows] = _laplace(node.counts)
-            elif len(rows):
-                left = X[rows, node.feature] <= node.threshold
-                route(node.left, rows[left])
-                route(node.right, rows[~left])
-
-        route(self.root, np.arange(X.shape[0]))
-        return P
+        return _walk_trees(self.nodes, X)
 
     def depth(self):
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return self.nodes.depth
 
     def n_leaves(self):
-        def walk(node):
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        return int(np.count_nonzero(self.nodes.feature < 0))
 
 
 def _laplace(counts):
@@ -314,6 +374,9 @@ def train_cart(d: Dataset, max_depth=None, min_leaf: int = 1) -> DecisionTreeMod
 # Random forest (bagged trees with per-node feature subsampling)
 
 class RandomForestModel(TrainedModel):
+    """Bagged trees; prediction walks all of them, compiled together on first
+    use, as DecisionTreeModel walks one."""
+
     learner = "rf"
 
     def __init__(self, classes, trees, arity):
@@ -321,11 +384,12 @@ class RandomForestModel(TrainedModel):
         self.trees = trees
         self.arity = arity
 
+    @cached_property
+    def nodes(self) -> NodeArrays:
+        return _compile_trees([t.root for t in self.trees], len(self.classes))
+
     def _proba_matrix(self, X):
-        P = np.zeros((X.shape[0], len(self.classes)))
-        for t in self.trees:
-            P += t._proba_matrix(X)
-        return P / len(self.trees)
+        return _walk_trees(self.nodes, X)
 
 
 def train_random_forest(

@@ -114,13 +114,13 @@ class Dataset:
         indices = np.asarray(indices, dtype=int)
         labels = None if self.labels is None else self.labels[indices]
         meta = None if self.meta is None else [self.meta[i] for i in indices]
-        return Dataset(self.schema, self.X[indices], labels, meta, self.meta_schema)
+        return self._derive(self.X[indices], labels, meta)
 
     def with_labels(self, labels) -> "Dataset":
-        return Dataset(self.schema, self.X, labels, self.meta, self.meta_schema)
+        return self._derive(self.X, labels, self.meta)
 
     def without_labels(self) -> "Dataset":
-        return Dataset(self.schema, self.X, None, self.meta, self.meta_schema)
+        return self._derive(self.X, None, self.meta)
 
     def append_rows(self, X_new, labels_new) -> "Dataset":
         """New dataset with extra labeled rows appended (meta dropped for new rows)."""
@@ -131,8 +131,17 @@ class Dataset:
         meta = None
         if self.meta is not None:
             blank = tuple("" for _ in (self.meta_schema or ()))
-            meta = list(self.meta) + [blank] * len(X_new)
-        return Dataset(self.schema, X, labels, meta, self.meta_schema)
+            meta = self.meta + [blank] * len(X_new)
+        return self._derive(X, labels, meta)
+
+    def _derive(self, X, labels, meta) -> "Dataset":
+        """A Dataset with this one's schemas whose meta rows come from this
+        one, so they are already tuples of str and are kept as they are."""
+        d = Dataset(self.schema, X, labels, None, self.meta_schema)
+        if meta is not None and len(meta) != d.n_rows:
+            raise ArityError(f"{len(meta)} meta rows for {d.n_rows} rows")
+        d.meta = meta
+        return d
 
 
 def _parse_header_cell(cell: str):
@@ -422,4 +431,4 @@ class Standardizer:
         return self.fit(X).transform(X)
 
     def transform_dataset(self, d: Dataset) -> Dataset:
-        return Dataset(d.schema, self.transform(d.X), d.labels, d.meta, d.meta_schema)
+        return d._derive(self.transform(d.X), d.labels, d.meta)

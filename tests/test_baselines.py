@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +449,68 @@ def test_batch_routing_matches_per_row_reference(train):
     assert np.array_equal(m.predict_proba(X[0]), reference_proba(m, X[:1])[0])
 
 
+@st.composite
+def compiled_walk_problems(draw):
+    """A CART or forest on a small tied integer table (single-class and
+    single-leaf trees included), query rows with values on and between the
+    split thresholds, and a walk block size, so that blocks split the rows.
+    Forests of 12 trees are drawn too: numpy's pairwise summation adds 8 or
+    more terms in another order than a running sum."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 3))
+    K = draw(st.sampled_from([2, 3]))
+    values = draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+    labels = [("a", "b", "c")[k] for k in
+              draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n))]
+    d = Dataset([(f"f{j}", "") for j in range(dim)],
+                np.array(values, dtype=float).reshape(n, dim), labels)
+    max_depth = draw(st.sampled_from([None, 0, 2]))
+    if draw(st.booleans()):
+        m = train_cart(d, max_depth=max_depth)
+    else:
+        m = train_random_forest(d, n_trees=draw(st.integers(1, 7) | st.just(12)),
+                                seed=draw(st.integers(0, 9)), max_depth=max_depth,
+                                bootstrap=draw(st.booleans()))
+    halves = st.integers(-1, 8).map(lambda v: v / 2)
+    queries = draw(st.lists(st.lists(halves, min_size=dim, max_size=dim), max_size=20))
+    X = np.vstack([d.X, np.array(queries, dtype=float).reshape(-1, dim)])
+    for i, (f, thr) in enumerate(_split_points(m)):
+        x = X[i % len(X)].copy()
+        x[f] = thr
+        X = np.vstack([X, x])
+    return m, X, draw(st.sampled_from([1, 3, 512]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(compiled_walk_problems())
+def test_compiled_walk_matches_per_row_reference(problem):
+    m, X, block = problem
+    saved = baseline_learners.WALK_BLOCK_ROWS
+    baseline_learners.WALK_BLOCK_ROWS = block
+    try:
+        assert np.array_equal(m.predict_proba(X), reference_proba(m, X))
+        assert np.array_equal(m.predict_proba(X[:1]), reference_proba(m, X[:1]))
+        assert np.array_equal(m.predict_proba(X[0]), reference_proba(m, X[:1])[0])
+        assert m.predict_proba(X[:0]).shape == (0, len(m.classes))
+    finally:
+        baseline_learners.WALK_BLOCK_ROWS = saved
+
+
+def test_forest_predict_memory_is_bounded_by_the_row_block():
+    # Walking 20,000 rows x 100 trees at once would take 16 MB for each
+    # (row, tree) array; row blocks keep the whole prediction under 4 MB.
+    m = train_random_forest(synth(n=200, seed=4), n_trees=100, seed=1)
+    X = np.resize(synth(n=200, seed=5).X, (20_000, m.arity))
+    tracemalloc.start()
+    try:
+        P = m.predict_proba(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert P.shape == (20_000, 2)
+    assert peak < 4_000_000
+
+
 # ---------------------------------------------------------------------------
 # Neural network
 
@@ -497,6 +560,26 @@ def test_mlp_config_validation():
         MlpConfig(momentum=1.0)
     with pytest.raises(ConfigError):
         MlpConfig(hidden_units=0)
+
+
+# Golden pins of MLP documents, on data with several minibatches per epoch
+# and a short last batch, so that a change in the batch order, the update
+# arithmetic or the RNG draws changes a digest.
+GOLDEN_MLPS = {
+    "three-class": (lambda: train_mlp(tied_three_class(), MlpConfig(epochs=20, seed=3)),
+                    "16c708ae84d057b8801aa77c39d5d018a196bdc44c94a9f40c1913d8aba46400"),
+    "two-class-batch16": (
+        lambda: train_mlp(synth(n=150, seed=7), MlpConfig(hidden_units=4, epochs=15,
+                                                          batch_size=16, momentum=0.5, seed=1)),
+        "453542819a0c925abca5b7b2f04978c278c06e66361d053e48d571a25a9ed4ac"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MLPS))
+def test_mlp_models_match_golden_digests(case):
+    train, digest = GOLDEN_MLPS[case]
+    text = model_to_text(train())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_mlp_pack_unpack_round_trip():

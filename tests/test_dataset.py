@@ -521,6 +521,20 @@ def test_subset_and_append():
     assert grown.labels[-1] == CLASS_FAILURE
 
 
+def test_derived_datasets_keep_the_normalised_meta_rows():
+    d = Dataset([("a", ""), ("b", "")], [[1.0, 2.0], [3.0, 4.0]], ["x", "y"],
+                [[7, 2.5], ["s", None]], ["S No.", "Time Stamp"])
+    assert d.meta == [("7", "2.5"), ("s", "None")]
+    for derived in (d.with_labels(["y", "x"]), d.without_labels(),
+                    Standardizer().fit(d.X).transform_dataset(d)):
+        assert derived.meta == d.meta and derived.meta_schema == d.meta_schema
+    assert d.subset([1]).meta == [("s", "None")]
+    grown = d.append_rows([[5.0, 6.0]], ["x"])
+    assert grown.meta == d.meta + [("", "")]
+    with pytest.raises(ArityError):
+        d.append_rows([5.0, 6.0], ["x"])
+
+
 def test_standardizer_round_trip():
     rng = np.random.default_rng(0)
     X = rng.normal(5.0, 3.0, size=(200, 4))
