@@ -11,7 +11,6 @@ one pass, predict_proba the probabilities and predict the picked classes
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -131,81 +130,78 @@ def train_naive_bayes(d: Dataset) -> NaiveBayesModel:
 # ---------------------------------------------------------------------------
 # Decision tree (Gini impurity, numeric splits at midpoints, Laplace leaves)
 
-class TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "counts")
-
-    def __init__(self, feature=-1, threshold=0.0, left=None, right=None, counts=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.counts = counts
-
-    @property
-    def is_leaf(self):
-        return self.feature < 0
-
-
 # Prediction routes a block of this many rows through every tree at once, so
 # its (rows, trees) temporaries stay small at any row count.
 WALK_BLOCK_ROWS = 512
 
 
 class NodeArrays(NamedTuple):
-    """Trees compiled into pre-order node arrays, one tree after another.
+    """Trees as pre-order node arrays, one tree after another; the one store
+    of a trained tree or forest.
 
     A row at node i moves to child[i, 1] (the left child, i + 1) when its
     value of feature[i] is <= threshold[i], else to child[i, 0] (the right
     child). A leaf has feature -1 (the walk reads a row's last value there),
     a NaN threshold, which no value is <=, and itself as right child, so a
-    row that reached it stays there."""
+    row that reached it stays there. node_arrays derives the last three
+    fields from the first three."""
 
     feature: np.ndarray  # (N,) split feature, -1 at a leaf
     threshold: np.ndarray  # (N,) split threshold, NaN at a leaf
+    counts: np.ndarray  # (N, K) a leaf's class counts, 0 at a split
     child: np.ndarray  # (N, 2) right and left child
-    proba: np.ndarray  # (N, K) Laplace rows of the leaves' class counts
     roots: np.ndarray  # (T,) index of each tree's root
     depth: int  # deepest leaf of any tree
 
 
-def _compile_trees(roots, K) -> NodeArrays:
-    """Compile the TreeNode graphs under roots, in tree order, into NodeArrays."""
-    feature, threshold, right, leaves, counts, starts = [], [], [], [], [], []
-    depth = 0
-    for root in roots:
-        starts.append(len(feature))
-        stack = [(root, 0, -1)]  # (node, its depth, the split it is the right child of)
-        while stack:
-            node, d, parent = stack.pop()
-            i = len(feature)
-            if parent >= 0:
-                right[parent] = i
-            depth = max(depth, d)
-            right.append(i)
-            if node.is_leaf:
-                feature.append(-1)
-                threshold.append(np.nan)
-                leaves.append(i)
-                counts.append(node.counts)
-            else:
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                stack += [(node.right, d + 1, i), (node.left, d + 1, -1)]
-    N = len(feature)
-    C = np.zeros((N, K))
-    C[leaves] = counts
-    return NodeArrays(np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
-                      np.column_stack([right, np.arange(1, N + 1)]),
-                      (C + 1.0) / (C.sum(axis=1, keepdims=True) + K),
-                      np.array(starts, dtype=np.intp), depth)
+def node_arrays(feature, threshold, counts) -> NodeArrays:
+    """NodeArrays of one or more trees from the feature, threshold and class
+    counts of their nodes, each tree in pre-order, one after another. A
+    split's left child comes next and its right child after the left
+    subtree; a node that no split waits for is the next tree's root."""
+    feature = np.array(feature, dtype=np.intp)
+    child = [[i, i + 1] for i in range(len(feature))]  # a leaf is its own right child
+    roots, depth = [], 0
+    todo = []  # the open tree's nodes to come, next on top: (right child of split or -1, depth)
+    for i, f in enumerate(feature.tolist()):
+        if not todo:
+            roots.append(i)
+            todo.append((-1, 0))
+        parent, d = todo.pop()
+        if parent >= 0:
+            child[parent][0] = i
+        depth = max(depth, d)
+        if f >= 0:
+            todo += [(i, d + 1), (-1, d + 1)]
+    return NodeArrays(feature, np.array(threshold, dtype=float), np.array(counts, dtype=float),
+                      np.array(child), np.array(roots, dtype=np.intp), depth)
+
+
+class TreeNode(NamedTuple):
+    """Read-only view of node i of a NodeArrays, for walks one node at a time."""
+
+    nodes: NodeArrays
+    i: int
+
+    is_leaf = property(lambda self: bool(self.nodes.feature[self.i] < 0))
+    feature = property(lambda self: int(self.nodes.feature[self.i]))
+    threshold = property(lambda self: float(self.nodes.threshold[self.i]))
+    counts = property(lambda self: self.nodes.counts[self.i])
+    left = property(lambda self: TreeNode(self.nodes, int(self.nodes.child[self.i, 1])))
+    right = property(lambda self: TreeNode(self.nodes, int(self.nodes.child[self.i, 0])))
+
+
+def _laplace(counts):
+    """Laplace-smoothed class probabilities of class counts on the last axis."""
+    return (counts + 1.0) / (counts.sum(axis=-1, keepdims=True) + counts.shape[-1])
 
 
 def _walk_trees(nodes: NodeArrays, X):
     """Mean of the trees' leaf probabilities for each row of X. Every (row,
     tree) pair of a block of rows takes one step down per depth level, and
     each class's leaf probabilities add up in tree order."""
-    T, K = len(nodes.roots), nodes.proba.shape[1]
-    child = nodes.child.ravel()
+    T, K = len(nodes.roots), nodes.counts.shape[1]
+    child, proba = nodes.child.ravel(), _laplace(nodes.counts)
     P = np.empty((X.shape[0], K))
     for a in range(0, X.shape[0], WALK_BLOCK_ROWS):
         block = X[a : a + WALK_BLOCK_ROWS]
@@ -216,23 +212,23 @@ def _walk_trees(nodes: NodeArrays, X):
             left = cells[row_start + nodes.feature[at]] <= nodes.threshold[at]
             at = child[2 * at + left]
         for k in range(K):
-            P[a : a + len(block), k] = np.cumsum(nodes.proba[at, k], axis=1)[:, -1] / T
+            P[a : a + len(block), k] = np.cumsum(proba[at, k], axis=1)[:, -1] / T
     return P
 
 
 class DecisionTreeModel(TrainedModel):
-    """One tree; prediction walks the tree compiled on first use."""
+    """One tree; the one-tree case of the forest's walk."""
 
     learner = "tree"
 
-    def __init__(self, classes, root, arity):
+    def __init__(self, classes, nodes: NodeArrays, arity):
         super().__init__(classes)
-        self.root = root
+        self.nodes = nodes
         self.arity = arity
 
-    @cached_property
-    def nodes(self) -> NodeArrays:
-        return _compile_trees([self.root], len(self.classes))
+    @property
+    def root(self) -> TreeNode:
+        return TreeNode(self.nodes, 0)
 
     def _proba_matrix(self, X):
         return _walk_trees(self.nodes, X)
@@ -242,11 +238,6 @@ class DecisionTreeModel(TrainedModel):
 
     def n_leaves(self):
         return int(np.count_nonzero(self.nodes.feature < 0))
-
-
-def _laplace(counts):
-    """Laplace-smoothed class probabilities of a leaf's or a rule's counts."""
-    return (counts + 1.0) / (counts.sum() + len(counts))
 
 
 def _gini(counts, n):
@@ -326,7 +317,7 @@ def _split_block(X, y, K, segments, features, min_leaf):
 
 def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_depth"):
     """Grow one Gini tree on each row sample (indices into X and y); return
-    the roots. The trees grow in lockstep: at each step, every tree takes the
+    NodeArrays. The trees grow in lockstep: at each step, every tree takes the
     next splittable node of its pre-order walk and draws its features with
     pick(tree index), and one segmented search splits all of those nodes, so
     each tree draws in the order it would alone. max_depth (None for no
@@ -334,48 +325,48 @@ def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_dep
     if max_depth is not None:
         check_number(depth_name, max_depth, int, lambda v: v >= 0, ">= 0")
     check_number("min_leaf", min_leaf, int, lambda v: v >= 1, ">= 1")
-    holders = [TreeNode() for _ in samples]
-    # Pending nodes per tree, next on top: (rows, depth, parent, side); roots hang off holders.
-    stacks = [[(rows, 0, h, "left")] for rows, h in zip(samples, holders)]
+    trees = [[] for _ in samples]  # each tree's decided nodes, in pre-order
+    stacks = [[(rows, 0)] for rows in samples]  # pending nodes per tree, next on top
     while True:
         batch, features = [], []
         for t, stack in enumerate(stacks):
             while stack:
-                rows, depth, parent, side = stack.pop()
+                rows, depth = stack.pop()
                 counts = np.bincount(y[rows], minlength=K).astype(float)
-                node = TreeNode(counts=counts)
-                setattr(parent, side, node)
                 if (len(rows) >= 2 * min_leaf and (max_depth is None or depth < max_depth)
                         and np.count_nonzero(counts) > 1):
-                    batch.append((t, node, rows, depth))
+                    batch.append((t, rows, depth, counts))
                     features.append(pick(t))
                     break
+                trees[t].append((-1, np.nan, counts))
         if not batch:
-            return [h.left for h in holders]
-        splits = _segment_splits(X, y, K, [b[2] for b in batch], features, min_leaf)
-        for (t, node, rows, depth), split in zip(batch, splits):
-            if split is not None:
-                node.feature, node.threshold, _ = split
-                left = X[rows, node.feature] <= node.threshold
-                stacks[t] += [(rows[~left], depth + 1, node, "right"),
-                              (rows[left], depth + 1, node, "left")]
+            return [node_arrays(*zip(*nodes)) for nodes in trees]
+        splits = _segment_splits(X, y, K, [b[1] for b in batch], features, min_leaf)
+        for (t, rows, depth, counts), split in zip(batch, splits):
+            if split is None:
+                trees[t].append((-1, np.nan, counts))
+                continue
+            feature, threshold, _ = split
+            trees[t].append((feature, threshold, np.zeros(K)))
+            left = X[rows, feature] <= threshold
+            stacks[t] += [(rows[~left], depth + 1), (rows[left], depth + 1)]
 
 
 def train_cart(d: Dataset, max_depth=None, min_leaf: int = 1) -> DecisionTreeModel:
     """Binary decision tree minimizing Gini impurity, greedy top-down."""
     _require_labeled(d)
     classes, y = _encode_labels(d)
-    root, = _grow_trees(d.X, y, len(classes), [np.arange(d.n_rows)],
-                        lambda t: list(range(d.arity)), max_depth, min_leaf)
-    return DecisionTreeModel(classes, root, d.arity)
+    nodes, = _grow_trees(d.X, y, len(classes), [np.arange(d.n_rows)],
+                         lambda t: list(range(d.arity)), max_depth, min_leaf)
+    return DecisionTreeModel(classes, nodes, d.arity)
 
 
 # ---------------------------------------------------------------------------
 # Random forest (bagged trees with per-node feature subsampling)
 
 class RandomForestModel(TrainedModel):
-    """Bagged trees; prediction walks all of them, compiled together on first
-    use, as DecisionTreeModel walks one."""
+    """Bagged trees; prediction walks all of them, joined into one
+    NodeArrays, as DecisionTreeModel walks one."""
 
     learner = "rf"
 
@@ -383,10 +374,8 @@ class RandomForestModel(TrainedModel):
         super().__init__(classes)
         self.trees = trees
         self.arity = arity
-
-    @cached_property
-    def nodes(self) -> NodeArrays:
-        return _compile_trees([t.root for t in self.trees], len(self.classes))
+        fields = zip(*(t.nodes[:3] for t in trees))  # the trees' features, thresholds, counts
+        self.nodes = node_arrays(*map(np.concatenate, fields))
 
     def _proba_matrix(self, X):
         return _walk_trees(self.nodes, X)
@@ -424,8 +413,8 @@ def train_random_forest(
     def pick(t):
         return sorted(rngs[t].choice(d.arity, features_per_split, replace=False).tolist())
 
-    roots = _grow_trees(d.X, y, len(classes), samples, pick, max_depth, min_leaf)
-    trees = [DecisionTreeModel(classes, root, d.arity) for root in roots]
+    trees = [DecisionTreeModel(classes, nodes, d.arity)
+             for nodes in _grow_trees(d.X, y, len(classes), samples, pick, max_depth, min_leaf)]
     return RandomForestModel(classes, trees, d.arity)
 
 
@@ -495,8 +484,9 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     rules = []
     max_rules = 200
     while len(y) > 0 and len(rules) < max_rules:
-        root, = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
-                            max_rule_depth, min_leaf, "max_rule_depth")
+        nodes, = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
+                             max_rule_depth, min_leaf, "max_rule_depth")
+        root = TreeNode(nodes, 0)
         if root.is_leaf:
             break
         _, _, path, counts = _best_leaf_path(root, [])

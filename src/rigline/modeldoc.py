@@ -26,6 +26,7 @@ from .baseline_learners import (
     RuleListModel,
     TrainedModel,
     TreeNode,
+    node_arrays,
 )
 from .dataset import Standardizer
 from .errors import ParseError
@@ -190,28 +191,26 @@ def _node_text(node) -> str:
     return f"split {int(node.feature)} {float(node.threshold)!r}"
 
 
-def _node(doc, node, arity, K) -> TreeNode:
-    """A node line, then the left and right subtrees of a split."""
+def _tree(doc, m):
+    """The node lines of the tree in pre-order: a split's left subtree, then
+    its right subtree."""
+    classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
+    K = len(classes)
 
     def parse(text):
         kind, *rest = text.split()
         if kind == "leaf":
-            return TreeNode(counts=_vector(K)(" ".join(rest)))
+            return -1, np.nan, _vector(K)(" ".join(rest))
         if kind != "split":
             raise ValueError(f"unknown node kind {kind!r}")
         feature, threshold = rest
-        return TreeNode(_feature(feature, arity), float(threshold))
+        return _feature(feature, arity), float(threshold), np.zeros(K)
 
-    out = doc.line("node", node and _node_text(node), parse)
-    if not out.is_leaf:
-        out.left = _node(doc, node and node.left, arity, K)
-        out.right = _node(doc, node and node.right, arity, K)
-    return out
-
-
-def _tree(doc, m):
-    classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
-    return DecisionTreeModel(classes, _node(doc, m and m.root, arity, len(classes)), arity)
+    nodes, to_come = [], 1  # a split adds its two children to the nodes still to come
+    while to_come:
+        nodes.append(doc.line("node", m and _node_text(TreeNode(m.nodes, len(nodes))), parse))
+        to_come += 1 if nodes[-1][0] >= 0 else -1
+    return DecisionTreeModel(classes, node_arrays(*zip(*nodes)), arity)
 
 
 def _rf(doc, m):

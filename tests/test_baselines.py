@@ -27,7 +27,7 @@ from rigline.dataset import (
     generate_synthetic,
 )
 from rigline.errors import ConfigError, ShapeError, SingleClassError
-from rigline.modeldoc import model_to_text
+from rigline.modeldoc import model_from_text, model_to_text
 
 
 def toy_dataset():
@@ -492,6 +492,10 @@ def test_compiled_walk_matches_per_row_reference(problem):
         assert np.array_equal(m.predict_proba(X[:1]), reference_proba(m, X[:1]))
         assert np.array_equal(m.predict_proba(X[0]), reference_proba(m, X[:1])[0])
         assert m.predict_proba(X[:0]).shape == (0, len(m.classes))
+        # A loaded tree is the trained tree's arrays, 0 counts at splits included.
+        back = model_from_text(model_to_text(m)).nodes
+        for name, a, b in zip(back._fields, back, m.nodes):
+            assert np.array_equal(a, b, equal_nan=True), name
     finally:
         baseline_learners.WALK_BLOCK_ROWS = saved
 

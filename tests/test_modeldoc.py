@@ -63,6 +63,29 @@ def test_tree_round_trip(tmp_path):
     assert np.array_equal(back.predict_proba(d.X), m.predict_proba(d.X))
 
 
+def test_deep_tree_round_trip_and_cli(tmp_path):
+    # Labels alternate along the one feature, so every split cuts off one
+    # row: a tree of depth 1,199, deeper than Python's recursion limit.
+    from rigline.cli import main
+    from rigline.dataset import Dataset, save_csv
+
+    n = 1200
+    d = Dataset([("v", "")], np.arange(n, dtype=float).reshape(-1, 1),
+                [("a", "b")[i % 2] for i in range(n)])
+    m = train_cart(d)
+    assert m.depth() == n - 1
+    text = model_to_text(m)
+    back = model_from_text(text)
+    assert model_to_text(back) == text
+    assert np.array_equal(back.predict_proba(d.X), m.predict_proba(d.X))
+    data, model = tmp_path / "d.csv", tmp_path / "m.txt"
+    save_csv(d, str(data))
+    assert main(["train", "--data", str(data), "--learner", "tree", "--out", str(model)]) == 0
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert load_model(str(model)).depth() == n - 1
+
+
 def test_forest_round_trip(tmp_path):
     d = synth(seed=3)
     m = train_random_forest(d, n_trees=7, seed=4, max_depth=4)
