@@ -457,18 +457,24 @@ class RuleListModel(TrainedModel):
         return P
 
 
-def _best_leaf_path(node, path):
-    """(coverage, purity, path, counts) of the best leaf under node.
+def _best_leaf_path(nodes):
+    """(path, counts) of the best leaf of a one-tree NodeArrays.
 
-    Prefers pure leaves, then the leaf covering the most rows; the path is
-    the list of split conditions from the root."""
-    if node.is_leaf:
-        n = node.counts.sum()
-        purity = node.counts.max() / n if n > 0 else 0.0
-        return (purity, n, path, node.counts)
-    l = _best_leaf_path(node.left, path + [(node.feature, "le", node.threshold)])
-    r = _best_leaf_path(node.right, path + [(node.feature, "gt", node.threshold)])
-    return max(l, r, key=lambda t: (t[0], t[1]))
+    Prefers pure leaves, then the leaf covering the most rows, then the
+    first in pre-order; the path is the list of split conditions from the
+    root, built from parent links."""
+    counts = nodes.counts
+    leaves = np.flatnonzero(nodes.feature < 0).tolist()
+    best = max(leaves, key=lambda i: (counts[i].max() / counts[i].sum(), counts[i].sum()))
+    parent = {}
+    for i in np.flatnonzero(nodes.feature >= 0).tolist():
+        parent[int(nodes.child[i, 1])] = (i, "le")
+        parent[int(nodes.child[i, 0])] = (i, "gt")
+    path, at = [], best
+    while at in parent:
+        at, op = parent[at]
+        path.append((int(nodes.feature[at]), op, float(nodes.threshold[at])))
+    return path[::-1], counts[best]
 
 
 def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> RuleListModel:
@@ -486,10 +492,9 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     while len(y) > 0 and len(rules) < max_rules:
         nodes, = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
                              max_rule_depth, min_leaf, "max_rule_depth")
-        root = TreeNode(nodes, 0)
-        if root.is_leaf:
+        if nodes.feature[0] < 0:
             break
-        _, _, path, counts = _best_leaf_path(root, [])
+        path, counts = _best_leaf_path(nodes)
         rule = Rule(path, counts.copy())
         covered = rule.covers(X)
         if not covered.any():

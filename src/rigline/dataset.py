@@ -137,11 +137,14 @@ class Dataset:
     def _derive(self, X, labels, meta) -> "Dataset":
         """A Dataset with this one's schemas whose meta rows come from this
         one, so they are already tuples of str and are kept as they are."""
-        d = Dataset(self.schema, X, labels, None, self.meta_schema)
-        if meta is not None and len(meta) != d.n_rows:
-            raise ArityError(f"{len(meta)} meta rows for {d.n_rows} rows")
-        d.meta = meta
-        return d
+        return Dataset(self.schema, X, labels, None, self.meta_schema)._with_meta(meta)
+
+    def _with_meta(self, meta) -> "Dataset":
+        """This dataset with meta rows that are already tuples of str."""
+        if meta is not None and len(meta) != self.n_rows:
+            raise ArityError(f"{len(meta)} meta rows for {self.n_rows} rows")
+        self.meta = meta
+        return self
 
 
 def _parse_header_cell(cell: str):
@@ -169,8 +172,10 @@ def _layout(path, header):
 
 
 def _dataset(header, n_meta, feat_idx, X, labels, meta):
+    """The loaded Dataset; meta, when given, is a list of tuples of str."""
     schema = [_parse_header_cell(header[j]) for j in feat_idx]
-    return Dataset(schema, X, labels, meta, header[:n_meta] if n_meta else None)
+    d = Dataset(schema, X, labels, None, header[:n_meta] if n_meta else None)
+    return d._with_meta(meta)
 
 
 def load_csv(path: str) -> Dataset:
@@ -195,33 +200,50 @@ def load_csv(path: str) -> Dataset:
     return _load_cells(path, text)
 
 
+# Characters per chunk of text `_load_plain` parses at a time (each chunk
+# runs on to the next newline), so its line and cell temporaries do not grow
+# with the file.
+_READ_CHUNK = 1 << 19
+
+
 def _load_plain(path, text):
     """Columnar parse of unquoted text split on newlines and commas.
 
     On such text `csv.reader` yields exactly the comma-separated fields of
-    each line. Returns None when a row's arity, a cell `np.loadtxt` rejects
-    or a non-finite value needs the reference loop to decide.
+    each line. The text is parsed in chunks of about _READ_CHUNK characters
+    cut at newlines. Returns None when a row's arity, a cell `np.loadtxt`
+    rejects or a non-finite value needs the reference loop to decide.
     """
-    lines = [ln for ln in text.split("\n") if ln.replace(",", "").strip()]
-    if not lines:
-        return None
-    header = [c.strip() for c in lines[0].split(",")]
-    n_meta, feat_idx, has_labels = _layout(path, header)
-    body = lines[1:]
-    commas = len(header) - 1
-    if any(ln.count(",") != commas for ln in body):
-        return None
-    X = np.empty((0, len(feat_idx)))
-    if body:
+    header, blocks, labels, meta = None, [], [], []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHUNK) + 1 or len(text)
+        lines = [ln for ln in text[start:end].split("\n") if ln.replace(",", "").strip()]
+        start = end
+        if header is None and lines:
+            header = [c.strip() for c in lines.pop(0).split(",")]
+            n_meta, feat_idx, has_labels = _layout(path, header)
+            commas = len(header) - 1
+        if not lines:
+            continue
+        if any(ln.count(",") != commas for ln in lines):
+            return None
         try:
-            X = np.loadtxt(body, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
+            X = np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
         except ValueError:
             return None
-        if X.shape != (len(body), len(feat_idx)) or not np.isfinite(X).all():
+        if X.shape != (len(lines), len(feat_idx)) or not np.isfinite(X).all():
             return None
-    labels = [ln.rpartition(",")[2].strip() for ln in body] if has_labels else None
-    meta = [ln.split(",", n_meta)[:n_meta] for ln in body] if n_meta else None
-    return _dataset(header, n_meta, feat_idx, X, labels, meta)
+        blocks.append(X)
+        if has_labels:
+            labels += [ln.rpartition(",")[2].strip() for ln in lines]
+        if n_meta:
+            meta += [tuple(ln.split(",", n_meta)[:n_meta]) for ln in lines]
+    if header is None:
+        return None
+    X = np.concatenate(blocks) if blocks else np.empty((0, len(feat_idx)))
+    return _dataset(header, n_meta, feat_idx, X, labels if has_labels else None,
+                    meta if n_meta else None)
 
 
 def _load_cells(path, text):
@@ -257,14 +279,22 @@ def _load_cells(path, text):
         if has_labels:
             labels.append(row[-1].strip())
         if n_meta:
-            meta.append(row[:n_meta])
+            meta.append(tuple(row[:n_meta]))
     return _dataset(header, n_meta, feat_idx, X, labels, meta)
+
+
+# Rows per block of `save_csv`: only one block's cells and text exist at a
+# time, so the write's memory does not grow with the table.
+_WRITE_BLOCK = 4096
+# Characters that can make csv.writer quote a cell; a float's repr has none.
+_QUOTED = re.compile('[,"\r\n]')
 
 
 def save_csv(d: Dataset, path: str) -> None:
     """Write a dataset back to CSV. Floats use repr so reloads are bit-exact.
 
-    The file is staged and renamed into place, so readers never see a
+    The text is formatted and written _WRITE_BLOCK rows at a time into a
+    staged file that is renamed into place, so readers never see a
     half-written table.
     """
     header = list(d.meta_schema or ())
@@ -272,15 +302,35 @@ def save_csv(d: Dataset, path: str) -> None:
         header.append(f"{name} (in {unit})" if unit else name)
     if d.label_presence:
         header.append(LABEL_COLUMN)
-    cols = list(zip(*d.meta)) if d.meta is not None else []
-    cols.extend(map(repr, column) for column in d.X.T.tolist())
-    if d.label_presence:
-        cols.append(d.labels.tolist())
+    atomic_write_text(path, _csv_blocks(d, header))
+
+
+def _csv_blocks(d, header):
+    """The CSV text of d: the header line, then one chunk per _WRITE_BLOCK
+    rows. A block whose meta and label cells need no quoting is joined with
+    commas; any other goes through csv.writer, the reference. With no
+    feature column every block does, since a row of one empty cell is
+    written `""`."""
+    yield _csv_writer_text([header])
+    # Every row gets as many meta cells as the shortest meta row has, as
+    # with one zip over the whole table.
+    width = min(map(len, d.meta), default=0) if d.meta is not None else 0
+    for a in range(0, d.n_rows, _WRITE_BLOCK):
+        b = a + _WRITE_BLOCK
+        meta = list(zip(*d.meta[a:b]))[:width] if width else []
+        labels = [d.labels[a:b].tolist()] if d.label_presence else []
+        floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
+        rows = zip(*meta, *floats, *labels)
+        if d.arity and not any(_QUOTED.search("".join(column)) for column in meta + labels):
+            yield "\n".join(map(",".join, rows)) + "\n"
+        else:
+            yield _csv_writer_text(rows)
+
+
+def _csv_writer_text(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cols))
-    atomic_write_text(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # Default generator columns: per-column (mean, stddev) sample statistics of a

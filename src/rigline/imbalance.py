@@ -41,8 +41,10 @@ def _two_class_split(d: Dataset):
     return minority, majority, idx
 
 
-# Rows per block of the neighbor search. A block's distances take
-# _NEIGHBOR_BLOCK * m floats, so memory grows linearly with the m rows searched.
+# Rows per block of the neighbor search. A block takes two buffers of
+# _NEIGHBOR_BLOCK * m floats, so memory grows linearly with the m rows
+# searched. BLAS rounding depends on the product's shape, so changing the
+# block size can change which of two nearly tied rows is nearer.
 _NEIGHBOR_BLOCK = 256
 
 
@@ -59,17 +61,30 @@ def _nearest_neighbors(Z: np.ndarray, k: int) -> np.ndarray:
     out = np.empty((m, k), dtype=np.intp)
     for start in range(0, m, _NEIGHBOR_BLOCK):
         rows = np.arange(start, min(start + _NEIGHBOR_BLOCK, m))
-        sq = norms[rows, None] + norms[None, :] - 2.0 * (Z[rows] @ Z.T)
-        sq[rows - start, rows] = np.inf
-        kth = np.partition(sq, k - 1, axis=1)[:, k - 1]
-        # Every row has at least k candidates at or under its k-th distance;
-        # sort them by (row, distance, column) and keep each row's first k.
-        r, c = np.nonzero(sq <= kth[:, None])
-        order = np.lexsort((c, sq[r, c], r))
-        r, c = r[order], c[order]
-        rank = np.arange(len(r)) - np.searchsorted(r, r)
-        out[rows] = c[rank < k].reshape(-1, k)
+        out[rows] = _block_neighbors(Z, norms, rows, k)
     return out
+
+
+def _block_neighbors(Z, norms, rows, k):
+    """_nearest_neighbors of the given consecutive rows, with two
+    len(rows) x m buffers: the distances and the product, which then holds
+    the copy of the distances that is partitioned. Both are freed on return,
+    before the next block allocates its own."""
+    sq = norms[rows, None] + norms[None, :]
+    dot = Z[rows] @ Z.T
+    dot *= 2.0
+    sq -= dot
+    sq[rows - rows[0], rows] = np.inf
+    dot[...] = sq
+    dot.partition(k - 1, axis=1)
+    kth = dot[:, k - 1]
+    # Every row has at least k candidates at or under its k-th distance;
+    # sort them by (row, distance, column) and keep each row's first k.
+    r, c = np.nonzero(sq <= kth[:, None])
+    order = np.lexsort((c, sq[r, c], r))
+    r, c = r[order], c[order]
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    return c[rank < k].reshape(-1, k)
 
 
 def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:

@@ -53,9 +53,11 @@ def diag_gaussian_posterior(X, weights, means, variances):
     return m[:, 0] + np.log(s[:, 0]), p / s
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text) -> None:
     """Write text to path via a temp file + rename so readers never see partial files.
 
+    text is a str or an iterable of str chunks, written in order; if the
+    iterable raises, the temp file is removed and path is left as it was.
     The file gets the mode a plain `open(path, "w")` would give it under the
     current umask; `mkstemp` alone would leave it 0600.
     """
@@ -66,7 +68,7 @@ def atomic_write_text(path: str, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

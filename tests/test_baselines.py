@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rigline import baseline_learners
 from rigline.baseline_learners import (
     MlpConfig,
+    TreeNode,
     best_split,
     mlp_loss_grad,
     mlp_pack,
@@ -372,6 +373,32 @@ def test_rule_list_reasonable_on_synthetic():
     d = synth(n=500, seed=6)
     m = train_rule_list(d)
     assert accuracy(m, d) > 0.85
+
+
+def test_rule_list_best_leaf_of_a_tree_deeper_than_the_recursion_limit():
+    # Labels alternate along the one feature except for a run of three "b"
+    # rows in the middle, so splits cut off one row at a time: a tree of
+    # depth 1,189 whose best leaf, the run, lies 591 levels down. The
+    # reference walks it with an explicit stack and keeps the first leaf, in
+    # pre-order, of the largest (purity, rows).
+    labels = [("a", "b")[i % 2] for i in range(1200)]
+    labels[600:600] = ["b"] * 3
+    d = Dataset([("v", "")], np.arange(1203.0).reshape(-1, 1), labels)
+    nodes = train_cart(d).nodes
+    assert nodes.depth == 1189
+    best, todo = None, [(TreeNode(nodes, 0), [])]
+    while todo:
+        node, path = todo.pop()
+        if node.is_leaf:
+            key = (node.counts.max() / node.counts.sum(), node.counts.sum())
+            if best is None or key > best[0]:
+                best = key, path, node.counts
+            continue
+        todo.append((node.right, path + [(node.feature, "gt", node.threshold)]))
+        todo.append((node.left, path + [(node.feature, "le", node.threshold)]))
+    path, counts = baseline_learners._best_leaf_path(nodes)
+    assert len(path) == 591 and counts.tolist() == [0.0, 4.0]
+    assert path == best[1] and counts.tolist() == best[2].tolist()
 
 
 # ---------------------------------------------------------------------------

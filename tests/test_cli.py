@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import os
 import re
 import subprocess
@@ -807,6 +808,26 @@ def test_sample_prints_plain_class_names(tmp_path, capsys):
                    "--out", str(out)) == 0
     assert capsys.readouterr().out == f"wrote {out}: {{'a': (2, 0.5), 'b': (2, 0.5)}}\n"
     assert all(type(c) is str for c in class_order(load_csv(str(out)).labels))
+
+
+def test_train_part_on_a_tree_deeper_than_the_recursion_limit(tmp_path):
+    # Labels alternate along the one feature, so each rule-list round grows a
+    # tree that cuts off one row per level. With the recursion limit 100
+    # frames above this test, the first tree (depth 119) is deeper than a
+    # walk with one call per level can go.
+    n = 120
+    data, model = tmp_path / "d.csv", tmp_path / "m.txt"
+    save_csv(Dataset([("v", "")], np.arange(float(n)).reshape(-1, 1),
+                     [("a", "b")[i % 2] for i in range(n)]), str(data))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        code = run_cli("train", "--data", str(data), "--learner", "part",
+                       "--params", "max_rule_depth=2000", "--out", str(model))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert len(load_model(str(model)).rules) == n - 1
 
 
 def test_grid_degenerate_matches_run(tmp_path):

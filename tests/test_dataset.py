@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import locale
 import math
 import os
 import stat
@@ -207,6 +209,107 @@ def test_saved_files_get_the_mode_open_would_give(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# save_csv writes blocks of rows, joined with commas where no cell needs
+# quoting; its bytes must be those of one csv.writer pass over the table.
+
+def _reference_csv(d):
+    """The table's columns zipped into rows and written by one csv.writer."""
+    header = list(d.meta_schema or ())
+    header += [f"{name} (in {unit})" if unit else name for name, unit in d.schema]
+    header += ["class"] if d.label_presence else []
+    columns = list(zip(*d.meta)) if d.meta is not None else []
+    columns += [[repr(v) for v in column] for column in d.X.T.tolist()]
+    columns += [d.labels.tolist()] if d.label_presence else []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue().encode(locale.getpreferredencoding(False))
+
+
+# Text that csv.writer quotes or passes through at the edges: separators,
+# quotes, line breaks, NUL, NBSP and the empty string.
+_hostile_text = st.text(st.sampled_from([",", '"', "\r", "\n", "\0", "\xa0", "x", " "]),
+                        max_size=3)
+_tame_text = st.text(st.sampled_from(["1", "/", ":", " ", "a", "\xe9"]), max_size=4)
+
+
+@st.composite
+def block_datasets(draw):
+    n = draw(st.integers(0, 12))
+    arity = draw(st.integers(0, 3))
+    n_meta = draw(st.integers(0, 2))
+    labeled = draw(st.booleans())
+    hostile = draw(st.sampled_from([0, 1, 5]))  # in 10 text cells
+
+    def text():
+        return draw(_hostile_text if draw(st.integers(0, 9)) < hostile else _tame_text)
+
+    X = np.array(draw(st.lists(_any_double, min_size=n * arity, max_size=n * arity)))
+    meta = [tuple(text() for _ in range(n_meta)) for _ in range(n)] if n_meta else None
+    if meta and draw(st.booleans()):  # a short meta row cuts every row's meta cells
+        i = draw(st.integers(0, n - 1))
+        meta[i] = meta[i][:-1]
+    labels = [text() for _ in range(n)] if labeled else None
+    schema = [(f"f{j}", "psi" if j % 2 else "") for j in range(arity)]
+    return Dataset(schema, X.reshape(n, arity), labels, meta,
+                   ("S No.", "Time Stamp")[:n_meta] or None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(block_datasets(), st.integers(1, 4))
+def test_save_csv_matches_one_csv_writer_pass(tmp_path_factory, d, block):
+    out = tmp_path_factory.getbasetemp() / "blocks.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_WRITE_BLOCK", block)
+        save_csv(d, str(out))
+    assert out.read_bytes() == _reference_csv(d)
+
+
+PINNED_SHA256 = "5a8bbcb823c56eed10564310dbf63d62da34eee05878e9c41723f6a28b49e35a"
+
+
+def test_save_csv_bytes_are_pinned(tmp_path):
+    # 9,000 rows in three 4,096-row blocks; a comma in one meta cell sends
+    # the second block through csv.writer. The digest is of the file the
+    # whole-table csv.writer save wrote.
+    rng = np.random.default_rng(11)
+    X = rng.normal(100.0, 10.0, size=(9000, 5)) * rng.choice([1e-8, 1.0, 1e8], size=(9000, 1))
+    meta = [(str(1048576 + i), f"2/8/2014 {i // 60 % 24}:{i % 60:02d}") for i in range(9000)]
+    meta[5000] = ("1053576", "2/8/2014, 11:20")
+    labels = np.where(rng.random(9000) < 0.13, CLASS_FAILURE, CLASS_NORMAL)
+    schema = [("Operating Pressure", "psi"), ("Flow Rate", "cc/min"), ("b", ""), ("c", ""),
+              ("d", "")]
+    out = tmp_path / "pinned.csv"
+    save_csv(Dataset(schema, X, labels, meta, ("S No.", "Time Stamp")), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_save_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch, existing):
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_text("old\n")
+    d = Dataset([("a", ""), ("b", "")], np.arange(100.0).reshape(50, 2), ["x"] * 50)
+    calls = []
+
+    def failing_repr(value):
+        calls.append(value)
+        if len(calls) > 60:  # in the fourth block of ten rows
+            raise RuntimeError("formatting failed")
+        return repr(value)
+
+    monkeypatch.setattr(dataset, "_WRITE_BLOCK", 10)
+    monkeypatch.setattr(dataset, "repr", failing_repr, raising=False)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        save_csv(d, str(out))
+    assert len(calls) == 61
+    assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+    if existing:
+        assert out.read_text() == "old\n"
+
+
+# ---------------------------------------------------------------------------
 # load_csv's columnar path (`_load_plain`) against the per-cell reference
 # loop (`_load_cells`): the same Dataset down to the feature bits, or the same
 # error.
@@ -391,6 +494,33 @@ def test_load_csv_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert d.n_rows == 40000 and len(d.meta) == 40000
     assert peak < 26 * 2**20
+
+
+def test_csv_read_and_write_memory_does_not_grow_with_the_table(tmp_path):
+    # The 40,000-row export above. Splitting the whole text into lines peaked
+    # at 22.8 MB, and formatting the whole table before writing it at 17.8 MB
+    # above the loaded dataset; chunks of text and blocks of rows take 15.1
+    # and 1.8.
+    rng = np.random.default_rng(0)
+    p, out = tmp_path / "export.csv", tmp_path / "saved.csv"
+    with open(p, "w") as fh:
+        fh.write("S No.,Time Stamp,a,b,c,d,e\n")
+        for i, x in enumerate(rng.normal(100.0, 10.0, size=(40000, 5)).tolist()):
+            fh.write(f"{1048576 + i},2/8/2014 {i // 240 % 24}:{i // 4 % 60:02d},"
+                     + ",".join(map(repr, x)) + "\n")
+
+    def traced(step):
+        tracemalloc.start()
+        try:
+            return step(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    d, load_peak = traced(lambda: load_csv(str(p)))
+    _, save_peak = traced(lambda: save_csv(d, str(out)))
+    assert d.n_rows == 40000 and out.read_bytes() == p.read_bytes()
+    assert load_peak < 19 * 2**20
+    assert save_peak < 10 * 2**20
 
 
 def test_class_order_pair_and_generic():

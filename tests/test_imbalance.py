@@ -177,6 +177,24 @@ def test_smote_memory_is_linear_in_minority_rows():
     assert peak < 64 * 2**20
 
 
+def test_smote_neighbor_blocks_hold_two_buffers():
+    # The 4,000-row minority above: a 256 x 4,000 block is 8 MB per float
+    # matrix. Four of them alive at once (the sum, the product, its double and
+    # the partitioned copy) peaked at 32.2 MB; the distances and one buffer
+    # for the product and the partition take 17.6.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(12000, 5))
+    d = Dataset([(f"c{j}", "") for j in range(5)], X, ["n"] * 8000 + ["f"] * 4000)
+    tracemalloc.start()
+    try:
+        out = smote(d, SmoteConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_rows == 16000
+    assert peak < 24 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Undersampling
 
