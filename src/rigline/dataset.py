@@ -286,8 +286,6 @@ def _load_cells(path, text):
 # Rows per block of `save_csv`: only one block's cells and text exist at a
 # time, so the write's memory does not grow with the table.
 _WRITE_BLOCK = 4096
-# Characters that can make csv.writer quote a cell; a float's repr has none.
-_QUOTED = re.compile('[,"\r\n]')
 
 
 def save_csv(d: Dataset, path: str) -> None:
@@ -306,11 +304,8 @@ def save_csv(d: Dataset, path: str) -> None:
 
 
 def _csv_blocks(d, header):
-    """The CSV text of d: the header line, then one chunk per _WRITE_BLOCK
-    rows. A block whose meta and label cells need no quoting is joined with
-    commas; any other goes through csv.writer, the reference. With no
-    feature column every block does, since a row of one empty cell is
-    written `""`."""
+    """The CSV text of d: the header line, then one csv.writer chunk per
+    _WRITE_BLOCK rows."""
     yield _csv_writer_text([header])
     # Every row gets as many meta cells as the shortest meta row has, as
     # with one zip over the whole table.
@@ -320,11 +315,7 @@ def _csv_blocks(d, header):
         meta = list(zip(*d.meta[a:b]))[:width] if width else []
         labels = [d.labels[a:b].tolist()] if d.label_presence else []
         floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
-        rows = zip(*meta, *floats, *labels)
-        if d.arity and not any(_QUOTED.search("".join(column)) for column in meta + labels):
-            yield "\n".join(map(",".join, rows)) + "\n"
-        else:
-            yield _csv_writer_text(rows)
+        yield _csv_writer_text(zip(*meta, *floats, *labels))
 
 
 def _csv_writer_text(rows):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rigline
+from rigline.baseline_learners import train_rule_list
 from rigline.cli import build_parser, main
 from rigline.dataset import Dataset, class_order, load_csv, save_csv
 from rigline.modeldoc import load_model
@@ -812,22 +813,26 @@ def test_sample_prints_plain_class_names(tmp_path, capsys):
 
 def test_train_part_on_a_tree_deeper_than_the_recursion_limit(tmp_path):
     # Labels alternate along the one feature, so each rule-list round grows a
-    # tree that cuts off one row per level. With the recursion limit 100
-    # frames above this test, the first tree (depth 119) is deeper than a
-    # walk with one call per level can go.
+    # tree that cuts off one row per level. The CLI runs at the interpreter's
+    # own recursion limit; with the limit 100 frames above this test, the
+    # first tree (depth 119) is deeper than a walk with one call per level
+    # can go, and train_rule_list must still learn the rules the CLI saved.
     n = 120
     data, model = tmp_path / "d.csv", tmp_path / "m.txt"
-    save_csv(Dataset([("v", "")], np.arange(float(n)).reshape(-1, 1),
-                     [("a", "b")[i % 2] for i in range(n)]), str(data))
+    d = Dataset([("v", "")], np.arange(float(n)).reshape(-1, 1),
+                [("a", "b")[i % 2] for i in range(n)])
+    save_csv(d, str(data))
+    assert run_cli("train", "--data", str(data), "--learner", "part",
+                   "--params", "max_rule_depth=2000", "--out", str(model)) == 0
+    saved = load_model(str(model)).rules
+    assert len(saved) == n - 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        code = run_cli("train", "--data", str(data), "--learner", "part",
-                       "--params", "max_rule_depth=2000", "--out", str(model))
+        rules = train_rule_list(d, max_rule_depth=2000).rules
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 0
-    assert len(load_model(str(model)).rules) == n - 1
+    assert [r.conditions for r in rules] == [r.conditions for r in saved]
 
 
 def test_grid_degenerate_matches_run(tmp_path):

@@ -209,8 +209,8 @@ def test_saved_files_get_the_mode_open_would_give(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# save_csv writes blocks of rows, joined with commas where no cell needs
-# quoting; its bytes must be those of one csv.writer pass over the table.
+# save_csv writes blocks of rows, one csv.writer pass each; its bytes must
+# be those of one csv.writer pass over the whole table.
 
 def _reference_csv(d):
     """The table's columns zipped into rows and written by one csv.writer."""
@@ -270,8 +270,8 @@ PINNED_SHA256 = "5a8bbcb823c56eed10564310dbf63d62da34eee05878e9c41723f6a28b49e35
 
 
 def test_save_csv_bytes_are_pinned(tmp_path):
-    # 9,000 rows in three 4,096-row blocks; a comma in one meta cell sends
-    # the second block through csv.writer. The digest is of the file the
+    # 9,000 rows in three 4,096-row blocks; one meta cell in the second
+    # block holds a comma and is quoted. The digest is of the file the
     # whole-table csv.writer save wrote.
     rng = np.random.default_rng(11)
     X = rng.normal(100.0, 10.0, size=(9000, 5)) * rng.choice([1e-8, 1.0, 1e8], size=(9000, 1))
@@ -363,8 +363,12 @@ def plain_tables(draw):
     labeled = draw(st.booleans())
     header = ["S No.", "Time Stamp"][:n_meta] + [f"f{j}" for j in range(arity)]
     header += ["class"] if labeled else []
-    lines = [",".join(header)]
+    # Blank and all-comma rows, which both loaders skip, may come before the
+    # header and between rows.
+    skipped = st.sampled_from(["", " ", ",,", " , "])
+    lines = draw(st.lists(skipped, max_size=2)) + [",".join(header)]
     for _ in range(draw(st.integers(0, 5))):
+        lines += draw(st.lists(skipped, max_size=1))
         cells = draw(st.lists(_plain_text, min_size=n_meta, max_size=n_meta))
         cells += draw(st.lists(_feature_cell, min_size=arity, max_size=arity))
         cells += [draw(_plain_text)] if labeled else []
@@ -375,14 +379,18 @@ def plain_tables(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(plain_tables())
-def test_fast_path_matches_the_per_cell_reference(tmp_path_factory, text):
+@given(plain_tables(), st.sampled_from([1, 8, 64, dataset._READ_CHUNK]))
+def test_fast_path_matches_the_per_cell_reference(tmp_path_factory, text, chunk):
+    # Small chunks put blank rows, the header alone, or a bad row after
+    # parsed ones in a chunk of their own.
     path = tmp_path_factory.getbasetemp() / "plain.csv"
     path.write_text(text, newline="")
     raw = _read(path)
     reference = _outcome(dataset._load_cells, str(path), raw)
-    assert _outcome(load_csv, str(path)) == reference
-    fast = dataset._load_plain(str(path), raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_READ_CHUNK", chunk)
+        assert _outcome(load_csv, str(path)) == reference
+        fast = dataset._load_plain(str(path), raw)
     if fast is not None:
         assert _contents(fast) == reference
 
