@@ -79,8 +79,9 @@ class TrainedModel:
 
 def _encode_labels(d: Dataset):
     classes = class_order(d.labels)
-    index = {c: i for i, c in enumerate(classes)}
-    y = np.array([index[l] for l in d.labels], dtype=int)
+    y = np.empty(d.n_rows, dtype=int)
+    for i, c in enumerate(classes):
+        y[d.labels == c] = i
     return classes, y
 
 
@@ -552,12 +553,8 @@ class MlpModel(TrainedModel):
 
 def sigmoid(v):
     """Logistic function, evaluated without overflow for either sign."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(v):

@@ -185,63 +185,75 @@ def load_csv(path: str) -> Dataset:
     header cell is the label column (`class`, any case) that column is read
     as the nominal class label.
 
-    A file without quotes, lone carriage returns or NUL characters is parsed
-    column-wise by `_load_plain`; anything that path does not accept goes
-    through the per-cell reference loop `_load_cells`, which names the row
-    and column of a bad cell.
+    A file without quotes, lone carriage returns or NUL characters is read
+    in pieces and parsed column-wise by `_load_plain`; anything that path
+    does not accept goes through the per-cell reference loop `_load_cells`,
+    which names the row and column of a bad cell.
     """
+    d = _load_plain(path)
+    if d is not None:
+        return d
     with open(path, newline="") as fh:
-        text = fh.read()
-    plain = text.replace("\r\n", "\n") if "\r" in text else text
-    if not any(c in plain for c in '"\r\0'):
-        d = _load_plain(path, plain)
-        if d is not None:
-            return d
-    return _load_cells(path, text)
+        return _load_cells(path, fh.read())
 
 
-# Characters per chunk of text `_load_plain` parses at a time (each chunk
-# runs on to the next newline), so its line and cell temporaries do not grow
-# with the file.
+# Characters read from the file at a time. Each piece `_load_plain` parses
+# ends at the last newline read, so its line and cell temporaries do not
+# grow with the file.
 _READ_CHUNK = 1 << 19
 
 
-def _load_plain(path, text):
+def _pieces(fh):
+    """The text of fh in pieces of about _READ_CHUNK characters, each but the
+    last cut after a newline, with "\r\n" read as "\n". A CR that ends a
+    read lies after the cut, so it meets the LF that may follow it."""
+    rest = ""
+    while chunk := fh.read(_READ_CHUNK):
+        text = (rest + chunk).replace("\r\n", "\n")
+        cut = text.rfind("\n") + 1
+        yield text[:cut]
+        rest = text[cut:]
+    yield rest
+
+
+def _load_plain(path):
     """Columnar parse of unquoted text split on newlines and commas.
 
     On such text `csv.reader` yields exactly the comma-separated fields of
-    each line. The text is parsed in chunks of about _READ_CHUNK characters
-    cut at newlines. Returns None when a row's arity, a cell `np.loadtxt`
-    rejects or a non-finite value needs the reference loop to decide.
+    each line. The file is read and parsed a piece at a time (`_pieces`).
+    Returns None when a piece holds a quote, a lone CR or a NUL, or when a
+    row's arity, a cell `np.loadtxt` rejects or a non-finite value needs
+    the reference loop to decide.
     """
     header, blocks, labels, meta = None, [], [], []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _READ_CHUNK) + 1 or len(text)
-        lines = [ln for ln in text[start:end].split("\n") if ln.replace(",", "").strip()]
-        start = end
-        if header is None and lines:
-            header = [c.strip() for c in lines.pop(0).split(",")]
-            n_meta, feat_idx, has_labels = _layout(path, header)
-            commas = len(header) - 1
-        if not lines:
-            continue
-        if any(ln.count(",") != commas for ln in lines):
-            return None
-        try:
-            X = np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if X.shape != (len(lines), len(feat_idx)) or not np.isfinite(X).all():
-            return None
-        blocks.append(X)
-        if has_labels:
-            labels += [ln.rpartition(",")[2].strip() for ln in lines]
-        if n_meta:
-            meta += [tuple(ln.split(",", n_meta)[:n_meta]) for ln in lines]
+    with open(path, newline="") as fh:
+        for piece in _pieces(fh):
+            if any(c in piece for c in '"\r\0'):
+                return None
+            lines = [ln for ln in piece.split("\n") if ln.replace(",", "").strip()]
+            if header is None and lines:
+                header = [c.strip() for c in lines.pop(0).split(",")]
+                n_meta, feat_idx, has_labels = _layout(path, header)
+                commas = len(header) - 1
+            if not lines:
+                continue
+            if any(ln.count(",") != commas for ln in lines):
+                return None
+            try:
+                X = np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if X.shape != (len(lines), len(feat_idx)) or not np.isfinite(X).all():
+                return None
+            blocks.append(X)
+            if has_labels:
+                labels.append(np.array([ln.rpartition(",")[2].strip() for ln in lines]))
+            if n_meta:
+                meta += [tuple(ln.split(",", n_meta)[:n_meta]) for ln in lines]
     if header is None:
         return None
     X = np.concatenate(blocks) if blocks else np.empty((0, len(feat_idx)))
+    labels = np.concatenate(labels) if labels else []
     return _dataset(header, n_meta, feat_idx, X, labels if has_labels else None,
                     meta if n_meta else None)
 

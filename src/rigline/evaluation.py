@@ -8,6 +8,7 @@ always available alongside.
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def roc_auc(scored) -> float:
     scored is a sequence of (score, label) with labels +1/-1. Tied scores get
     average ranks, making this the exact Mann-Whitney value.
     """
-    pairs = np.array(list(scored), dtype=float).reshape(-1, 2)
+    pairs = np.fromiter(chain.from_iterable(scored), dtype=float).reshape(-1, 2)
     scores, labels = pairs[:, 0], pairs[:, 1]
     n_pos = int(np.sum(labels > 0))
     n_neg = len(labels) - n_pos

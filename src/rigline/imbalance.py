@@ -41,11 +41,14 @@ def _two_class_split(d: Dataset):
     return minority, majority, idx
 
 
-# Rows per block of the neighbor search. A block takes two buffers of
+# Rows per block of the neighbor search. A block holds one buffer of
 # _NEIGHBOR_BLOCK * m floats, so memory grows linearly with the m rows
 # searched. BLAS rounding depends on the product's shape, so changing the
 # block size can change which of two nearly tied rows is nearer.
 _NEIGHBOR_BLOCK = 256
+# Rows of a block turned from products into distances at a time; their
+# temporaries are _DISTANCE_SLICE * m floats.
+_DISTANCE_SLICE = 16
 
 
 def _nearest_neighbors(Z: np.ndarray, k: int) -> np.ndarray:
@@ -66,18 +69,18 @@ def _nearest_neighbors(Z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _block_neighbors(Z, norms, rows, k):
-    """_nearest_neighbors of the given consecutive rows, with two
-    len(rows) x m buffers: the distances and the product, which then holds
-    the copy of the distances that is partitioned. Both are freed on return,
-    before the next block allocates its own."""
-    sq = norms[rows, None] + norms[None, :]
-    dot = Z[rows] @ Z.T
-    dot *= 2.0
-    sq -= dot
-    sq[rows - rows[0], rows] = np.inf
-    dot[...] = sq
-    dot.partition(k - 1, axis=1)
-    kth = dot[:, k - 1]
+    """_nearest_neighbors of the given consecutive rows, in one len(rows) x m
+    buffer: the doubled product, turned into distances in place a slice of
+    rows at a time. It is freed on return, before the next block allocates
+    its own."""
+    sq = Z[rows] @ Z.T
+    sq *= 2.0
+    kth = np.empty(len(rows))
+    for a in range(0, len(rows), _DISTANCE_SLICE):
+        part, own = sq[a:a + _DISTANCE_SLICE], rows[a:a + _DISTANCE_SLICE]
+        np.subtract(norms[own, None] + norms[None, :], part, out=part)
+        part[np.arange(len(own)), own] = np.inf
+        kth[a:a + len(own)] = np.partition(part, k - 1, axis=1)[:, k - 1]
     # Every row has at least k candidates at or under its k-th distance;
     # sort them by (row, distance, column) and keep each row's first k.
     r, c = np.nonzero(sq <= kth[:, None])
@@ -107,11 +110,11 @@ def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
     if needed <= 0:
         return d
 
-    Z = Standardizer().fit_transform(d.X)
-    neighbors = _nearest_neighbors(Z[idx[minority]], cfg.k_neighbors)
+    Xmin = d.X[idx[minority]]
+    Z = Standardizer().fit(d.X).transform(Xmin)
+    neighbors = _nearest_neighbors(Z, cfg.k_neighbors)
 
     rng = np.random.default_rng(cfg.seed)
-    Xmin = d.X[idx[minority]]
     picks = rng.integers(n_min, size=needed)
     partner_slots = rng.integers(cfg.k_neighbors, size=needed)
     deltas = rng.uniform(0.0, 1.0, size=needed)

@@ -320,7 +320,7 @@ def _read(path):
 
 
 def _contents(d):
-    labels = None if d.labels is None else d.labels.tolist()
+    labels = None if d.labels is None else (d.labels.dtype, d.labels.tolist())
     return d.schema, d.X.shape, d.X.tobytes(), labels, d.meta, d.meta_schema
 
 
@@ -375,22 +375,24 @@ def plain_tables(draw):
         ragged = draw(st.sampled_from([0] * 8 + [-1, 1]))
         cells = cells[:-1] if ragged < 0 else cells + ["9"] * ragged
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # LF or CRLF line ends, mixed within a file, and now and then a lone CR,
+    # which only the reference loop reads.
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n"] * 5 + ["\r"])
+    return "".join(line + draw(ends) for line in lines)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(plain_tables(), st.sampled_from([1, 8, 64, dataset._READ_CHUNK]))
 def test_fast_path_matches_the_per_cell_reference(tmp_path_factory, text, chunk):
     # Small chunks put blank rows, the header alone, or a bad row after
-    # parsed ones in a chunk of their own.
+    # parsed ones in a piece of their own, and split CRLF pairs across reads.
     path = tmp_path_factory.getbasetemp() / "plain.csv"
     path.write_text(text, newline="")
-    raw = _read(path)
-    reference = _outcome(dataset._load_cells, str(path), raw)
+    reference = _outcome(dataset._load_cells, str(path), _read(path))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_READ_CHUNK", chunk)
         assert _outcome(load_csv, str(path)) == reference
-        fast = dataset._load_plain(str(path), raw)
+        fast = dataset._load_plain(str(path))
     if fast is not None:
         assert _contents(fast) == reference
 
@@ -398,7 +400,7 @@ def test_fast_path_matches_the_per_cell_reference(tmp_path_factory, text, chunk)
 def test_cells_only_float_accepts_load_through_the_fallback(tmp_path):
     p = tmp_path / "separators.csv"
     p.write_text("a,b\n1_000,\u0661\u0662\n")
-    assert dataset._load_plain(str(p), _read(p)) is None
+    assert dataset._load_plain(str(p)) is None
     assert load_csv(str(p)).X.tolist() == [[1000.0, 12.0]]
 
 
@@ -482,40 +484,60 @@ def test_plain_files_load_without_the_csv_module(tmp_path, monkeypatch):
         load_csv(str(quoted))
 
 
-def test_load_csv_peak_memory_is_bounded(tmp_path):
-    # A 40,000-row export: serial and timestamp columns, 5 features. Keeping
-    # every row as a list of cell strings (csv.reader) peaked at 28.6 MB; the
-    # columnar path, holding the lines, the meta cells and the array, at 22.8.
+def test_plain_files_are_read_in_pieces(tmp_path, monkeypatch):
+    # Guards the streamed read: if an edit read a plain file whole before
+    # parsing it, or sent a file whose CRLF pairs a read splits to the
+    # reference loop, a read would ask for more than _READ_CHUNK characters.
+    # One-character reads split every CRLF.
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_text(_csv_text(_TWIN_ROWS).replace("\n", "\r\n"), newline="")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(_csv_text(_TWIN_ROWS, quoting=csv.QUOTE_ALL), newline="")
+    paths = [SAMPLE, str(crlf)]
+    expected = [_contents(load_csv(p)) for p in paths]
+    reads = []
+
+    def piecewise_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        whole = fh.read
+
+        def read(size=-1):
+            assert 0 < size <= dataset._READ_CHUNK, f"read({size})"
+            reads.append(size)
+            return whole(size)
+
+        fh.read = read
+        return fh
+
+    monkeypatch.setattr(dataset, "_READ_CHUNK", 1)
+    monkeypatch.setattr(dataset, "open", piecewise_open, raising=False)
+    assert [_contents(load_csv(p)) for p in paths] == expected
+    assert len(reads) > sum(map(os.path.getsize, paths))
+    with pytest.raises(AssertionError):
+        load_csv(str(quoted))
+
+
+@pytest.fixture
+def export_csv(tmp_path):
+    """A 40,000-row export: serial and timestamp columns, 5 features."""
     rng = np.random.default_rng(0)
-    lines = ["S No.,Time Stamp,a,b,c,d,e"]
-    for i, x in enumerate(rng.normal(100.0, 10.0, size=(40000, 5)).tolist()):
-        lines.append(f"{1048576 + i},2/8/2014 {i // 240 % 24}:{i // 4 % 60:02d},"
-                     + ",".join(map(repr, x)))
     p = tmp_path / "export.csv"
-    p.write_text("\n".join(lines) + "\n")
-    del lines
-    tracemalloc.start()
-    try:
-        d = load_csv(str(p))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d.n_rows == 40000 and len(d.meta) == 40000
-    assert peak < 26 * 2**20
-
-
-def test_csv_read_and_write_memory_does_not_grow_with_the_table(tmp_path):
-    # The 40,000-row export above. Splitting the whole text into lines peaked
-    # at 22.8 MB, and formatting the whole table before writing it at 17.8 MB
-    # above the loaded dataset; chunks of text and blocks of rows take 15.1
-    # and 1.8.
-    rng = np.random.default_rng(0)
-    p, out = tmp_path / "export.csv", tmp_path / "saved.csv"
     with open(p, "w") as fh:
         fh.write("S No.,Time Stamp,a,b,c,d,e\n")
         for i, x in enumerate(rng.normal(100.0, 10.0, size=(40000, 5)).tolist()):
             fh.write(f"{1048576 + i},2/8/2014 {i // 240 % 24}:{i // 4 % 60:02d},"
                      + ",".join(map(repr, x)) + "\n")
+    return p
+
+
+def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_path):
+    # Keeping every row as a list of cell strings (csv.reader) peaked at
+    # 28.6 MB, splitting the whole text into lines at 22.8, and parsing that
+    # text in chunks at 15.1; reading the file in pieces, with the labels as
+    # one array per piece, takes 11.3. Formatting the whole table before
+    # writing it peaked at 17.8 MB above the loaded dataset; blocks of rows
+    # take 1.8.
+    out = tmp_path / "saved.csv"
 
     def traced(step):
         tracemalloc.start()
@@ -524,10 +546,11 @@ def test_csv_read_and_write_memory_does_not_grow_with_the_table(tmp_path):
         finally:
             tracemalloc.stop()
 
-    d, load_peak = traced(lambda: load_csv(str(p)))
+    d, load_peak = traced(lambda: load_csv(str(export_csv)))
     _, save_peak = traced(lambda: save_csv(d, str(out)))
-    assert d.n_rows == 40000 and out.read_bytes() == p.read_bytes()
-    assert load_peak < 19 * 2**20
+    assert d.n_rows == 40000 and len(d.meta) == 40000
+    assert out.read_bytes() == export_csv.read_bytes()
+    assert load_peak < 14 * 2**20
     assert save_peak < 10 * 2**20
 
 
