@@ -530,6 +530,23 @@ def export_csv(tmp_path):
     return p
 
 
+def test_load_csv_peak_memory_is_bounded(export_csv, tmp_path):
+    # The export above with CRLF line ends, whose pairs the streamed read
+    # splits across pieces: it peaks at 11.3 MB, as the LF file does, and
+    # loads the same table.
+    crlf = tmp_path / "export_crlf.csv"
+    crlf.write_bytes(export_csv.read_bytes().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        d = load_csv(str(crlf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n_rows == 40000 and len(d.meta) == 40000
+    assert _contents(d) == _contents(load_csv(str(export_csv)))
+    assert peak < 14 * 2**20
+
+
 def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_path):
     # Keeping every row as a list of cell strings (csv.reader) peaked at
     # 28.6 MB, splitting the whole text into lines at 22.8, and parsing that

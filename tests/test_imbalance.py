@@ -200,6 +200,23 @@ def test_nearest_neighbors_keep_the_two_buffer_rounding(m, dim, k, seed, step):
     assert np.array_equal(_nearest_neighbors(Z, k), two_buffer_block_neighbors(Z, k))
 
 
+def test_smote_neighbor_blocks_hold_two_buffers():
+    # The neighbor search alone over the 4,000-row minority below: a
+    # 256 x 4,000 block is 8 MB per float matrix, and the search never holds
+    # two of them at once. Four alive at once peaked at 32.2 MB; one buffer,
+    # with the doubled product turned into distances in place, takes 9.0.
+    Z = np.random.default_rng(0).normal(size=(4000, 5))
+    block_bytes = _NEIGHBOR_BLOCK * len(Z) * Z.itemsize
+    tracemalloc.start()
+    try:
+        neighbors = _nearest_neighbors(Z, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert neighbors.shape == (4000, 5)
+    assert peak < 2 * block_bytes
+
+
 def test_smote_memory_is_linear_in_minority_rows():
     # A dense 4,000 x 4,000 neighbor search takes 128 MB per float or index
     # matrix. Blocks of rows, with a 256 x 4,000 block at 8 MB per float
