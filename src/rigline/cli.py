@@ -338,11 +338,11 @@ def _models(text: str) -> tuple:
 # shared pipeline pieces
 
 
-def _load_input(path: str) -> Dataset:
+def _load_input(path: str, meta: bool = True) -> Dataset:
     """The load stage: read a CSV (labeled when its header ends in the label
-    column)."""
+    column), with its meta cells unless meta is False."""
     with _stage("load"):
-        return load_csv(path)
+        return load_csv(path, meta=meta)
 
 
 def _synthetic_data(cfg: SyntheticGenConfig) -> Dataset:
@@ -465,6 +465,7 @@ def _cmd_sample(args) -> int:
     d = _load_input(args.data)
     with _stage("sample"):
         out = _apply_sampling(d, kind, params, _stage_seed(master, "sample"))
+        del d  # the input table is not written; free it before the output is
         save_csv(out, args.out)
     print(f"wrote {args.out}: {class_distribution(out)}")
     return 0
@@ -476,7 +477,7 @@ def _cmd_train(args) -> int:
     if args.stack is not None and args.params:
         raise ConfigError("--params applies to --learner; put stack "
                           "parameters inside the stack spec string")
-    d = _load_input(args.data)
+    d = _load_input(args.data, meta=False)
     model = _train_stage(token, d, master, args.params or {}, args.cost, args.out)
     print(f"wrote {args.out}: {model.learner} model")
     return 0
@@ -485,7 +486,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     with _stage("load"):
         model = load_model(args.model)
-    test = _load_input(args.data)
+    test = _load_input(args.data, meta=False)
     _evaluate_stage(model, test, args.name or model.learner, args.out, args.detail)
     print(f"wrote {args.out}")
     return 0

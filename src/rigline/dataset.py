@@ -58,9 +58,12 @@ class Dataset:
     schema : sequence of (name, unit) pairs, one per feature column.
     X : array-like of shape (n_rows, arity), all finite.
     labels : optional sequence of n_rows class names.
-    meta : optional sequence of n_rows tuples of bookkeeping strings
-        (serial number, timestamp, ...), excluded from features.
-    meta_schema : column names for the meta tuples.
+    meta : optional sequence of n_rows rows of bookkeeping cells (serial
+        number, timestamp, ...), excluded from features. They are kept as
+        one 1-D array of str per column, as many columns as the shortest
+        row has cells; a column may end before the table does, and the
+        rows past its end have blank cells there.
+    meta_schema : column names for the meta cells.
     """
 
     def __init__(self, schema, X, labels=None, meta=None, meta_schema=None):
@@ -88,11 +91,7 @@ class Dataset:
                 )
             self.labels = labels
             self.labels.setflags(write=False)
-        if meta is not None:
-            meta = [tuple(map(str, row)) for row in meta]
-            if len(meta) != X.shape[0]:
-                raise ArityError(f"{len(meta)} meta rows for {X.shape[0]} rows")
-        self.meta = meta
+        self._meta = None if meta is None else _meta_columns(meta, X.shape[0], meta_schema)
         self.meta_schema = tuple(meta_schema) if meta_schema else None
 
     @property
@@ -110,41 +109,92 @@ class Dataset:
     def feature_names(self):
         return [n for n, _ in self.schema]
 
+    @property
+    def meta(self):
+        """The meta rows as a list of tuples of str, built on each call, or
+        None when the table has no meta."""
+        if self._meta is None:
+            return None
+        if not self._meta:
+            return [()] * self.n_rows
+        return list(zip(*self._meta_cells(0, self.n_rows)))
+
+    def _meta_cells(self, a, b):
+        """Rows a to b of each meta column as a list of str, blank past the
+        column's end."""
+        b = min(b, self.n_rows)
+        out = []
+        for col in self._meta or ():
+            cells = col[a:b].tolist()
+            out.append(cells + [""] * (b - a - len(cells)))
+        return out
+
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
+        X = self.X[indices]
         labels = None if self.labels is None else self.labels[indices]
-        meta = None if self.meta is None else [self.meta[i] for i in indices]
-        return self._derive(self.X[indices], labels, meta)
+        meta = None
+        if self._meta is not None:
+            rows = np.where(indices < 0, indices + self.n_rows, indices)
+            meta = tuple(_frozen(np.append(col, "")[np.minimum(rows, len(col))])
+                         for col in self._meta)
+        return self._derive(X, labels, meta)
 
     def with_labels(self, labels) -> "Dataset":
-        return self._derive(self.X, labels, self.meta)
+        return self._derive(self.X, labels, self._meta)
 
     def without_labels(self) -> "Dataset":
-        return self._derive(self.X, None, self.meta)
+        return self._derive(self.X, None, self._meta)
 
     def append_rows(self, X_new, labels_new) -> "Dataset":
-        """New dataset with extra labeled rows appended (meta dropped for new rows)."""
+        """New dataset with labeled rows appended. X_new must be 2-D with the
+        table's arity and labels_new hold one label per row. The new rows'
+        meta cells are blank in every column the meta schema names: the
+        columns are shared, and the new rows lie past their ends."""
         if self.labels is None:
             raise MissingLabelsError("can only append labeled rows to a labeled dataset")
-        X = np.vstack([self.X, np.asarray(X_new, dtype=float)])
-        labels = np.concatenate([self.labels, np.asarray(labels_new, dtype=str)])
-        meta = None
-        if self.meta is not None:
-            blank = tuple("" for _ in (self.meta_schema or ()))
-            meta = self.meta + [blank] * len(X_new)
+        X_new = np.asarray(X_new, dtype=float)
+        labels_new = np.asarray(labels_new, dtype=str)
+        if X_new.ndim != 2 or X_new.shape[1] != self.arity or labels_new.shape != X_new.shape[:1]:
+            raise ArityError(
+                f"cannot append rows of shape {X_new.shape} with labels of shape "
+                f"{labels_new.shape} to a table of shape {self.X.shape}"
+            )
+        X = np.vstack([self.X, X_new])
+        labels = np.concatenate([self.labels, labels_new])
+        meta = None if self._meta is None else self._meta[:len(self.meta_schema or ())]
         return self._derive(X, labels, meta)
 
     def _derive(self, X, labels, meta) -> "Dataset":
-        """A Dataset with this one's schemas whose meta rows come from this
-        one, so they are already tuples of str and are kept as they are."""
-        return Dataset(self.schema, X, labels, None, self.meta_schema)._with_meta(meta)
+        """A Dataset with this one's schemas and the given meta columns,
+        which are read-only arrays of str and are kept as they are."""
+        d = Dataset(self.schema, X, labels, None, self.meta_schema)
+        d._meta = meta
+        return d
 
-    def _with_meta(self, meta) -> "Dataset":
-        """This dataset with meta rows that are already tuples of str."""
-        if meta is not None and len(meta) != self.n_rows:
-            raise ArityError(f"{len(meta)} meta rows for {self.n_rows} rows")
-        self.meta = meta
-        return self
+
+def _meta_columns(rows, n_rows, meta_schema):
+    """The meta columns of the given rows of cells, each cell made a str:
+    as many as the shortest row has cells (the meta schema's width when
+    there are no rows)."""
+    rows = [tuple(map(str, row)) for row in rows]
+    if len(rows) != n_rows:
+        raise ArityError(f"{len(rows)} meta rows for {n_rows} rows")
+    width = min(map(len, rows), default=len(meta_schema or ()))
+    return tuple(_meta_column([row[j] for row in rows]) for j in range(width))
+
+
+def _meta_column(cells):
+    """One meta column of str cells. Fixed-width numpy strings drop a
+    trailing NUL, so a column with a cell that ends in one is an object
+    array."""
+    nul = any(cell.endswith("\0") for cell in cells)
+    return _frozen(np.array(cells, dtype=object if nul else str))
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def _parse_header_cell(cell: str):
@@ -172,16 +222,19 @@ def _layout(path, header):
 
 
 def _dataset(header, n_meta, feat_idx, X, labels, meta):
-    """The loaded Dataset; meta, when given, is a list of tuples of str."""
+    """The loaded Dataset; meta, when given, is its n_meta columns."""
     schema = [_parse_header_cell(header[j]) for j in feat_idx]
-    d = Dataset(schema, X, labels, None, header[:n_meta] if n_meta else None)
-    return d._with_meta(meta)
+    d = Dataset(schema, X, labels, None, header[:n_meta] if meta is not None else None)
+    d._meta = None if meta is None else tuple(meta)
+    return d
 
 
-def load_csv(path: str) -> Dataset:
+def load_csv(path: str, meta: bool = True) -> Dataset:
     """Load a sensor CSV. Header required; numeric cells must parse as reals.
 
-    Leading serial/timestamp columns become row metadata. When the last
+    Leading serial/timestamp columns become row metadata; with meta=False
+    their cells are skipped and the table has no meta and no meta schema
+    (the header still decides which columns they are). When the last
     header cell is the label column (`class`, any case) that column is read
     as the nominal class label.
 
@@ -190,11 +243,11 @@ def load_csv(path: str) -> Dataset:
     does not accept goes through the per-cell reference loop `_load_cells`,
     which names the row and column of a bad cell.
     """
-    d = _load_plain(path)
+    d = _load_plain(path, meta)
     if d is not None:
         return d
     with open(path, newline="") as fh:
-        return _load_cells(path, fh.read())
+        return _load_cells(path, fh.read(), meta)
 
 
 # Characters read from the file at a time. Each piece `_load_plain` parses
@@ -216,16 +269,17 @@ def _pieces(fh):
     yield rest
 
 
-def _load_plain(path):
+def _load_plain(path, meta=True):
     """Columnar parse of unquoted text split on newlines and commas.
 
     On such text `csv.reader` yields exactly the comma-separated fields of
-    each line. The file is read and parsed a piece at a time (`_pieces`).
+    each line. The file is read and parsed a piece at a time (`_pieces`);
+    each piece's meta cells become one array per column, joined at the end.
     Returns None when a piece holds a quote, a lone CR or a NUL, or when a
     row's arity, a cell `np.loadtxt` rejects or a non-finite value needs
     the reference loop to decide.
     """
-    header, blocks, labels, meta = None, [], [], []
+    header, blocks, labels, columns = None, [], [], None
     with open(path, newline="") as fh:
         for piece in _pieces(fh):
             if any(c in piece for c in '"\r\0'):
@@ -235,6 +289,8 @@ def _load_plain(path):
                 header = [c.strip() for c in lines.pop(0).split(",")]
                 n_meta, feat_idx, has_labels = _layout(path, header)
                 commas = len(header) - 1
+                if meta and n_meta:  # an empty first piece, so no rows still join
+                    columns = [[np.array([], dtype=str)] for _ in range(n_meta)]
             if not lines:
                 continue
             if any(ln.count(",") != commas for ln in lines):
@@ -248,17 +304,17 @@ def _load_plain(path):
             blocks.append(X)
             if has_labels:
                 labels.append(np.array([ln.rpartition(",")[2].strip() for ln in lines]))
-            if n_meta:
-                meta += [tuple(ln.split(",", n_meta)[:n_meta]) for ln in lines]
+            for j, pieces in enumerate(columns or ()):
+                pieces.append(np.array([ln.split(",", j + 1)[j] for ln in lines]))
     if header is None:
         return None
     X = np.concatenate(blocks) if blocks else np.empty((0, len(feat_idx)))
     labels = np.concatenate(labels) if labels else []
     return _dataset(header, n_meta, feat_idx, X, labels if has_labels else None,
-                    meta if n_meta else None)
+                    columns and [_frozen(np.concatenate(pieces)) for pieces in columns])
 
 
-def _load_cells(path, text):
+def _load_cells(path, text, meta=True):
     """Reference parse: `csv.reader` rows and one `float()` per cell."""
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = [row for row in reader if any(cell.strip() for cell in row)]
@@ -269,7 +325,7 @@ def _load_cells(path, text):
 
     X = np.empty((len(rows) - 1, len(feat_idx)), dtype=float)
     labels = [] if has_labels else None
-    meta = [] if n_meta else None
+    columns = [[] for _ in range(n_meta)] if meta and n_meta else None
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ArityError(
@@ -290,14 +346,15 @@ def _load_cells(path, text):
             X[i - 2, k] = v
         if has_labels:
             labels.append(row[-1].strip())
-        if n_meta:
-            meta.append(tuple(row[:n_meta]))
-    return _dataset(header, n_meta, feat_idx, X, labels, meta)
+        for cells, cell in zip(columns or (), row):
+            cells.append(cell)
+    return _dataset(header, n_meta, feat_idx, X, labels,
+                    columns and [_meta_column(cells) for cells in columns])
 
 
 # Rows per block of `save_csv`: only one block's cells and text exist at a
 # time, so the write's memory does not grow with the table.
-_WRITE_BLOCK = 4096
+_WRITE_BLOCK = 1024
 
 
 def save_csv(d: Dataset, path: str) -> None:
@@ -319,15 +376,11 @@ def _csv_blocks(d, header):
     """The CSV text of d: the header line, then one csv.writer chunk per
     _WRITE_BLOCK rows."""
     yield _csv_writer_text([header])
-    # Every row gets as many meta cells as the shortest meta row has, as
-    # with one zip over the whole table.
-    width = min(map(len, d.meta), default=0) if d.meta is not None else 0
     for a in range(0, d.n_rows, _WRITE_BLOCK):
         b = a + _WRITE_BLOCK
-        meta = list(zip(*d.meta[a:b]))[:width] if width else []
         labels = [d.labels[a:b].tolist()] if d.label_presence else []
         floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
-        yield _csv_writer_text(zip(*meta, *floats, *labels))
+        yield _csv_writer_text(zip(*d._meta_cells(a, b), *floats, *labels))
 
 
 def _csv_writer_text(rows):
@@ -478,10 +531,12 @@ class Standardizer:
     def transform(self, X) -> np.ndarray:
         if self.means is None:
             raise ConfigError("Standardizer used before fit")
-        return (np.asarray(X, dtype=float) - self.means) / self.scales
+        Z = np.asarray(X, dtype=float) - self.means
+        Z /= self.scales
+        return Z
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
     def transform_dataset(self, d: Dataset) -> Dataset:
-        return d._derive(self.transform(d.X), d.labels, d.meta)
+        return d._derive(self.transform(d.X), d.labels, d._meta)

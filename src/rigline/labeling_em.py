@@ -69,12 +69,19 @@ def _farthest_point_means(X, K, rng):
     fit does not start with both centers inside the majority mode."""
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    dist = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    dist = _squared_distances(X, X[chosen[0]])
     while len(chosen) < K:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.sum((X - X[nxt]) ** 2, axis=1))
+        np.minimum(dist, _squared_distances(X, X[nxt]), out=dist)
     return X[chosen].copy()
+
+
+def _squared_distances(X, x):
+    """Each row's squared distance to x, with one n x d temporary."""
+    diff = X - x
+    diff *= diff
+    return np.sum(diff, axis=1)
 
 
 def em_fit(
@@ -116,6 +123,8 @@ def em_fit(
     # parameters gives both the recorded log-likelihood and the next E-step's
     # responsibilities.
     _, resp = _posterior(gmm, X)
+    # The M-step's squared deviations from each mean, one buffer reused.
+    sq = np.empty_like(X)
     prev = None
     for it in range(1, max_iter + 1):
         mass = resp.sum(axis=0)
@@ -144,8 +153,9 @@ def em_fit(
         means = (resp.T @ X) / mass[:, None]
         variances = np.empty_like(means)
         for k in range(n_components):
-            diff = X - means[k]
-            variances[k] = (resp[:, k] @ (diff * diff)) / mass[k]
+            np.subtract(X, means[k], out=sq)
+            sq *= sq
+            variances[k] = (resp[:, k] @ sq) / mass[k]
         variances = np.maximum(variances, var_floor)
 
         gmm.weights, gmm.means, gmm.variances = weights, means, variances

@@ -35,22 +35,85 @@ def diag_gaussian_posterior(X, weights, means, variances):
 
     weights is (K,); means and variances are (K, d), row k holding component
     k's parameters.
+
+    The work is done on (n,) columns, one feature and one component at a
+    time, with numpy's own arithmetic in numpy's order (`sum_columns` for
+    the row sums), so the results are those of the (n, d) broadcast form
+    bit for bit without its n x d temporaries.
     """
     n, d = X.shape
-    K = means.shape[0]
-    log_w = np.empty((n, K))
-    for k in range(K):
-        diff = X - means[k]
-        log_w[:, k] = -0.5 * (
-            d * np.log(2.0 * np.pi)
-            + np.sum(np.log(variances[k]))
-            + np.sum(diff * diff / variances[k], axis=1)
-        )
-    log_w += np.log(weights)
-    m = log_w.max(axis=1, keepdims=True)
-    p = np.exp(log_w - m)
-    s = p.sum(axis=1, keepdims=True)
-    return m[:, 0] + np.log(s[:, 0]), p / s
+    log_weights = np.log(weights)
+    log_w = []
+    for k in range(means.shape[0]):
+        col = sum_columns(_scaled_squares(X, means[k], variances[k]), d) if d else np.zeros(n)
+        col += d * np.log(2.0 * np.pi) + np.sum(np.log(variances[k]))
+        col *= -0.5
+        col += log_weights[k]
+        log_w.append(col)
+    m = log_w[0].copy()
+    for col in log_w[1:]:
+        np.maximum(m, col, out=m)
+    for col in log_w:
+        col -= m
+        np.exp(col, out=col)
+    s = sum_columns((col.copy() for col in log_w), len(log_w))
+    resp = np.empty((n, len(log_w)))
+    for k, col in enumerate(log_w):
+        np.divide(col, s, out=resp[:, k])
+    m += np.log(s)
+    return m, resp
+
+
+def _scaled_squares(X, mean, var):
+    """Each column's (x - mean) ** 2 / var, formed as diff * diff / var."""
+    for j in range(X.shape[1]):
+        t = X[:, j] - mean[j]
+        t *= t
+        t /= var[j]
+        yield t
+
+
+def sum_columns(columns, count):
+    """The sum of the next count (n,) arrays of the iterator columns, equal
+    bit for bit to `np.sum(axis=1)` of the (n, count) array they would form.
+
+    numpy adds a row pairwise: below 8 terms in order; up to 128 in eight
+    running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest in order; above 128 as the sum of its two halves (the first cut to
+    a multiple of 8). The reduction then adds that to its initial 0.0. The
+    arrays drawn are summed into in place, so each must be one the caller
+    gives up.
+    """
+    total = _pairwise(columns, count)
+    total += 0.0
+    return total
+
+
+def _pairwise(columns, count):
+    if count < 8:
+        total = next(columns)
+        for _ in range(count - 1):
+            total += next(columns)
+        return total
+    if count <= 128:
+        r = [next(columns) for _ in range(8)]
+        for i in range(8, count - count % 8):
+            r[i % 8] += next(columns)
+        r[0] += r[1]
+        r[2] += r[3]
+        r[0] += r[2]
+        r[4] += r[5]
+        r[6] += r[7]
+        r[4] += r[6]
+        r[0] += r[4]
+        for _ in range(count % 8):
+            r[0] += next(columns)
+        return r[0]
+    half = count // 2
+    half -= half % 8
+    total = _pairwise(columns, half)
+    total += _pairwise(columns, count - half)
+    return total
 
 
 def atomic_write_text(path: str, text) -> None:

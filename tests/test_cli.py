@@ -144,6 +144,36 @@ def test_train_and_evaluate_round_trip(tmp_path):
     assert "== tree ==" in read(detail)
 
 
+@pytest.mark.parametrize("learner", ["nb", "tree"])
+def test_train_and_evaluate_ignore_the_meta_columns(tmp_path, monkeypatch, learner):
+    # train and evaluate load without the meta cells; the serial and
+    # timestamp columns change no byte of the model or the report.
+    loads = []
+
+    def recording_load(path, meta=True):
+        loads.append(meta)
+        return load_csv(path, meta)
+
+    monkeypatch.setattr(rigline.cli, "load_csv", recording_load)
+    data = tmp_path / "d.csv"
+    run_cli("generate", "--rows", "240", "--seed", "3", "--out", str(data))
+    d = load_csv(str(data))
+    meta = [(str(1048576 + i), f"2/8/2014 2:{i % 60:02d}") for i in range(d.n_rows)]
+    export = tmp_path / "export.csv"
+    save_csv(Dataset(d.schema, d.X, d.labels, meta, ("S No.", "Time Stamp")), str(export))
+    outputs = []
+    for table in (data, export):
+        out = tmp_path / table.stem
+        out.mkdir()
+        assert run_cli("train", "--data", str(table), "--learner", learner, "--seed", "5",
+                       "--out", str(out / "m.txt")) == 0
+        assert run_cli("evaluate", "--model", str(out / "m.txt"), "--data", str(table),
+                       "--out", str(out / "r.csv"), "--detail", str(out / "det.txt")) == 0
+        outputs.append([(out / f).read_bytes() for f in ("m.txt", "r.csv", "det.txt")])
+    assert outputs[0] == outputs[1]
+    assert loads == [False] * 4
+
+
 def test_train_cost_wrap(tmp_path):
     data = tmp_path / "d.csv"
     model = tmp_path / "m.txt"

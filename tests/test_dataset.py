@@ -270,7 +270,7 @@ PINNED_SHA256 = "5a8bbcb823c56eed10564310dbf63d62da34eee05878e9c41723f6a28b49e35
 
 
 def test_save_csv_bytes_are_pinned(tmp_path):
-    # 9,000 rows in three 4,096-row blocks; one meta cell in the second
+    # 9,000 rows in nine 1,024-row blocks; one meta cell in the fifth
     # block holds a comma and is quoted. The digest is of the file the
     # whole-table csv.writer save wrote.
     rng = np.random.default_rng(11)
@@ -530,44 +530,50 @@ def export_csv(tmp_path):
     return p
 
 
-def test_load_csv_peak_memory_is_bounded(export_csv, tmp_path):
-    # The export above with CRLF line ends, whose pairs the streamed read
-    # splits across pieces: it peaks at 11.3 MB, as the LF file does, and
-    # loads the same table.
-    crlf = tmp_path / "export_crlf.csv"
-    crlf.write_bytes(export_csv.read_bytes().replace(b"\n", b"\r\n"))
+def _traced(step):
+    """step() and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        d = load_csv(str(crlf))
-        peak = tracemalloc.get_traced_memory()[1]
+        return step(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_load_csv_peak_memory_is_bounded(export_csv, tmp_path):
+    # The export above with CRLF line ends, whose pairs the streamed read
+    # splits across pieces: it peaks at 9.7 MB, as the LF file does, and
+    # loads the same table. Its meta as one tuple of str per row peaked at
+    # 11.3 MB.
+    crlf = tmp_path / "export_crlf.csv"
+    crlf.write_bytes(export_csv.read_bytes().replace(b"\n", b"\r\n"))
+    d, peak = _traced(lambda: load_csv(str(crlf)))
     assert d.n_rows == 40000 and len(d.meta) == 40000
     assert _contents(d) == _contents(load_csv(str(export_csv)))
-    assert peak < 14 * 2**20
+    assert peak < 12 * 2**20
+
+
+def test_load_csv_without_meta_skips_its_memory(export_csv):
+    # The meta columns, their pieces and the cells they are cut from are
+    # 4.7 of the 9.7 MB the export's load peaks at.
+    d, peak = _traced(lambda: load_csv(str(export_csv), meta=False))
+    assert d.n_rows == 40000 and d.meta is None
+    assert peak < 6 * 2**20
 
 
 def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_path):
     # Keeping every row as a list of cell strings (csv.reader) peaked at
     # 28.6 MB, splitting the whole text into lines at 22.8, and parsing that
     # text in chunks at 15.1; reading the file in pieces, with the labels as
-    # one array per piece, takes 11.3. Formatting the whole table before
-    # writing it peaked at 17.8 MB above the loaded dataset; blocks of rows
-    # take 1.8.
+    # one array per piece, took 11.3, and with the meta as one array per
+    # column and piece takes 9.7. Formatting the whole table before writing
+    # it peaked at 17.8 MB above the loaded dataset; blocks of 4,096 rows
+    # took 1.8, of 1,024 rows 0.6.
     out = tmp_path / "saved.csv"
-
-    def traced(step):
-        tracemalloc.start()
-        try:
-            return step(), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    d, load_peak = traced(lambda: load_csv(str(export_csv)))
-    _, save_peak = traced(lambda: save_csv(d, str(out)))
+    d, load_peak = _traced(lambda: load_csv(str(export_csv)))
+    _, save_peak = _traced(lambda: save_csv(d, str(out)))
     assert d.n_rows == 40000 and len(d.meta) == 40000
     assert out.read_bytes() == export_csv.read_bytes()
-    assert load_peak < 14 * 2**20
+    assert load_peak < 12 * 2**20
     assert save_peak < 10 * 2**20
 
 
@@ -711,6 +717,64 @@ def test_derived_datasets_keep_the_normalised_meta_rows():
     assert grown.meta == d.meta + [("", "")]
     with pytest.raises(ArityError):
         d.append_rows([5.0, 6.0], ["x"])
+
+
+@pytest.mark.parametrize("meta", [None, [("7", "a"), ("8", "b")]])
+@pytest.mark.parametrize("rows, labels, shapes", [
+    ([5.0, 6.0], ["x"], "(2,) with labels of shape (1,)"),
+    ([[5.0, 6.0, 7.0]], ["x"], "(1, 3) with labels of shape (1,)"),
+    ([[5.0, 6.0]], ["x", "y"], "(1, 2) with labels of shape (2,)"),
+    ([[[5.0, 6.0]]], ["x"], "(1, 1, 2) with labels of shape (1,)"),
+])
+def test_append_rows_checks_the_shape_of_its_input(meta, rows, labels, shapes):
+    d = Dataset([("a", ""), ("b", "")], [[1.0, 2.0], [3.0, 4.0]], ["x", "y"], meta,
+                meta and ("S No.", "Time Stamp"))
+    with pytest.raises(ArityError) as exc:
+        d.append_rows(rows, labels)
+    assert str(exc.value) == f"cannot append rows of shape {shapes} to a table of shape (2, 2)"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(block_datasets().filter(lambda d: d.label_presence and d.arity > 0), st.data())
+def test_grown_and_cut_tables_save_the_tuple_reference(tmp_path_factory, d, data):
+    # The meta rows as tuples, grown and cut as lists: a new row is blank in
+    # every column, a cut takes whole rows.
+    rows = d.meta
+    extra = data.draw(st.integers(0, 5))
+    grown = d.append_rows(np.ones((extra, d.arity)), ["z"] * extra)
+    if rows is not None:
+        rows += [("",) * (len(rows[0]) if rows else len(d.meta_schema or ()))] * extra
+    idx = data.draw(st.lists(st.integers(-grown.n_rows, grown.n_rows - 1), max_size=15)
+                    if grown.n_rows else st.just([]))
+    cut = grown.subset(idx)
+    assert cut.meta == (None if rows is None else [rows[i] for i in idx])
+    out = tmp_path_factory.getbasetemp() / "grown_cut.csv"
+    save_csv(cut, str(out))
+    assert out.read_bytes() == _reference_csv(cut)
+
+
+def test_meta_cells_that_end_in_nul_survive(tmp_path):
+    meta = [("1\0", "a"), ("2", "\0"), ("3", "b\0\0")]
+    d = Dataset([("v", "")], [[1.0], [2.0], [3.0]], ["x", "y", "x"], meta,
+                ("S No.", "Time Stamp"))
+    assert d.meta == meta
+    assert d.subset([2, 0]).meta == [meta[2], meta[0]]
+    out = tmp_path / "nul.csv"
+    save_csv(d.subset([1, 2]), str(out))
+    assert out.read_bytes() == _reference_csv(d.subset([1, 2]))
+    assert load_csv(str(out)).meta == meta[1:]
+
+
+@pytest.mark.parametrize("twin", ["plain", "quoted"])
+def test_load_without_meta_keeps_the_features_and_labels(tmp_path, twin):
+    p = tmp_path / f"{twin}.csv"
+    quoting = csv.QUOTE_ALL if twin == "quoted" else csv.QUOTE_MINIMAL
+    p.write_text(_csv_text(_TWIN_ROWS, quoting=quoting), newline="")
+    full, bare = load_csv(str(p)), load_csv(str(p), meta=False)
+    assert full.meta is not None and full.meta_schema == ("S No.", "Time Stamp")
+    assert bare.meta is None and bare.meta_schema is None
+    assert _contents(bare)[:4] == _contents(full)[:4]
+    assert _contents(dataset._load_cells(str(p), _read(p), False)) == _contents(bare)
 
 
 def test_standardizer_round_trip():

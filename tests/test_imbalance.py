@@ -202,9 +202,10 @@ def test_nearest_neighbors_keep_the_two_buffer_rounding(m, dim, k, seed, step):
 
 def test_smote_neighbor_blocks_hold_two_buffers():
     # The neighbor search alone over the 4,000-row minority below: a
-    # 256 x 4,000 block is 8 MB per float matrix, and the search never holds
-    # two of them at once. Four alive at once peaked at 32.2 MB; one buffer,
-    # with the doubled product turned into distances in place, takes 9.0.
+    # 64 x 4,000 block is 2 MB per float matrix, and the search never holds
+    # two of them at once. With 256-row blocks, four alive at once peaked at
+    # 32.2 MB and one buffer, with the doubled product turned into distances
+    # in place, at 9.0; one 64-row buffer takes 2.6.
     Z = np.random.default_rng(0).normal(size=(4000, 5))
     block_bytes = _NEIGHBOR_BLOCK * len(Z) * Z.itemsize
     tracemalloc.start()
@@ -224,7 +225,8 @@ def test_smote_memory_is_linear_in_minority_rows():
     # and the partitioned copy) peaked at 32.2 MB, the distances and one
     # buffer for the product and the partition at 17.6, and the doubled
     # product turned into distances in place, over the standardized minority
-    # rows only, takes 9.4.
+    # rows only, at 9.4. A 64 x 4,000 block is 2 MB, and with the synthetic
+    # rows formed in place the whole of smote takes 3.0.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(12000, 5))
     d = Dataset([(f"c{j}", "") for j in range(5)], X, ["n"] * 8000 + ["f"] * 4000)
@@ -235,7 +237,7 @@ def test_smote_memory_is_linear_in_minority_rows():
     finally:
         tracemalloc.stop()
     assert out.n_rows == 16000
-    assert peak < 13 * 2**20
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

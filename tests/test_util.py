@@ -14,7 +14,7 @@ from rigline.imbalance import SmoteConfig, undersample
 from rigline.labeling_em import em_fit
 from rigline.stacking import LearnerSpec, StackSpec
 from rigline.svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
-from rigline.util import check_number, parse_fields
+from rigline.util import check_number, diag_gaussian_posterior, parse_fields, sum_columns
 
 CASTS = {"rows": int, "k": int, "frac": float, "shift": float}
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -174,3 +174,57 @@ def test_hostile_numeric_settings_are_named_config_errors(case, data):
                     if p != name]
             builder(*args, **{name: value})
     assert str(err.value).startswith(f"{name} must be "), str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The column-wise posterior against the (n, d) broadcast form it replaced.
+
+def _broadcast_posterior(X, weights, means, variances):
+    """The posterior as one broadcast per component and axis=1 reductions."""
+    n, d = X.shape
+    K = means.shape[0]
+    log_w = np.empty((n, K))
+    for k in range(K):
+        diff = X - means[k]
+        log_w[:, k] = -0.5 * (
+            d * np.log(2.0 * np.pi)
+            + np.sum(np.log(variances[k]))
+            + np.sum(diff * diff / variances[k], axis=1)
+        )
+    log_w += np.log(weights)
+    m = log_w.max(axis=1, keepdims=True)
+    p = np.exp(log_w - m)
+    s = p.sum(axis=1, keepdims=True)
+    return m[:, 0] + np.log(s[:, 0]), p / s
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 300),
+    d=st.one_of(st.integers(1, 20), st.integers(127, 130)),
+    K=st.integers(1, 10),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    spread=st.sampled_from([1e-2, 1.0, 1e2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_is_the_broadcast_form_bit_for_bit(n, d, K, scale, spread, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, scale, size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
+    means = rng.normal(0.0, scale * spread, size=(K, d))
+    variances = (scale * spread) ** 2 * rng.uniform(1e-3, 1e1, size=(K, d))
+    weights = rng.dirichlet(np.ones(K))
+    lse, resp = diag_gaussian_posterior(X, weights, means, variances)
+    ref_lse, ref_resp = _broadcast_posterior(X, weights, means, variances)
+    assert np.array_equal(lse, ref_lse)
+    assert np.array_equal(resp, ref_resp)
+    assert resp.flags.c_contiguous
+
+
+def test_sum_columns_adds_in_numpys_row_order():
+    rng = np.random.default_rng(4)
+    for count in range(1, 301):
+        A = rng.normal(size=(40, count)) * rng.choice([1e-8, 1.0, 1e8], size=(40, count))
+        total = sum_columns((A[:, j].copy() for j in range(count)), count)
+        assert total.tobytes() == np.sum(A, axis=1).tobytes(), count
+    zeros = np.full((1, 9), -0.0)
+    assert sum_columns((c.copy() for c in zeros.T), 9).tobytes() == zeros.sum(axis=1).tobytes()
