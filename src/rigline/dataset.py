@@ -60,9 +60,11 @@ class Dataset:
     labels : optional sequence of n_rows class names.
     meta : optional sequence of n_rows rows of bookkeeping cells (serial
         number, timestamp, ...), excluded from features. They are kept as
-        one 1-D array of str per column, as many columns as the shortest
-        row has cells; a column may end before the table does, and the
-        rows past its end have blank cells there.
+        one 1-D array per column, as many columns as the shortest row has
+        cells: the cells' UTF-8 bytes, or str objects in a column with a
+        cell that ends in NUL or that UTF-8 cannot encode. A column may end
+        before the table does, and the rows past its end have blank cells
+        there.
     meta_schema : column names for the meta cells.
     """
 
@@ -126,6 +128,8 @@ class Dataset:
         out = []
         for col in self._meta or ():
             cells = col[a:b].tolist()
+            if col.dtype.kind == "S":
+                cells = [cell.decode() for cell in cells]
             out.append(cells + [""] * (b - a - len(cells)))
         return out
 
@@ -136,7 +140,7 @@ class Dataset:
         meta = None
         if self._meta is not None:
             rows = np.where(indices < 0, indices + self.n_rows, indices)
-            meta = tuple(_frozen(np.append(col, "")[np.minimum(rows, len(col))])
+            meta = tuple(_frozen(np.append(col, _blank(col))[np.minimum(rows, len(col))])
                          for col in self._meta)
         return self._derive(X, labels, meta)
 
@@ -162,12 +166,19 @@ class Dataset:
             )
         X = np.vstack([self.X, X_new])
         labels = np.concatenate([self.labels, labels_new])
+        return self._grown(X, labels)
+
+    def _grown(self, X, labels) -> "Dataset":
+        """This table with rows appended, given whole: X and labels hold
+        this table's rows first and the new ones after. The meta columns
+        are shared, cut to the meta schema's width, and the new rows lie
+        past their ends."""
         meta = None if self._meta is None else self._meta[:len(self.meta_schema or ())]
         return self._derive(X, labels, meta)
 
     def _derive(self, X, labels, meta) -> "Dataset":
         """A Dataset with this one's schemas and the given meta columns,
-        which are read-only arrays of str and are kept as they are."""
+        which are read-only column arrays and are kept as they are."""
         d = Dataset(self.schema, X, labels, None, self.meta_schema)
         d._meta = meta
         return d
@@ -185,11 +196,20 @@ def _meta_columns(rows, n_rows, meta_schema):
 
 
 def _meta_column(cells):
-    """One meta column of str cells. Fixed-width numpy strings drop a
-    trailing NUL, so a column with a cell that ends in one is an object
-    array."""
-    nul = any(cell.endswith("\0") for cell in cells)
-    return _frozen(np.array(cells, dtype=object if nul else str))
+    """One meta column of str cells, as their UTF-8 bytes. Fixed-width
+    numpy strings drop trailing NULs, so a column with a cell that ends in
+    one, or with a cell UTF-8 cannot encode, is an object array of str."""
+    if not any(cell.endswith("\0") for cell in cells):
+        try:
+            return _frozen(np.array([cell.encode() for cell in cells], dtype=bytes))
+        except UnicodeEncodeError:
+            pass
+    return _frozen(np.array(cells, dtype=object))
+
+
+def _blank(col):
+    """The blank cell of a meta column: b"" for bytes, "" for str objects."""
+    return b"" if col.dtype.kind == "S" else ""
 
 
 def _frozen(a):
@@ -259,27 +279,45 @@ _READ_CHUNK = 1 << 19
 def _pieces(fh):
     """The text of fh in pieces of about _READ_CHUNK characters, each but the
     last cut after a newline, with "\r\n" read as "\n". A CR that ends a
-    read lies after the cut, so it meets the LF that may follow it."""
+    read lies after the cut, so it meets the LF that may follow it. Only
+    the carried tail is held while the next read runs."""
     rest = ""
     while chunk := fh.read(_READ_CHUNK):
         text = (rest + chunk).replace("\r\n", "\n")
         cut = text.rfind("\n") + 1
-        yield text[:cut]
-        rest = text[cut:]
+        piece, rest = text[:cut], text[cut:]
+        del chunk, text
+        yield piece
+        del piece
     yield rest
+
+
+def _count_lines(path):
+    """The number of lines in the file, read _READ_CHUNK characters at a
+    time: its newlines, and one more when text follows the last of them."""
+    lines, last = 0, "\n"
+    with open(path, newline="") as fh:
+        while chunk := fh.read(_READ_CHUNK):
+            lines += chunk.count("\n")
+            last = chunk[-1]
+    return lines + (last != "\n")
 
 
 def _load_plain(path, meta=True):
     """Columnar parse of unquoted text split on newlines and commas.
 
     On such text `csv.reader` yields exactly the comma-separated fields of
-    each line. The file is read and parsed a piece at a time (`_pieces`);
-    each piece's meta cells become one array per column, joined at the end.
-    Returns None when a piece holds a quote, a lone CR or a NUL, or when a
-    row's arity, a cell `np.loadtxt` rejects or a non-finite value needs
-    the reference loop to decide.
+    each line. The file's lines are counted first, so the feature matrix is
+    allocated once and each piece's rows are parsed into it; the file is
+    then read and parsed a piece at a time (`_pieces`). Each piece's labels
+    and meta cells (as UTF-8 bytes) become one array per column, joined at
+    the end. Returns None when a piece holds a quote, a lone CR or a NUL,
+    when it holds more rows than the count left room for, or when a row's
+    arity, a cell `np.loadtxt` rejects or a non-finite value needs the
+    reference loop to decide.
     """
-    header, blocks, labels, columns = None, [], [], None
+    n_lines = _count_lines(path)
+    header, filled, labels, columns = None, 0, [], None
     with open(path, newline="") as fh:
         for piece in _pieces(fh):
             if any(c in piece for c in '"\r\0'):
@@ -289,28 +327,31 @@ def _load_plain(path, meta=True):
                 header = [c.strip() for c in lines.pop(0).split(",")]
                 n_meta, feat_idx, has_labels = _layout(path, header)
                 commas = len(header) - 1
+                X = np.empty((max(n_lines - 1, 0), len(feat_idx)))
                 if meta and n_meta:  # an empty first piece, so no rows still join
-                    columns = [[np.array([], dtype=str)] for _ in range(n_meta)]
+                    columns = [[np.array([], dtype=bytes)] for _ in range(n_meta)]
             if not lines:
                 continue
-            if any(ln.count(",") != commas for ln in lines):
+            if any(ln.count(",") != commas for ln in lines) or filled + len(lines) > len(X):
                 return None
             try:
-                X = np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
+                block = np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
             except ValueError:
                 return None
-            if X.shape != (len(lines), len(feat_idx)) or not np.isfinite(X).all():
+            if block.shape != (len(lines), len(feat_idx)) or not np.isfinite(block).all():
                 return None
-            blocks.append(X)
+            X[filled:filled + len(lines)] = block
+            filled += len(lines)
             if has_labels:
                 labels.append(np.array([ln.rpartition(",")[2].strip() for ln in lines]))
             for j, pieces in enumerate(columns or ()):
-                pieces.append(np.array([ln.split(",", j + 1)[j] for ln in lines]))
+                pieces.append(np.array([ln.split(",", j + 1)[j].encode() for ln in lines],
+                                       dtype=bytes))
+            del piece, lines, block  # before the next read
     if header is None:
         return None
-    X = np.concatenate(blocks) if blocks else np.empty((0, len(feat_idx)))
     labels = np.concatenate(labels) if labels else []
-    return _dataset(header, n_meta, feat_idx, X, labels if has_labels else None,
+    return _dataset(header, n_meta, feat_idx, X[:filled], labels if has_labels else None,
                     columns and [_frozen(np.concatenate(pieces)) for pieces in columns])
 
 

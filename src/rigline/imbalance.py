@@ -121,15 +121,24 @@ def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
     picks = rng.integers(n_min, size=needed)
     partner_slots = rng.integers(cfg.k_neighbors, size=needed)
     deltas = rng.uniform(0.0, 1.0, size=needed)
-    # N becomes the synthetic rows in place: the arithmetic of
-    # P + deltas * (N - P), without its temporaries.
+    # The grown table is allocated once, the input rows copied into its
+    # head. Its tail takes the partners N and becomes the synthetic rows in
+    # place: the arithmetic of P + deltas * (N - P), without its
+    # temporaries. np.take's default mode would buffer its output.
+    n = d.n_rows
+    X = np.empty((n + needed, d.arity))
+    X[:n] = d.X
+    tail = X[n:]
+    np.take(Xmin, neighbors[picks, partner_slots], axis=0, out=tail, mode="clip")
     P = Xmin[picks]
-    N = Xmin[neighbors[picks, partner_slots]]
-    N -= P
-    N *= deltas[:, None]
-    N += P
+    tail -= P
+    tail *= deltas[:, None]
+    tail += P
     del P
-    return d.append_rows(N, np.full(needed, minority))
+    labels = np.empty(n + needed, dtype=d.labels.dtype)
+    labels[:n] = d.labels
+    labels[n:] = minority
+    return d._grown(X, labels)
 
 
 def undersample(d: Dataset, seed: int = 0) -> Dataset:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import inspect
 import os
 import re
@@ -1121,3 +1122,52 @@ def test_grid_rejects_unknown_learner(tmp_path, capsys):
     assert run_cli("grid", "--synthetic", "rows=100", "--learners", "nb,what",
                    "--out", str(tmp_path / "g")) == 2
     assert "what" in capsys.readouterr().err
+
+
+def _write_stage_export(path, rows, seed):
+    """An unlabeled rig export with `S No.` and `Time Stamp` columns: about
+    13% of the rows drift up on the pressure and gas columns."""
+    rng = np.random.default_rng(seed)
+    means = np.array([95.6, 77.2, 78.0, 10.0, 362.9])
+    sds = np.array([3.15, 1.84, 1.68, 0.27, 20.3])
+    X = rng.normal(means, sds, size=(rows, 5))
+    X[rng.random(rows) < 0.13, 1:4] += 2.0 * sds[1:4]
+    with open(path, "w", newline="") as fh:
+        fh.write("S No.,Time Stamp,Operating Temperature (in Deg.),Operating Pressure (in psi),"
+                 "Working Pressure (in psi),Gas Detector (in PPM),Flow Rate (in cc/min)\n")
+        for i, x in enumerate(X.tolist()):
+            stamp = f"2/{8 + i // 1440}/2014 {i // 60 % 24}:{i % 60:02d}"
+            fh.write(",".join([str(1048576 + i), stamp, *map(repr, x)]) + "\n")
+
+
+# SHA-256 of each output of the label -> sample -> train -> evaluate chain
+# on _write_stage_export(rows=900, seed=11), as written before the meta
+# columns were held as bytes and SMOTE wrote into the grown table.
+STAGE_CHAIN_SHA256 = {
+    "labeled.csv": "322e1eff191d1e0cdfb37baf5ccba6cb8151e025553630c2d658c69259a421e5",
+    "sampled.csv": "1b7e643e6837b0583e4f7b2cfd504ae6507dea5d075a83b30abe36b2a7cc9439",
+    "model.txt": "101f6b6b5a589e76da6c85ae874735a39e7dd3a3793cfee224415994715d9f3e",
+    "report.csv": "6d64d3da15aecfac4f045553eb37c8ba9bddabef312d715c671661c449f8591a",
+    "detail.txt": "803b9da4e90ad9a4db2fdb8b12867c5fd406f873e46d957747047fc39ec712de",
+}
+
+
+def test_stage_chain_outputs_are_pinned(tmp_path):
+    # The commands and options of the benchmark's stages workload on a small
+    # export; its minority is more than one 64-row neighbour block.
+    export = tmp_path / "export.csv"
+    _write_stage_export(export, 900, 11)
+    out = {name: str(tmp_path / name) for name in STAGE_CHAIN_SHA256}
+    assert run_cli("label", "--data", str(export), "--out", out["labeled.csv"],
+                   "--seed", "3") == 0
+    labels = load_csv(out["labeled.csv"]).labels
+    assert min(np.sum(labels == c) for c in set(labels)) > 64
+    assert run_cli("sample", "--data", out["labeled.csv"], "--sample", "smote",
+                   "--out", out["sampled.csv"], "--seed", "3") == 0
+    assert run_cli("train", "--data", out["sampled.csv"], "--learner", "nb",
+                   "--out", out["model.txt"], "--seed", "3") == 0
+    assert run_cli("evaluate", "--model", out["model.txt"], "--data", out["labeled.csv"],
+                   "--out", out["report.csv"], "--detail", out["detail.txt"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in STAGE_CHAIN_SHA256}
+    assert digests == STAGE_CHAIN_SHA256

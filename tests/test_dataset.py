@@ -517,6 +517,62 @@ def test_plain_files_are_read_in_pieces(tmp_path, monkeypatch):
         load_csv(str(quoted))
 
 
+@pytest.mark.parametrize("text, lines", [
+    ("", 0), ("\n", 1), ("a", 1), ("a\n", 1), ("a\nb", 2), ("a\r\nb\r\n", 2),
+    ("a\n\n,,\nb\n", 4),
+])
+@pytest.mark.parametrize("chunk", [1, 2, dataset._READ_CHUNK])
+def test_count_lines(tmp_path, monkeypatch, text, lines, chunk):
+    p = tmp_path / "lines.csv"
+    p.write_text(text, newline="")
+    monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
+    assert dataset._count_lines(str(p)) == lines
+
+
+_EXPORT_ROWS = [["S No.", "Time Stamp", "a", "b", "class"]] + [
+    [str(1048576 + i), f"2/8/2014 2:{i:02d}", repr(i / 7), repr(-i * 1e10), "normal"]
+    for i in range(30)
+]
+
+
+@pytest.mark.parametrize("chunk", [64, dataset._READ_CHUNK])
+@pytest.mark.parametrize("short", [1, 10, 31])
+def test_a_file_with_more_rows_than_counted_loads_through_the_reference_loop(
+        tmp_path, monkeypatch, chunk, short):
+    # The line count sizes the feature matrix. A file that holds more rows
+    # than were counted (it grew between the two reads) goes to _load_cells;
+    # with 64-character reads the rows run out in a later piece.
+    p = tmp_path / "export.csv"
+    p.write_text(_csv_text(_EXPORT_ROWS), newline="")
+    reference = _contents(dataset._load_cells(str(p), _read(p)))
+    assert dataset._count_lines(str(p)) == 31
+    assert _contents(dataset._load_plain(str(p))) == reference
+    monkeypatch.setattr(dataset, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(dataset, "_count_lines", lambda path: 31 - short)
+    assert dataset._load_plain(str(p)) is None
+    assert _contents(load_csv(str(p))) == reference
+
+
+def test_non_ascii_meta_loads_on_the_plain_path_and_saves_the_same_bytes(tmp_path):
+    # The meta cells are kept as their UTF-8 bytes and read back as str.
+    rows = [["S No.", "Time Stamp", "a", "class"],
+            ["Z\xfcrich", "\u6e29\u5ea6 2:28", "1.5", "normal"],
+            ["\xa0x\xa0", "", "-0.0", "failure"],
+            ["3", "\xa0", "2.5", "normal"]]
+    p = tmp_path / "utf8.csv"
+    p.write_text(_csv_text(rows), newline="")
+    d = dataset._load_plain(str(p))
+    assert d is not None
+    assert d.meta == [tuple(row[:2]) for row in rows[1:]]
+    assert [col.dtype.kind for col in d._meta] == ["S", "S"]
+    assert _contents(d) == _contents(dataset._load_cells(str(p), _read(p)))
+    out = tmp_path / "saved.csv"
+    save_csv(d, str(out))
+    assert out.read_bytes() == p.read_bytes()
+    save_csv(d.subset([2, 0]).append_rows([[7.0]], ["failure"]), str(out))
+    assert load_csv(str(out)).meta == [tuple(rows[3][:2]), tuple(rows[1][:2]), ("", "")]
+
+
 @pytest.fixture
 def export_csv(tmp_path):
     """A 40,000-row export: serial and timestamp columns, 5 features."""
@@ -541,39 +597,41 @@ def _traced(step):
 
 def test_load_csv_peak_memory_is_bounded(export_csv, tmp_path):
     # The export above with CRLF line ends, whose pairs the streamed read
-    # splits across pieces: it peaks at 9.7 MB, as the LF file does, and
+    # splits across pieces: it peaks at 4.9 MB, as the LF file does, and
     # loads the same table. Its meta as one tuple of str per row peaked at
-    # 11.3 MB.
+    # 11.3 MB, as numpy str columns at 9.7.
     crlf = tmp_path / "export_crlf.csv"
     crlf.write_bytes(export_csv.read_bytes().replace(b"\n", b"\r\n"))
     d, peak = _traced(lambda: load_csv(str(crlf)))
     assert d.n_rows == 40000 and len(d.meta) == 40000
     assert _contents(d) == _contents(load_csv(str(export_csv)))
-    assert peak < 12 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_load_csv_without_meta_skips_its_memory(export_csv):
-    # The meta columns, their pieces and the cells they are cut from are
-    # 4.7 of the 9.7 MB the export's load peaks at.
+    # Without its meta the export's load peaks at 4.0 MB, with it at 4.9.
+    # Joining one feature matrix per piece at the end peaked at 5.0 MB.
     d, peak = _traced(lambda: load_csv(str(export_csv), meta=False))
     assert d.n_rows == 40000 and d.meta is None
-    assert peak < 6 * 2**20
+    assert peak < 4.5 * 2**20
 
 
 def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_path):
     # Keeping every row as a list of cell strings (csv.reader) peaked at
     # 28.6 MB, splitting the whole text into lines at 22.8, and parsing that
     # text in chunks at 15.1; reading the file in pieces, with the labels as
-    # one array per piece, took 11.3, and with the meta as one array per
-    # column and piece takes 9.7. Formatting the whole table before writing
-    # it peaked at 17.8 MB above the loaded dataset; blocks of 4,096 rows
-    # took 1.8, of 1,024 rows 0.6.
+    # one array per piece, took 11.3, and with the meta as one str array per
+    # column and piece 9.7. The meta as UTF-8 bytes, one feature matrix
+    # filled piece by piece, and each piece let go before the next is read
+    # take 4.9. Formatting the whole table before writing it peaked at
+    # 17.8 MB above the loaded dataset; blocks of 4,096 rows took 1.8, of
+    # 1,024 rows 0.6.
     out = tmp_path / "saved.csv"
     d, load_peak = _traced(lambda: load_csv(str(export_csv)))
     _, save_peak = _traced(lambda: save_csv(d, str(out)))
     assert d.n_rows == 40000 and len(d.meta) == 40000
     assert out.read_bytes() == export_csv.read_bytes()
-    assert load_peak < 12 * 2**20
+    assert load_peak < 6 * 2**20
     assert save_peak < 10 * 2**20
 
 
@@ -763,6 +821,17 @@ def test_meta_cells_that_end_in_nul_survive(tmp_path):
     save_csv(d.subset([1, 2]), str(out))
     assert out.read_bytes() == _reference_csv(d.subset([1, 2]))
     assert load_csv(str(out)).meta == meta[1:]
+
+
+def test_meta_cells_utf8_cannot_encode_stay_str():
+    # A lone surrogate has no UTF-8 bytes, so its column keeps str objects.
+    meta = [("1", "\ud800"), ("2", "b")]
+    d = Dataset([("v", "")], [[1.0], [2.0]], ["x", "y"], meta, ("S No.", "Time Stamp"))
+    assert [col.dtype.kind for col in d._meta] == ["S", "O"]
+    assert d.meta == meta
+    grown = d.subset([1, 0]).append_rows([[3.0]], ["x"])
+    assert grown.meta == [meta[1], meta[0], ("", "")]
+    assert grown.subset([2]).meta == [("", "")]
 
 
 @pytest.mark.parametrize("twin", ["plain", "quoted"])
