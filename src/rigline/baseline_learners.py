@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, Standardizer, class_order
+from .dataset import Dataset, Standardizer
 from .errors import ConfigError, DivergenceError, ShapeError, SingleClassError
 from .util import check_number, derive_seed, diag_gaussian_posterior
 
@@ -77,14 +77,6 @@ class TrainedModel:
         return self._score(X).proba
 
 
-def _encode_labels(d: Dataset):
-    classes = class_order(d.labels)
-    y = np.empty(d.n_rows, dtype=int)
-    for i, c in enumerate(classes):
-        y[d.labels == c] = i
-    return classes, y
-
-
 def _require_labeled(d: Dataset):
     if not d.label_presence:
         raise SingleClassError("training needs a labeled dataset")
@@ -112,7 +104,7 @@ class NaiveBayesModel(TrainedModel):
 def train_naive_bayes(d: Dataset) -> NaiveBayesModel:
     """Gaussian naive Bayes: per-class, per-feature normal densities."""
     _require_labeled(d)
-    classes, y = _encode_labels(d)
+    classes, y = d.classes, d.codes
     K = len(classes)
     n, dim = d.X.shape
     priors = np.empty(K)
@@ -356,10 +348,9 @@ def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_dep
 def train_cart(d: Dataset, max_depth=None, min_leaf: int = 1) -> DecisionTreeModel:
     """Binary decision tree minimizing Gini impurity, greedy top-down."""
     _require_labeled(d)
-    classes, y = _encode_labels(d)
-    nodes, = _grow_trees(d.X, y, len(classes), [np.arange(d.n_rows)],
+    nodes, = _grow_trees(d.X, d.codes, len(d.classes), [np.arange(d.n_rows)],
                          lambda t: list(range(d.arity)), max_depth, min_leaf)
-    return DecisionTreeModel(classes, nodes, d.arity)
+    return DecisionTreeModel(d.classes, nodes, d.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +397,6 @@ def train_random_forest(
             f"features_per_split={features_per_split} exceeds arity {d.arity}; clamping"
         )
         features_per_split = d.arity
-    classes, y = _encode_labels(d)
     rngs = [np.random.default_rng(derive_seed(seed, "tree", t)) for t in range(n_trees)]
     samples = [rng.integers(d.n_rows, size=d.n_rows) if bootstrap else np.arange(d.n_rows)
                for rng in rngs]
@@ -414,9 +404,10 @@ def train_random_forest(
     def pick(t):
         return sorted(rngs[t].choice(d.arity, features_per_split, replace=False).tolist())
 
-    trees = [DecisionTreeModel(classes, nodes, d.arity)
-             for nodes in _grow_trees(d.X, y, len(classes), samples, pick, max_depth, min_leaf)]
-    return RandomForestModel(classes, trees, d.arity)
+    trees = [DecisionTreeModel(d.classes, nodes, d.arity)
+             for nodes in _grow_trees(d.X, d.codes, len(d.classes), samples, pick,
+                                      max_depth, min_leaf)]
+    return RandomForestModel(d.classes, trees, d.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +476,7 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     its best leaf into a rule, and drops the covered rows. Uncovered rows fall
     through to a default rule holding the leftover class counts."""
     _require_labeled(d)
-    classes, y = _encode_labels(d)
+    classes, y = d.classes, d.codes
     K = len(classes)
     X = d.X
     rules = []
@@ -505,8 +496,7 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     default_counts = np.bincount(y, minlength=K).astype(float)
     if default_counts.sum() == 0:
         # Everything got covered: fall back to the full training distribution.
-        _, y_all = _encode_labels(d)
-        default_counts = np.bincount(y_all, minlength=K).astype(float)
+        default_counts = np.bincount(d.codes, minlength=K).astype(float)
     return RuleListModel(classes, rules, default_counts, d.arity)
 
 
@@ -609,7 +599,7 @@ def train_mlp(d: Dataset, cfg: MlpConfig = MlpConfig()) -> MlpModel:
     Features are standardized internally; the scaler rides along in the model.
     """
     _require_labeled(d)
-    classes, y = _encode_labels(d)
+    classes, y = d.classes, d.codes
     K = len(classes)
     scaler = Standardizer()
     X = scaler.fit_transform(d.X)

@@ -53,11 +53,16 @@ def class_order(labels):
 class Dataset:
     """Immutable table of numeric feature rows with an optional label column.
 
+    Labels are held as codes: `classes` lists the class names present, in
+    class_order, and `codes` is a read-only array of the smallest unsigned
+    dtype giving each row's index into it (both None when unlabeled; a cut
+    that lacks a class drops it). `labels` decodes them on each call.
+
     Parameters
     ----------
     schema : sequence of (name, unit) pairs, one per feature column.
     X : array-like of shape (n_rows, arity), all finite.
-    labels : optional sequence of n_rows class names.
+    labels : optional sequence of n_rows class names (made str).
     meta : optional sequence of n_rows rows of bookkeeping cells (serial
         number, timestamp, ...), excluded from features. They are kept as
         one 1-D array per column, as many columns as the shortest row has
@@ -83,16 +88,7 @@ class Dataset:
         self.schema = tuple((str(n), str(u)) for n, u in schema)
         self.X = X
         self.X.setflags(write=False)
-        if labels is None:
-            self.labels = None
-        else:
-            labels = np.asarray(labels, dtype=str)
-            if labels.shape != (X.shape[0],):
-                raise ArityError(
-                    f"{len(labels)} labels for {X.shape[0]} rows"
-                )
-            self.labels = labels
-            self.labels.setflags(write=False)
+        self.classes, self.codes = _names_coded(labels, X.shape[0])
         self._meta = None if meta is None else _meta_columns(meta, X.shape[0], meta_schema)
         self.meta_schema = tuple(meta_schema) if meta_schema else None
 
@@ -106,7 +102,12 @@ class Dataset:
 
     @property
     def label_presence(self) -> bool:
-        return self.labels is not None
+        return self.codes is not None
+
+    @property
+    def labels(self):
+        """Each row's class name, decoded on each call; None when unlabeled."""
+        return None if self.codes is None else np.array(self.classes, dtype=str)[self.codes]
 
     def feature_names(self):
         return [n for n, _ in self.schema]
@@ -136,26 +137,33 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
         X = self.X[indices]
-        labels = None if self.labels is None else self.labels[indices]
+        codes = None if self.codes is None else self.codes[indices]
         meta = None
         if self._meta is not None:
             rows = np.where(indices < 0, indices + self.n_rows, indices)
             meta = tuple(_frozen(np.append(col, _blank(col))[np.minimum(rows, len(col))])
                          for col in self._meta)
-        return self._derive(X, labels, meta)
+        return self._derive(X, self.classes, codes, meta)
 
     def with_labels(self, labels) -> "Dataset":
-        return self._derive(self.X, labels, self._meta)
+        return self._derive(self.X, *_names_coded(labels, self.n_rows), self._meta)
 
     def without_labels(self) -> "Dataset":
-        return self._derive(self.X, None, self._meta)
+        return self._derive(self.X, None, None, self._meta)
+
+    def with_features(self, schema, X) -> "Dataset":
+        """These rows' labels on another schema and feature matrix, no meta."""
+        d = _assembled(schema, X, None, self.classes, self.codes, None)
+        if d.n_rows != self.n_rows:
+            raise ArityError(f"{d.n_rows} feature rows for {self.n_rows} labeled rows")
+        return d
 
     def append_rows(self, X_new, labels_new) -> "Dataset":
         """New dataset with labeled rows appended. X_new must be 2-D with the
         table's arity and labels_new hold one label per row. The new rows'
         meta cells are blank in every column the meta schema names: the
         columns are shared, and the new rows lie past their ends."""
-        if self.labels is None:
+        if self.codes is None:
             raise MissingLabelsError("can only append labeled rows to a labeled dataset")
         X_new = np.asarray(X_new, dtype=float)
         labels_new = np.asarray(labels_new, dtype=str)
@@ -164,24 +172,56 @@ class Dataset:
                 f"cannot append rows of shape {X_new.shape} with labels of shape "
                 f"{labels_new.shape} to a table of shape {self.X.shape}"
             )
+        names, codes = np.unique(labels_new, return_inverse=True)
         X = np.vstack([self.X, X_new])
-        labels = np.concatenate([self.labels, labels_new])
-        return self._grown(X, labels)
+        return self._grown(X, self.classes + names.tolist(),
+                           np.concatenate([self.codes, codes + len(self.classes)]))
 
-    def _grown(self, X, labels) -> "Dataset":
-        """This table with rows appended, given whole: X and labels hold
-        this table's rows first and the new ones after. The meta columns
-        are shared, cut to the meta schema's width, and the new rows lie
-        past their ends."""
+    def _grown(self, X, names, codes) -> "Dataset":
+        """This table with rows appended, given whole: X and codes (into
+        names) hold this table's rows first and the new ones after. The
+        meta columns are shared, cut to the meta schema's width, and the
+        new rows lie past their ends."""
         meta = None if self._meta is None else self._meta[:len(self.meta_schema or ())]
-        return self._derive(X, labels, meta)
+        return self._derive(X, names, codes, meta)
 
-    def _derive(self, X, labels, meta) -> "Dataset":
-        """A Dataset with this one's schemas and the given meta columns,
-        which are read-only column arrays and are kept as they are."""
-        d = Dataset(self.schema, X, labels, None, self.meta_schema)
-        d._meta = meta
-        return d
+    def _derive(self, X, names, codes, meta) -> "Dataset":
+        """A Dataset with this one's schemas, X, and names[codes] and meta
+        as _assembled takes them."""
+        return _assembled(self.schema, X, self.meta_schema, names, codes, meta)
+
+
+def _assembled(schema, X, meta_schema, names, codes, meta):
+    """A Dataset with the labels names[codes] (none when codes is None) and
+    the given meta columns, which are read-only column arrays and are kept
+    as they are."""
+    d = Dataset(schema, X, None, None, meta_schema)
+    if codes is not None:
+        d.classes, d.codes = _coded(names, codes)
+    d._meta = meta
+    return d
+
+
+def _names_coded(labels, n_rows):
+    """The classes and codes of a sequence of n_rows class names, or None
+    and None for no labels."""
+    if labels is None:
+        return None, None
+    labels = np.asarray(labels, dtype=str)
+    if labels.shape != (n_rows,):
+        raise ArityError(f"{len(labels)} labels for {n_rows} rows")
+    return _coded(*np.unique(labels, return_inverse=True))
+
+
+def _coded(names, codes):
+    """The classes and codes of the labels names[codes], where names may
+    repeat or go unused: the names present, in class_order, and each row's
+    index among them, read-only in the smallest unsigned dtype."""
+    present = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    classes = class_order(names[i] for i in present)
+    index = {c: i for i, c in enumerate(classes)}
+    dtype = np.min_scalar_type(max(len(classes) - 1, 0))
+    return classes, _frozen(np.array([index.get(n, 0) for n in names], dtype=dtype)[codes])
 
 
 def _meta_columns(rows, n_rows, meta_schema):
@@ -230,7 +270,8 @@ def _is_meta_header(cell: str) -> bool:
 
 
 def _layout(path, header):
-    """Column roles from the stripped header cells: (n_meta, feat_idx, has_labels)."""
+    """Column roles from the stripped header cells: (n_meta, feat_idx,
+    has_labels, the feature schema)."""
     n_meta = 0
     while n_meta < min(2, len(header)) and _is_meta_header(header[n_meta]):
         n_meta += 1
@@ -238,15 +279,7 @@ def _layout(path, header):
     feat_idx = list(range(n_meta, len(header) - 1 if has_labels else len(header)))
     if not feat_idx:
         raise EmptyDatasetError(f"{path}: no feature columns in header")
-    return n_meta, feat_idx, has_labels
-
-
-def _dataset(header, n_meta, feat_idx, X, labels, meta):
-    """The loaded Dataset; meta, when given, is its n_meta columns."""
-    schema = [_parse_header_cell(header[j]) for j in feat_idx]
-    d = Dataset(schema, X, labels, None, header[:n_meta] if meta is not None else None)
-    d._meta = None if meta is None else tuple(meta)
-    return d
+    return n_meta, feat_idx, has_labels, [_parse_header_cell(header[j]) for j in feat_idx]
 
 
 def load_csv(path: str, meta: bool = True) -> Dataset:
@@ -293,14 +326,14 @@ def _pieces(fh):
 
 
 def _count_lines(path):
-    """The number of lines in the file, read _READ_CHUNK characters at a
-    time: its newlines, and one more when text follows the last of them."""
-    lines, last = 0, "\n"
-    with open(path, newline="") as fh:
+    """The number of lines in the file, read _READ_CHUNK bytes at a time:
+    its newline bytes, and one more when bytes follow the last of them."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
         while chunk := fh.read(_READ_CHUNK):
-            lines += chunk.count("\n")
-            last = chunk[-1]
-    return lines + (last != "\n")
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")
 
 
 def _load_plain(path, meta=True):
@@ -310,14 +343,15 @@ def _load_plain(path, meta=True):
     each line. The file's lines are counted first, so the feature matrix is
     allocated once and each piece's rows are parsed into it; the file is
     then read and parsed a piece at a time (`_pieces`). Each piece's labels
-    and meta cells (as UTF-8 bytes) become one array per column, joined at
-    the end. Returns None when a piece holds a quote, a lone CR or a NUL,
-    when it holds more rows than the count left room for, or when a row's
-    arity, a cell `np.loadtxt` rejects or a non-finite value needs the
-    reference loop to decide.
+    are coded through one dict of the names seen so far into a code array
+    allocated with the matrix; its meta cells (as UTF-8 bytes) become one
+    array per column, joined at the end. Returns None when a piece holds a
+    quote, a lone CR or a NUL, when it holds more rows than the count left
+    room for, or when a row's arity, a cell `np.loadtxt` rejects or a
+    non-finite value needs the reference loop to decide.
     """
     n_lines = _count_lines(path)
-    header, filled, labels, columns = None, 0, [], None
+    header, filled, names, columns = None, 0, {}, None
     with open(path, newline="") as fh:
         for piece in _pieces(fh):
             if any(c in piece for c in '"\r\0'):
@@ -325,9 +359,10 @@ def _load_plain(path, meta=True):
             lines = [ln for ln in piece.split("\n") if ln.replace(",", "").strip()]
             if header is None and lines:
                 header = [c.strip() for c in lines.pop(0).split(",")]
-                n_meta, feat_idx, has_labels = _layout(path, header)
+                n_meta, feat_idx, has_labels, schema = _layout(path, header)
                 commas = len(header) - 1
                 X = np.empty((max(n_lines - 1, 0), len(feat_idx)))
+                codes = np.empty(len(X) if has_labels else 0, dtype=np.intp)
                 if meta and n_meta:  # an empty first piece, so no rows still join
                     columns = [[np.array([], dtype=bytes)] for _ in range(n_meta)]
             if not lines:
@@ -341,18 +376,19 @@ def _load_plain(path, meta=True):
             if block.shape != (len(lines), len(feat_idx)) or not np.isfinite(block).all():
                 return None
             X[filled:filled + len(lines)] = block
-            filled += len(lines)
             if has_labels:
-                labels.append(np.array([ln.rpartition(",")[2].strip() for ln in lines]))
+                codes[filled:filled + len(lines)] = [
+                    names.setdefault(ln.rpartition(",")[2].strip(), len(names)) for ln in lines]
+            filled += len(lines)
             for j, pieces in enumerate(columns or ()):
                 pieces.append(np.array([ln.split(",", j + 1)[j].encode() for ln in lines],
                                        dtype=bytes))
             del piece, lines, block  # before the next read
     if header is None:
         return None
-    labels = np.concatenate(labels) if labels else []
-    return _dataset(header, n_meta, feat_idx, X[:filled], labels if has_labels else None,
-                    columns and [_frozen(np.concatenate(pieces)) for pieces in columns])
+    return _assembled(schema, X[:filled], columns and header[:n_meta], list(names),
+                      codes[:filled] if has_labels else None,
+                      columns and tuple(_frozen(np.concatenate(pieces)) for pieces in columns))
 
 
 def _load_cells(path, text, meta=True):
@@ -362,7 +398,7 @@ def _load_cells(path, text, meta=True):
     if not rows:
         raise EmptyDatasetError(f"{path}: file has no header row")
     header = [c.strip() for c in rows[0]]
-    n_meta, feat_idx, has_labels = _layout(path, header)
+    n_meta, feat_idx, has_labels, schema = _layout(path, header)
 
     X = np.empty((len(rows) - 1, len(feat_idx)), dtype=float)
     labels = [] if has_labels else None
@@ -389,8 +425,8 @@ def _load_cells(path, text, meta=True):
             labels.append(row[-1].strip())
         for cells, cell in zip(columns or (), row):
             cells.append(cell)
-    return _dataset(header, n_meta, feat_idx, X, labels,
-                    columns and [_meta_column(cells) for cells in columns])
+    return _assembled(schema, X, columns and header[:n_meta], *_names_coded(labels, len(X)),
+                      columns and tuple(_meta_column(cells) for cells in columns))
 
 
 # Rows per block of `save_csv`: only one block's cells and text exist at a
@@ -419,7 +455,7 @@ def _csv_blocks(d, header):
     yield _csv_writer_text([header])
     for a in range(0, d.n_rows, _WRITE_BLOCK):
         b = a + _WRITE_BLOCK
-        labels = [d.labels[a:b].tolist()] if d.label_presence else []
+        labels = [[d.classes[c] for c in d.codes[a:b].tolist()]] if d.label_presence else []
         floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
         yield _csv_writer_text(zip(*d._meta_cells(a, b), *floats, *labels))
 
@@ -508,8 +544,8 @@ def split_train_test(d: Dataset, train_fraction: float, seed: int = 0):
     return d.subset(train_idx), d.subset(test_idx)
 
 
-def stratified_folds(labels, n_folds: int, seed: int = 0):
-    """Deterministic stratified k-fold assignment.
+def stratified_folds(d: Dataset, n_folds: int, seed: int = 0):
+    """Deterministic stratified k-fold assignment of a labeled dataset.
 
     Returns an int array mapping each row to a fold in [0, k). Rows of each
     class are shuffled with the seed and dealt round-robin, so per-fold class
@@ -517,11 +553,9 @@ def stratified_folds(labels, n_folds: int, seed: int = 0):
     rows than n_folds, k drops to that count (with a warning) so every fold
     sees every class.
     """
-    labels = np.asarray(labels, dtype=str)
     check_number("n_folds", n_folds, int, lambda v: v >= 2, ">= 2")
     check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
-    counts = [int(np.sum(labels == c)) for c in class_order(labels)]
-    rarest = min(counts)
+    rarest = int(np.bincount(d.codes).min())
     if rarest < n_folds:
         if rarest < 2:
             raise ConfigError(
@@ -530,9 +564,9 @@ def stratified_folds(labels, n_folds: int, seed: int = 0):
         warnings.warn(f"reducing folds from {n_folds} to {rarest} (rarest class)")
         n_folds = rarest
     rng = np.random.default_rng(seed)
-    assign = np.empty(len(labels), dtype=int)
-    for cls in class_order(labels):
-        idx = np.flatnonzero(labels == cls)
+    assign = np.empty(d.n_rows, dtype=int)
+    for code in range(len(d.classes)):
+        idx = np.flatnonzero(d.codes == code)
         idx = idx[rng.permutation(len(idx))]
         assign[idx] = np.arange(len(idx)) % n_folds
     return assign
@@ -542,12 +576,8 @@ def class_distribution(d: Dataset) -> dict:
     """Map each class to (count, fraction). Fractions sum to 1."""
     if not d.label_presence:
         raise MissingLabelsError("class_distribution needs a labeled dataset")
-    total = d.n_rows
-    out = {}
-    for cls in class_order(d.labels):
-        count = int(np.sum(d.labels == cls))
-        out[cls] = (count, count / total)
-    return out
+    counts = np.bincount(d.codes, minlength=len(d.classes)).tolist()
+    return {cls: (count, count / d.n_rows) for cls, count in zip(d.classes, counts)}
 
 
 class Standardizer:
@@ -580,4 +610,4 @@ class Standardizer:
         return self.fit(X).transform(X)
 
     def transform_dataset(self, d: Dataset) -> Dataset:
-        return d._derive(self.transform(d.X), d.labels, d._meta)
+        return d._derive(self.transform(d.X), d.classes, d.codes, d._meta)

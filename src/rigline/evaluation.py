@@ -57,16 +57,14 @@ class ConfusionMatrix:
         return "\n".join(lines)
 
 
-def confusion(classes, labels, picks) -> ConfusionMatrix:
-    """Confusion matrix of actual labels against picked class indices into the
-    model's classes; the matrix covers both the model's and the labels'
-    classes."""
-    seen, inverse = np.unique(labels, return_inverse=True)
-    matrix_classes = class_order(set(classes) | set(seen.tolist()))
-    index = {c: i for i, c in enumerate(matrix_classes)}
+def confusion(classes, test: Dataset, picks) -> ConfusionMatrix:
+    """Confusion matrix of a labeled test set's classes against picked class
+    indices into the model's classes; the matrix covers both the model's and
+    the test set's classes."""
+    matrix_classes = class_order(set(classes) | set(test.classes))
     K = len(matrix_classes)
-    actual = np.array([index[c] for c in seen.tolist()], dtype=int)[inverse]
-    predicted = np.array([index[c] for c in classes], dtype=int)[picks]
+    actual = np.array([matrix_classes.index(c) for c in test.classes], dtype=int)[test.codes]
+    predicted = np.array([matrix_classes.index(c) for c in classes], dtype=int)[picks]
     counts = np.bincount(actual * K + predicted, minlength=K * K)
     return ConfusionMatrix(matrix_classes, counts.reshape(K, K))
 
@@ -154,14 +152,15 @@ def evaluate(m, test: Dataset) -> EvalReport:
     if not test.label_presence:
         raise MissingLabelsError("evaluation needs a labeled test set")
     scores = m.score(test.X)
-    cm = confusion(m.classes, test.labels, scores.picks)
+    cm = confusion(m.classes, test, scores.picks)
     report = metrics(cm)
     auc_weighted = 0.0
     for c in cm.classes:
         frac = _safe_div(cm.actual_count(c), cm.total)
         if c in m.classes and 0 < cm.actual_count(c) < cm.total:
             col = m.classes.index(c)
-            scored = zip(scores.ranks[:, col], np.where(test.labels == c, 1, -1))
+            actual = np.where(test.codes == test.classes.index(c), 1, -1)
+            scored = zip(scores.ranks[:, col], actual)
             auc = roc_auc(scored)
         else:
             auc = 0.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline_learners import TrainedModel
-from .dataset import Dataset, Standardizer, class_order
+from .dataset import Dataset, Standardizer
 from .errors import ConfigError, SingleClassError
 from .util import check_number
 
@@ -27,18 +27,16 @@ class SmoteConfig:
 
 
 def _two_class_split(d: Dataset):
+    """The minority's code and the row count of each class of a two-class
+    table; on a tie the minority is the second class."""
     if not d.label_presence:
         raise SingleClassError("sampling needs a labeled dataset")
-    classes = class_order(d.labels)
-    if len(classes) == 1:
-        raise SingleClassError(f"only one class present: {classes[0]}")
-    if len(classes) > 2:
-        raise ConfigError(f"sampling expects two classes, got {len(classes)}")
-    idx = {c: np.flatnonzero(d.labels == c) for c in classes}
-    counts = {c: len(idx[c]) for c in classes}
-    minority = min(classes, key=lambda c: (counts[c], -classes.index(c)))
-    majority = classes[0] if minority == classes[1] else classes[1]
-    return minority, majority, idx
+    if len(d.classes) == 1:
+        raise SingleClassError(f"only one class present: {d.classes[0]}")
+    if len(d.classes) > 2:
+        raise ConfigError(f"sampling expects two classes, got {len(d.classes)}")
+    counts = np.bincount(d.codes).tolist()
+    return int(counts[0] >= counts[1]), counts
 
 
 # Rows per block of the neighbor search. A block holds one buffer of
@@ -102,9 +100,8 @@ def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
     standardized features, distance ties broken by row index), and delta
     uniform in [0,1]. Original rows stay in place as a prefix.
     """
-    minority, majority, idx = _two_class_split(d)
-    n_min = len(idx[minority])
-    n_maj = len(idx[majority])
+    minority, counts = _two_class_split(d)
+    n_min, n_maj = counts[minority], counts[1 - minority]
     if n_min <= cfg.k_neighbors:
         raise ConfigError(
             f"minority class has {n_min} rows; need more than k={cfg.k_neighbors}"
@@ -113,7 +110,7 @@ def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
     if needed <= 0:
         return d
 
-    Xmin = d.X[idx[minority]]
+    Xmin = d.X[d.codes == minority]
     Z = Standardizer().fit(d.X).transform(Xmin)
     neighbors = _nearest_neighbors(Z, cfg.k_neighbors)
 
@@ -135,10 +132,10 @@ def smote(d: Dataset, cfg: SmoteConfig = SmoteConfig()) -> Dataset:
     tail *= deltas[:, None]
     tail += P
     del P
-    labels = np.empty(n + needed, dtype=d.labels.dtype)
-    labels[:n] = d.labels
-    labels[n:] = minority
-    return d._grown(X, labels)
+    codes = np.empty(n + needed, dtype=d.codes.dtype)
+    codes[:n] = d.codes
+    codes[n:] = minority
+    return d._grown(X, d.classes, codes)
 
 
 def undersample(d: Dataset, seed: int = 0) -> Dataset:
@@ -148,14 +145,13 @@ def undersample(d: Dataset, seed: int = 0) -> Dataset:
     input comes back unchanged.
     """
     check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
-    minority, majority, idx = _two_class_split(d)
-    n_min = len(idx[minority])
-    if len(idx[majority]) == n_min:
+    minority, counts = _two_class_split(d)
+    if counts[0] == counts[1]:
         return d
     rng = np.random.default_rng(seed)
-    keep_maj = rng.choice(idx[majority], size=n_min, replace=False)
-    keep = np.sort(np.concatenate([idx[minority], keep_maj]))
-    return d.subset(keep)
+    keep = d.codes == minority
+    keep[rng.choice(np.flatnonzero(~keep), size=counts[minority], replace=False)] = True
+    return d.subset(np.flatnonzero(keep))
 
 
 class CostMatrix:
@@ -182,15 +178,11 @@ class CostMatrix:
 
 def default_cost_matrix(d: Dataset) -> CostMatrix:
     """Misreading the minority class costs majority/minority; the reverse
-    costs 1. Class index order follows class_order."""
-    minority, majority, idx = _two_class_split(d)
-    classes = class_order(d.labels)
-    ratio = len(idx[majority]) / len(idx[minority])
+    costs 1. Class index order follows the table's classes."""
+    minority, counts = _two_class_split(d)
     m = np.zeros((2, 2))
-    min_i = classes.index(minority)
-    maj_i = 1 - min_i
-    m[min_i][maj_i] = ratio
-    m[maj_i][min_i] = 1.0
+    m[minority][1 - minority] = counts[1 - minority] / counts[minority]
+    m[1 - minority][minority] = 1.0
     return CostMatrix(m)
 
 

@@ -18,7 +18,7 @@ from .baseline_learners import (
     train_random_forest,
     train_rule_list,
 )
-from .dataset import Dataset, Standardizer, class_order, stratified_folds
+from .dataset import Dataset, Standardizer, stratified_folds
 from .errors import ConfigError, ShapeError
 from .svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
 from .util import check_number, derive_seed, parse_fields
@@ -203,25 +203,24 @@ def build_meta_features(d: Dataset, spec: StackSpec, memo=None) -> Dataset:
     if not d.label_presence:
         raise ConfigError("stacking needs a labeled dataset")
     memo = (memo or StackMemo(d, spec.seed)).check(d, spec)
-    classes = class_order(d.labels)
-    assign = stratified_folds(d.labels, spec.folds, derive_seed(spec.seed, "folds", spec.folds))
+    assign = stratified_folds(d, spec.folds, derive_seed(spec.seed, "folds", spec.folds))
     for ls in spec.base:
         if (ls, spec.folds) in memo.blocks:
             continue
-        block = np.empty((d.n_rows, len(classes)))
+        block = np.empty((d.n_rows, len(d.classes)))
         for f in sorted(set(assign)):
             hold = assign == f
             seed = derive_seed(spec.seed, "fold", ls.name, spec.folds, int(f))
             model = train_learner(ls.name, d.subset(np.flatnonzero(~hold)), seed=seed,
                                   params=ls.params_dict())
             # Stratified folds give every training part every class.
-            _check_classes(model, classes)
+            _check_classes(model, d.classes)
             block[hold] = model.predict_proba(d.X[hold])
         memo.blocks[ls, spec.folds] = block
     schema = [(f"b{t}_{ls.name}_p_{c}", "prob")
-              for t, ls in enumerate(spec.base) for c in classes]
+              for t, ls in enumerate(spec.base) for c in d.classes]
     M = np.hstack([memo.blocks[ls, spec.folds] for ls in spec.base])
-    return Dataset(schema, M, d.labels)
+    return d.with_features(schema, M)
 
 
 class StackedModel(TrainedModel):
@@ -257,4 +256,4 @@ def train_stack(d: Dataset, spec: StackSpec, memo=None) -> StackedModel:
                                seed=derive_seed(spec.seed, "meta"),
                                params=spec.meta.params_dict())
     base_models = [memo.fit(ls) for ls in spec.base]
-    return StackedModel(spec, base_models, meta_model, class_order(d.labels), d.arity)
+    return StackedModel(spec, base_models, meta_model, d.classes, d.arity)

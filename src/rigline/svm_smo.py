@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, class_order, stratified_folds
+from .dataset import Dataset, stratified_folds
 from .errors import ConfigError, ShapeError, SingleClassError
 from .baseline_learners import Scores, TrainedModel, sigmoid
 from .util import check_number
@@ -320,12 +320,11 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
     """
     if not d.label_presence:
         raise SingleClassError("smo_train needs a labeled dataset")
-    classes = class_order(d.labels)
-    if len(classes) < 2:
-        raise SingleClassError(f"need two classes, got {classes}")
-    if len(classes) > 2:
-        raise ConfigError(f"two-class solver, got {len(classes)} classes")
-    y = np.where(d.labels == classes[0], 1.0, -1.0)
+    if len(d.classes) < 2:
+        raise SingleClassError(f"need two classes, got {d.classes}")
+    if len(d.classes) > 2:
+        raise ConfigError(f"two-class solver, got {len(d.classes)} classes")
+    y = np.where(d.codes == 0, 1.0, -1.0)
     state = SolverState(d.X, y, cfg)
     state.step_monitor = step_monitor
 
@@ -348,7 +347,7 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
     sv = np.flatnonzero(state.alpha > 0)
     w = dual_objective_value(state.X, state.y, state.alpha, state.kernel)
     return SvmModel(
-        classes=classes,
+        classes=d.classes,
         sv_X=state.X[sv].copy(),
         sv_y=state.y[sv].copy(),
         alpha=state.alpha[sv].copy(),
@@ -386,7 +385,7 @@ def kkt_report(m: SvmModel, d: Dataset, tol: float) -> dict:
         )
     alpha = np.zeros(d.n_rows)
     alpha[m.sv_indices] = m.alpha
-    y = np.where(d.labels == m.classes[0], 1.0, -1.0)
+    y = np.where(d.codes == 0, 1.0, -1.0)
     margins = y * decision_values(m, d.X)
     at_zero = alpha <= _SNAP
     at_c = alpha >= m.C - _SNAP
@@ -499,7 +498,7 @@ def calibrate_probability(
         raise SingleClassError("calibration needs a labeled dataset")
     check_number("folds", folds, int, lambda v: v >= 2, ">= 2")
     try:
-        assign = stratified_folds(d.labels, folds)
+        assign = stratified_folds(d, folds)
     except ConfigError:
         return CalibratedSvm(m, 0.0, 0.0, fallback=True)
     margins = np.empty(d.n_rows)
@@ -508,10 +507,8 @@ def calibrate_probability(
         sub = d.subset(np.flatnonzero(~hold))
         fold_model = smo_train(sub, cfg)
         margins[hold] = decision_values(fold_model, d.X[hold])
-    t_raw = (d.labels == m.classes[0]).astype(float)
-    n_pos = float(np.sum(t_raw))
-    n_neg = float(len(t_raw) - n_pos)
+    n_pos, n_neg = np.bincount(d.codes, minlength=2).tolist()
     # Soft targets keep the fit finite when the margins separate perfectly.
-    t = np.where(t_raw > 0.5, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    t = np.where(d.codes == 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
     A, B = fit_sigmoid(margins, t)
     return CalibratedSvm(m, A, B)

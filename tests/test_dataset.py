@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -37,6 +38,7 @@ from rigline.errors import (
     ParseError,
     RiglineError,
 )
+from rigline.imbalance import SmoteConfig, smote
 
 HERE = os.path.dirname(__file__)
 SAMPLE = os.path.join(HERE, "data", "sample_sensor.csv")
@@ -616,6 +618,33 @@ def test_load_csv_without_meta_skips_its_memory(export_csv):
     assert peak < 4.5 * 2**20
 
 
+@pytest.fixture
+def sampled_csv(tmp_path):
+    """A 70,000-row labeled table shaped like an export after SMOTE: 40,000
+    rows with serial and timestamp cells, 13% of them failures, then 30,000
+    failure rows with blank meta cells."""
+    rng = np.random.default_rng(1)
+    p = tmp_path / "sampled.csv"
+    with open(p, "w") as fh:
+        fh.write("S No.,Time Stamp,a,b,c,d,e,class\n")
+        for i, x in enumerate(rng.normal(100.0, 10.0, size=(70000, 5)).tolist()):
+            meta = (f"{1048576 + i},2/8/2014 {i // 240 % 24}:{i // 4 % 60:02d}"
+                    if i < 40000 else ",")
+            label = CLASS_FAILURE if i >= 40000 or rng.random() < 0.13 else CLASS_NORMAL
+            fh.write(f"{meta},{','.join(map(repr, x))},{label}\n")
+    return p
+
+
+def test_labels_load_as_codes_without_a_string_copy(sampled_csv):
+    # The labels are coded piece by piece through one dict into one code
+    # array: the load peaks at 5.7 MB. As one str array per piece, joined
+    # at the end, it peaked at 7.3 MB (both copies held at once, 4 bytes
+    # per character).
+    d, peak = _traced(lambda: load_csv(str(sampled_csv), meta=False))
+    assert d.n_rows == 70000 and peak < 6.5 * 2**20
+    assert d.classes == [CLASS_NORMAL, CLASS_FAILURE] and d.codes.dtype == np.uint8
+
+
 def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_path):
     # Keeping every row as a list of cell strings (csv.reader) peaked at
     # 28.6 MB, splitting the whole text into lines at 22.8, and parsing that
@@ -633,6 +662,90 @@ def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_
     assert out.read_bytes() == export_csv.read_bytes()
     assert load_peak < 6 * 2**20
     assert save_peak < 10 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Labels are held as codes into the classes present; only rigline.dataset
+# turns names into codes.
+
+_any_name = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
+                    max_size=6)
+_class_names = st.one_of(st.sampled_from([CLASS_NORMAL, CLASS_FAILURE]), _any_name)
+
+
+def _decoded(d):
+    """d's labels as a list, after checking that its codes index the class
+    order of the labels present, read-only and one byte each."""
+    labels = d.labels.tolist()
+    assert d.classes == class_order(labels)
+    assert [d.classes[c] for c in d.codes.tolist()] == labels
+    assert d.codes.dtype == np.uint8 and not d.codes.flags.writeable
+    return labels
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(_class_names, max_size=12), st.data())
+def test_labels_are_codes_of_the_classes_present(tmp_path_factory, labels, data):
+    n = len(labels)
+    d = Dataset([("a", ""), ("b", "psi")], np.arange(2.0 * n).reshape(n, 2), labels)
+    assert _decoded(d) == labels
+    idx = data.draw(st.lists(st.integers(-n, n - 1), max_size=15) if n else st.just([]))
+    assert _decoded(d.subset(idx)) == [labels[i] for i in idx]
+    relabeled = data.draw(st.lists(_class_names, min_size=n, max_size=n))
+    assert _decoded(d.with_labels(relabeled)) == relabeled
+    extra = data.draw(_class_names)
+    assert _decoded(d.append_rows([[0.5, 1.5]], [extra])) == labels + [extra]
+    counts = [labels.count(c) for c in set(labels)]
+    if len(counts) == 2 and min(counts) > 1:
+        grown = _decoded(smote(d, SmoteConfig(k_neighbors=1)))
+        assert grown[:n] == labels and len(set(grown[n:])) <= 1
+    out = tmp_path_factory.getbasetemp() / "codes.csv"
+    save_csv(d, str(out))
+    for loaded in (dataset._load_plain(str(out)), dataset._load_cells(str(out), _read(out))):
+        if loaded is not None:
+            assert _decoded(loaded) == [label.strip() for label in labels]
+
+
+def test_codes_take_the_smallest_unsigned_dtype():
+    for n, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+        names = [f"c{i:03d}" for i in range(n)]
+        d = Dataset([("a", "")], np.zeros((n, 1)), names[::-1])
+        assert d.classes == names and d.codes.dtype == dtype
+        assert d.labels.tolist() == names[::-1]
+
+
+def _label_decisions(path):
+    """(function, what) of each class_order call and each comparison of a
+    .labels attribute in the module at path."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "class_order":
+                    found.append((scope, "class_order"))
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "labels"
+                    for x in [child.left, *child.comparators]):
+                found.append((scope, ".labels comparison"))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    with open(path) as fh:
+        visit(ast.parse(fh.read()), None)
+    return found
+
+
+def test_only_dataset_turns_label_names_into_class_indices():
+    # Every other module reads a table's classes and codes. The one
+    # exception is confusion, whose matrix covers the union of a model's
+    # and a test set's classes.
+    src = os.path.join(HERE, os.pardir, "src", "rigline")
+    found = {(name, *decision)
+             for name in sorted(os.listdir(src)) if name.endswith(".py") and name != "dataset.py"
+             for decision in _label_decisions(os.path.join(src, name))}
+    assert found == {("evaluation.py", "confusion", "class_order")}
 
 
 def test_class_order_pair_and_generic():

@@ -83,7 +83,7 @@ def small_labeled(n=200, seed=0):
 def test_confusion_counts_sum_and_perfect_model():
     d = small_labeled(150, seed=1)
     m = OracleModel([CLASS_NORMAL, CLASS_FAILURE], d.labels, np.zeros(150))
-    cm = confusion(m.classes, d.labels, m.score(d.X).picks)
+    cm = confusion(m.classes, d, m.score(d.X).picks)
     assert cm.total == 150
     for c in cm.classes:
         tp, fp, fn, tn = cm.per_class(c)
@@ -94,7 +94,7 @@ def test_confusion_counts_sum_and_perfect_model():
 def test_confusion_constant_predictor_imbalanced():
     d = small_labeled(1000, seed=2)  # 870/130
     m = ConstantModel([CLASS_NORMAL, CLASS_FAILURE])
-    cm = confusion(m.classes, d.labels, m.score(d.X).picks)
+    cm = confusion(m.classes, d, m.score(d.X).picks)
     report = metrics(cm)
     assert report.tp_rate == pytest.approx(0.87)
     assert report.per_class[CLASS_NORMAL]["tp_rate"] == 1.0
@@ -241,7 +241,7 @@ def test_render_detail_contains_matrix_and_rows():
     report = evaluate(nb, d)
     # The report carries the matrix of the same predictions.
     picks = nb.score(d.X).picks
-    assert np.array_equal(report.cm.counts, confusion(nb.classes, d.labels, picks).counts)
+    assert np.array_equal(report.cm.counts, confusion(nb.classes, d, picks).counts)
     text = render_detail("nb", report)
     assert "== nb ==" in text
     assert CLASS_NORMAL in text and CLASS_FAILURE in text

@@ -140,7 +140,7 @@ TRAINERS = {
                                     "min_leaf": integer(1)}, ("bootstrap",)),
     em_fit: ((TINY, 2), {"n_components": integer(1), "seed": integer(0),
                          "tol": NON_NEGATIVE, "max_iter": integer(1)}, ()),
-    stratified_folds: ((TINY.labels, 2), {"n_folds": integer(2), "seed": integer(0)}, ()),
+    stratified_folds: ((TINY, 2), {"n_folds": integer(2), "seed": integer(0)}, ()),
     split_train_test: ((TINY, 0.5), {"train_fraction": OPEN_UNIT, "seed": integer(0)}, ()),
     calibrate_probability: ((TINY_SVM, TINY, SmoConfig()), {"folds": integer(2)}, ()),
     undersample: ((UNBALANCED,), {"seed": integer(0)}, ()),
