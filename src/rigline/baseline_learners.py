@@ -153,7 +153,7 @@ def node_arrays(feature, threshold, counts) -> NodeArrays:
     split's left child comes next and its right child after the left
     subtree; a node that no split waits for is the next tree's root."""
     feature = np.array(feature, dtype=np.intp)
-    child = [[i, i + 1] for i in range(len(feature))]  # a leaf is its own right child
+    child = np.arange(len(feature))[:, None] + np.arange(2)  # a leaf is its own right child
     roots, depth = [], 0
     todo = []  # the open tree's nodes to come, next on top: (right child of split or -1, depth)
     for i, f in enumerate(feature.tolist()):
@@ -162,12 +162,12 @@ def node_arrays(feature, threshold, counts) -> NodeArrays:
             todo.append((-1, 0))
         parent, d = todo.pop()
         if parent >= 0:
-            child[parent][0] = i
+            child[parent, 0] = i
         depth = max(depth, d)
         if f >= 0:
             todo += [(i, d + 1), (-1, d + 1)]
     return NodeArrays(feature, np.array(threshold, dtype=float), np.array(counts, dtype=float),
-                      np.array(child), np.array(roots, dtype=np.intp), depth)
+                      child, np.array(roots, dtype=np.intp), depth)
 
 
 class TreeNode(NamedTuple):
@@ -209,10 +209,11 @@ def _walk_trees(nodes: NodeArrays, X):
     return P
 
 
-class DecisionTreeModel(TrainedModel):
-    """One tree; the one-tree case of the forest's walk."""
+class RandomForestModel(TrainedModel):
+    """Bagged trees held in one NodeArrays, the model's only store of them;
+    prediction walks every tree at once."""
 
-    learner = "tree"
+    learner = "rf"
 
     def __init__(self, classes, nodes: NodeArrays, arity):
         super().__init__(classes)
@@ -220,11 +221,25 @@ class DecisionTreeModel(TrainedModel):
         self.arity = arity
 
     @property
-    def root(self) -> TreeNode:
-        return TreeNode(self.nodes, 0)
+    def trees(self) -> list:
+        """Each tree as a DecisionTreeModel over a copy of its slice of the
+        store, built on each call."""
+        ends = [*self.nodes.roots[1:].tolist(), len(self.nodes.feature)]
+        return [DecisionTreeModel(self.classes, node_arrays(*(f[a:b] for f in self.nodes[:3])),
+                                  self.arity) for a, b in zip(self.nodes.roots.tolist(), ends)]
 
     def _proba_matrix(self, X):
         return _walk_trees(self.nodes, X)
+
+
+class DecisionTreeModel(RandomForestModel):
+    """One tree: the one-tree forest."""
+
+    learner = "tree"
+
+    @property
+    def root(self) -> TreeNode:
+        return TreeNode(self.nodes, 0)
 
     def depth(self):
         return self.nodes.depth
@@ -310,11 +325,12 @@ def _split_block(X, y, K, segments, features, min_leaf):
 
 def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_depth"):
     """Grow one Gini tree on each row sample (indices into X and y); return
-    NodeArrays. The trees grow in lockstep: at each step, every tree takes the
-    next splittable node of its pre-order walk and draws its features with
-    pick(tree index), and one segmented search splits all of those nodes, so
-    each tree draws in the order it would alone. max_depth (None for no
-    limit) is checked under depth_name, the caller's name for it."""
+    one NodeArrays of all of them, in sample order. The trees grow in
+    lockstep: at each step, every tree takes the next splittable node of its
+    pre-order walk and draws its features with pick(tree index), and one
+    segmented search splits all of those nodes, so each tree draws in the
+    order it would alone. max_depth (None for no limit) is checked under
+    depth_name, the caller's name for it."""
     if max_depth is not None:
         check_number(depth_name, max_depth, int, lambda v: v >= 0, ">= 0")
     check_number("min_leaf", min_leaf, int, lambda v: v >= 1, ">= 1")
@@ -333,7 +349,7 @@ def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_dep
                     break
                 trees[t].append((-1, np.nan, counts))
         if not batch:
-            return [node_arrays(*zip(*nodes)) for nodes in trees]
+            return node_arrays(*zip(*(node for nodes in trees for node in nodes)))
         splits = _segment_splits(X, y, K, [b[1] for b in batch], features, min_leaf)
         for (t, rows, depth, counts), split in zip(batch, splits):
             if split is None:
@@ -348,30 +364,13 @@ def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_dep
 def train_cart(d: Dataset, max_depth=None, min_leaf: int = 1) -> DecisionTreeModel:
     """Binary decision tree minimizing Gini impurity, greedy top-down."""
     _require_labeled(d)
-    nodes, = _grow_trees(d.X, d.codes, len(d.classes), [np.arange(d.n_rows)],
-                         lambda t: list(range(d.arity)), max_depth, min_leaf)
+    nodes = _grow_trees(d.X, d.codes, len(d.classes), [np.arange(d.n_rows)],
+                        lambda t: list(range(d.arity)), max_depth, min_leaf)
     return DecisionTreeModel(d.classes, nodes, d.arity)
 
 
 # ---------------------------------------------------------------------------
 # Random forest (bagged trees with per-node feature subsampling)
-
-class RandomForestModel(TrainedModel):
-    """Bagged trees; prediction walks all of them, joined into one
-    NodeArrays, as DecisionTreeModel walks one."""
-
-    learner = "rf"
-
-    def __init__(self, classes, trees, arity):
-        super().__init__(classes)
-        self.trees = trees
-        self.arity = arity
-        fields = zip(*(t.nodes[:3] for t in trees))  # the trees' features, thresholds, counts
-        self.nodes = node_arrays(*map(np.concatenate, fields))
-
-    def _proba_matrix(self, X):
-        return _walk_trees(self.nodes, X)
-
 
 def train_random_forest(
     d: Dataset,
@@ -404,10 +403,8 @@ def train_random_forest(
     def pick(t):
         return sorted(rngs[t].choice(d.arity, features_per_split, replace=False).tolist())
 
-    trees = [DecisionTreeModel(d.classes, nodes, d.arity)
-             for nodes in _grow_trees(d.X, d.codes, len(d.classes), samples, pick,
-                                      max_depth, min_leaf)]
-    return RandomForestModel(d.classes, trees, d.arity)
+    nodes = _grow_trees(d.X, d.codes, len(d.classes), samples, pick, max_depth, min_leaf)
+    return RandomForestModel(d.classes, nodes, d.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +479,8 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     rules = []
     max_rules = 200
     while len(y) > 0 and len(rules) < max_rules:
-        nodes, = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
-                             max_rule_depth, min_leaf, "max_rule_depth")
+        nodes = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
+                            max_rule_depth, min_leaf, "max_rule_depth")
         if nodes.feature[0] < 0:
             break
         path, counts = _best_leaf_path(nodes)

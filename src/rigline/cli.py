@@ -380,7 +380,7 @@ def _em_label(d: Dataset, args, seed: int):
         max_iter=args.em_max_iter,
     )
     labeled_view = em_assign_labels(view, gmm)
-    return d.with_labels(labeled_view.labels), gmm
+    return d.with_codes(labeled_view.classes, labeled_view.codes), gmm
 
 
 def _apply_sampling(train: Dataset, kind: str, smote_cfg, seed: int) -> Dataset:

@@ -148,6 +148,12 @@ class Dataset:
     def with_labels(self, labels) -> "Dataset":
         return self._derive(self.X, *_names_coded(labels, self.n_rows), self._meta)
 
+    def with_codes(self, names, codes) -> "Dataset":
+        """with_labels of the labels names[codes], one code per row."""
+        if len(codes) != self.n_rows:
+            raise ArityError(f"{len(codes)} labels for {self.n_rows} rows")
+        return self._derive(self.X, names, codes, self._meta)
+
     def without_labels(self) -> "Dataset":
         return self._derive(self.X, None, None, self._meta)
 

@@ -123,22 +123,25 @@ def metrics(cm: ConfusionMatrix, class_weights=None) -> EvalReport:
 
 
 def roc_auc(scored) -> float:
-    """AUC by the rank statistic: P(score+ > score-) + half the tie mass.
+    """rank_auc of a sequence of (score, label) pairs with labels +1/-1."""
+    pairs = np.fromiter(chain.from_iterable(scored), dtype=float).reshape(-1, 2)
+    return rank_auc(pairs[:, 0], pairs[:, 1] > 0)
 
-    scored is a sequence of (score, label) with labels +1/-1. Tied scores get
+
+def rank_auc(scores, positive) -> float:
+    """AUC by the rank statistic: P(score+ > score-) + half the tie mass,
+    of an array of scores and a mask of the positive rows. Tied scores get
     average ranks, making this the exact Mann-Whitney value.
     """
-    pairs = np.fromiter(chain.from_iterable(scored), dtype=float).reshape(-1, 2)
-    scores, labels = pairs[:, 0], pairs[:, 1]
-    n_pos = int(np.sum(labels > 0))
-    n_neg = len(labels) - n_pos
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC needs both positive and negative examples")
     # Tied scores share the mean of the 1-based ranks their block spans.
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     ranks = (ends - 0.5 * (counts - 1))[inverse]
-    r_pos = float(np.sum(ranks[labels > 0]))
+    r_pos = float(np.sum(ranks[positive]))
     u = r_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -158,10 +161,8 @@ def evaluate(m, test: Dataset) -> EvalReport:
     for c in cm.classes:
         frac = _safe_div(cm.actual_count(c), cm.total)
         if c in m.classes and 0 < cm.actual_count(c) < cm.total:
-            col = m.classes.index(c)
-            actual = np.where(test.codes == test.classes.index(c), 1, -1)
-            scored = zip(scores.ranks[:, col], actual)
-            auc = roc_auc(scored)
+            positive = test.codes == test.classes.index(c)
+            auc = rank_auc(scores.ranks[:, m.classes.index(c)], positive)
         else:
             auc = 0.0
         report.per_class[c]["roc_auc"] = auc

@@ -182,6 +182,6 @@ def em_assign_labels(d: Dataset, gmm: GaussianMixtureModel) -> Dataset:
         )
     assign = np.argmax(em_responsibilities(gmm, d), axis=1)
     counts = np.bincount(assign, minlength=2)
-    normal_component = 0 if counts[0] >= counts[1] else 1
-    labels = np.where(assign == normal_component, CLASS_NORMAL, CLASS_FAILURE)
-    return d.with_labels(labels)
+    normal_first = counts[0] >= counts[1]
+    names = (CLASS_NORMAL, CLASS_FAILURE) if normal_first else (CLASS_FAILURE, CLASS_NORMAL)
+    return d.with_codes(names, assign)

@@ -215,9 +215,10 @@ def _tree(doc, m):
 
 def _rf(doc, m):
     classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
-    n_trees = doc.line("n_trees", m and len(m.trees))
-    trees = [doc.nested(m and m.trees[i], DecisionTreeModel) for i in range(n_trees)]
-    return RandomForestModel(classes, trees, arity)
+    views = m and m.trees
+    n_trees = doc.line("n_trees", views and len(views))
+    trees = [doc.nested(views and views[i], DecisionTreeModel).nodes[:3] for i in range(n_trees)]
+    return RandomForestModel(classes, node_arrays(*map(np.concatenate, zip(*trees))), arity)
 
 
 def _conditions_text(conditions) -> str:

@@ -880,9 +880,13 @@ def test_derived_datasets_keep_the_normalised_meta_rows():
     d = Dataset([("a", ""), ("b", "")], [[1.0, 2.0], [3.0, 4.0]], ["x", "y"],
                 [[7, 2.5], ["s", None]], ["S No.", "Time Stamp"])
     assert d.meta == [("7", "2.5"), ("s", "None")]
-    for derived in (d.with_labels(["y", "x"]), d.without_labels(),
+    by_codes = d.with_codes(["x", "x", "y"], np.array([2, 1]))
+    assert by_codes.classes == ["x", "y"] and by_codes.labels.tolist() == ["y", "x"]
+    for derived in (d.with_labels(["y", "x"]), by_codes, d.without_labels(),
                     Standardizer().fit(d.X).transform_dataset(d)):
         assert derived.meta == d.meta and derived.meta_schema == d.meta_schema
+    with pytest.raises(ArityError):
+        d.with_codes(["x"], np.array([0]))
     assert d.subset([1]).meta == [("s", "None")]
     grown = d.append_rows([[5.0, 6.0]], ["x"])
     assert grown.meta == d.meta + [("", "")]

@@ -302,6 +302,15 @@ def test_stack_base_classes_must_match_the_stack(docs):
         model_from_text("\n".join(lines))
 
 
+def test_forest_nested_in_a_forest_rejected(docs):
+    # A tree is the one-tree forest, but a forest is not a tree: the first
+    # tree of a forest document replaced by a whole forest does not load.
+    lines = docs["rf"].splitlines()
+    i, j = lines.index("begin_model"), lines.index("end_model")
+    with pytest.raises(ParseError, match="a rf model cannot appear here"):
+        model_from_text("\n".join(lines[:i + 1] + lines + lines[j:]))
+
+
 def test_every_model_class_has_a_layout():
     for info in pkgutil.iter_modules(rigline.__path__):
         importlib.import_module(f"rigline.{info.name}")
