@@ -13,8 +13,8 @@ grid       run-per-cell sweep over sampling regimes and learners, with tables
 One master seed, an integer >= 0 (flag `--seed`, overridden by the
 RIGLINE_SEED environment variable), drives everything: fixed offsets give
 the generate/label/split/sample stage seeds, a learner's training seed is
-derived from the master plus the learner name, and a stack trains under the
-master seed itself, so a single grid cell reproduces the matching `run`.
+derived from the master plus the learner name, and a stack's one seed is the
+master seed of its StackMemo, so one grid cell reproduces the matching `run`.
 
 Every option is declared once, in its `add_argument` call, with its type
 and default; the type is the only place its value is checked. Every command
@@ -95,10 +95,10 @@ from .util import atomic_write_text, check_number, parse_fields
 MASTER_SEED_DEFAULT = 7
 
 # Stage seeds are the master seed plus a fixed offset. Every model on one
-# set of rows is trained through one stacking.StackMemo: a learner's seed
-# folds in its name (stacking.train_seed) and a stack's is the master seed,
-# from which its folds, fold fits and base models (the learners' standalone
-# fits) derive. So a grid cell and a single run train the identical model.
+# set of rows is trained through one stacking.StackMemo of those rows and the
+# master seed: a learner's seed folds in its name (stacking.train_seed), and a
+# stack's folds, fold fits, meta-learner and base models (the learners' own
+# fits) derive from the memo's seed. So a grid cell and a run train alike.
 STAGE_OFFSETS = {"generate": 1, "label": 2, "split": 3, "sample": 4}
 
 DEFAULT_SYNTHETIC = SyntheticGenConfig(row_count=5000)

@@ -463,12 +463,22 @@ def _csv_blocks(d, header):
         b = a + _WRITE_BLOCK
         labels = [[d.classes[c] for c in d.codes[a:b].tolist()]] if d.label_presence else []
         floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
-        yield _csv_writer_text(zip(*d._meta_cells(a, b), *floats, *labels))
+        yield _csv_writer_text(list(zip(*d._meta_cells(a, b), *floats, *labels)))
 
 
 def _csv_writer_text(rows):
+    """The csv.writer text of the list rows. The writer quotes a cell only for
+    its "\n" line terminator, so a bare CR would split a row on reload: when
+    the text holds one, every cell of each row that holds a CR is quoted."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
+    if "\r" not in (text := buf.getvalue()):
+        return text
+    buf = io.StringIO()
+    plain, quoted = (csv.writer(buf, lineterminator="\n", quoting=q)
+                     for q in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+    for row in rows:
+        (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
     return buf.getvalue()
 
 

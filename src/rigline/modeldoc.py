@@ -323,12 +323,11 @@ def _stack(doc, m):
     classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
     spec = m and m.spec
     folds = doc.line("folds", spec and spec.folds)
-    seed = doc.line("seed", spec and spec.seed)  # the master seed it trained under
     meta = doc.line("meta_spec", spec and json.dumps(asdict(spec.meta)),
                     lambda t: _spec(json.loads(t)))
     base = doc.line("base_specs", spec and json.dumps([asdict(s) for s in spec.base]),
                     lambda t: tuple(_spec(raw) for raw in json.loads(t)))
-    spec = StackSpec(base=base, meta=meta, folds=folds, seed=seed)
+    spec = StackSpec(base=base, meta=meta, folds=folds)
     base_models = [doc.nested(m and m.base_models[i]) for i in range(len(base))]
     return StackedModel(spec, base_models, doc.nested(m and m.meta_model), classes, arity)
 

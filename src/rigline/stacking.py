@@ -4,7 +4,7 @@ a second-level meta-classifier (SMO with calibration by default).
 Also houses the learner registry the CLI and the model presets build on.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -94,13 +94,11 @@ class StackSpec:
     base: tuple
     meta: LearnerSpec = LearnerSpec("smo")
     folds: int = 5
-    seed: int = 0  # the master seed; see build_meta_features and train_stack
 
     def __post_init__(self):
         if len(self.base) < 1:
             raise ConfigError("a stack needs at least one base learner")
         check_number("folds", self.folds, int, lambda v: v >= 2, ">= 2")
-        check_number("seed", self.seed, int)
 
 
 def _preset(*names):
@@ -120,7 +118,7 @@ def _names(text: str) -> tuple:
     return tuple(n.strip() for n in text.split(",") if n.strip())
 
 
-def parse_stack_spec(text: str, seed: int = 0) -> StackSpec:
+def parse_stack_spec(text: str) -> StackSpec:
     """Parse `model1`..`model5` or `stack:meta=smo;base=part,mlp,nb;folds=5`.
 
     Fields are `;`-separated; meta (default smo) and folds (default 5) are
@@ -128,7 +126,7 @@ def parse_stack_spec(text: str, seed: int = 0) -> StackSpec:
     """
     text = text.strip()
     if text in MODEL_PRESETS:
-        return replace(MODEL_PRESETS[text], seed=seed)
+        return MODEL_PRESETS[text]
     if not text.startswith("stack:"):
         raise ConfigError(
             f"unknown stack spec {text!r}; use model1..model5 or stack:..."
@@ -150,7 +148,6 @@ def parse_stack_spec(text: str, seed: int = 0) -> StackSpec:
         base=tuple(LearnerSpec(n) for n in base),
         meta=LearnerSpec(meta),
         folds=fields.get("folds", 5),
-        seed=seed,
     )
 
 
@@ -164,13 +161,13 @@ def _check_classes(model: TrainedModel, classes) -> None:
 
 
 class StackMemo:
-    """Every model trained on one training set d under one master seed, and
-    the base-learner work its stacks share. fit(ls) is the learner's
-    full-data model, seeded train_seed(seed, name) and fitted once, whether
-    it is asked for on its own or as a stack's base model; model(token)
-    names a learner or a stack. blocks holds one out-of-fold probability
-    block (rows x classes) per (LearnerSpec, folds); fold models are dropped
-    once they have predicted."""
+    """Every model trained on one training set d under one master seed (a
+    stack's only seed), and the base-learner work its stacks share. fit(ls)
+    is the learner's full-data model, seeded train_seed(seed, name) and
+    fitted once, alone or as a stack's base model; model(token) names a
+    learner or a stack. blocks holds one out-of-fold probability block
+    (rows x classes) per (LearnerSpec, folds); fold models are dropped once
+    they have predicted."""
 
     def __init__(self, d: Dataset, seed: int):
         self.d, self.seed, self.blocks = d, seed, {}
@@ -183,34 +180,28 @@ class StackMemo:
         spec token trained through this memo."""
         if token in LEARNERS:
             return self.fit(LearnerSpec(token, tuple(params)))
-        return train_stack(self.d, parse_stack_spec(token, seed=self.seed), self)
-
-    def check(self, d: Dataset, spec: StackSpec) -> "StackMemo":
-        if d is not self.d or spec.seed != self.seed:
-            raise ConfigError("a stack memo serves only the rows and seed it was made for")
-        return self
+        return train_stack(self, parse_stack_spec(token))
 
 
-def build_meta_features(d: Dataset, spec: StackSpec, memo=None) -> Dataset:
-    """Out-of-fold meta-dataset: every base learner is trained on k-1 folds
-    and predicts the held-out fold, so no row's meta-features come from a
-    model that trained on that row. Labels carry over unchanged.
+def build_meta_features(memo: StackMemo, spec: StackSpec) -> Dataset:
+    """Out-of-fold meta-dataset of memo.d: every base learner is trained on
+    k-1 folds and predicts the held-out fold, so no row's meta-features come
+    from a model that trained on that row. Labels carry over unchanged.
 
-    The folds come from the master seed spec.seed and the fold count, and a
+    The folds come from the master seed memo.seed and the fold count, and a
     fold fit's seed from (learner, fold count, fold), so a learner's block is
-    the same in every stack: memo (a StackMemo of d under spec.seed, a
-    private one when None) computes each block once."""
+    the same in every stack: the memo computes each block once."""
+    d, master = memo.d, memo.seed
     if not d.label_presence:
         raise ConfigError("stacking needs a labeled dataset")
-    memo = (memo or StackMemo(d, spec.seed)).check(d, spec)
-    assign = stratified_folds(d, spec.folds, derive_seed(spec.seed, "folds", spec.folds))
+    assign = stratified_folds(d, spec.folds, derive_seed(master, "folds", spec.folds))
     for ls in spec.base:
         if (ls, spec.folds) in memo.blocks:
             continue
         block = np.empty((d.n_rows, len(d.classes)))
         for f in sorted(set(assign)):
             hold = assign == f
-            seed = derive_seed(spec.seed, "fold", ls.name, spec.folds, int(f))
+            seed = derive_seed(master, "fold", ls.name, spec.folds, int(f))
             model = train_learner(ls.name, d.subset(np.flatnonzero(~hold)), seed=seed,
                                   params=ls.params_dict())
             # Stratified folds give every training part every class.
@@ -244,16 +235,14 @@ class StackedModel(TrainedModel):
         return self.meta_model.score(self._meta_matrix(X))
 
 
-def train_stack(d: Dataset, spec: StackSpec, memo=None) -> StackedModel:
-    """Meta-learner on out-of-fold base probabilities, seeded
-    derive_seed(spec.seed, "meta"); the base models are memo.fit's
-    standalone full-data fits. spec.seed is the master seed, so stacks that
-    share a memo (a StackMemo of d under spec.seed, a private one when None)
-    share their base fits and blocks, and a stack trained with or without
-    one is the same model."""
-    memo = (memo or StackMemo(d, spec.seed)).check(d, spec)
-    meta_model = train_learner(spec.meta.name, build_meta_features(d, spec, memo),
-                               seed=derive_seed(spec.seed, "meta"),
+def train_stack(memo: StackMemo, spec: StackSpec) -> StackedModel:
+    """Meta-learner on the out-of-fold base probabilities of memo.d, seeded
+    derive_seed(memo.seed, "meta"); the base models are memo.fit's
+    standalone full-data fits. So stacks that share a memo share their base
+    fits and blocks, and a stack is the same model in every memo of its
+    rows and master seed."""
+    meta_model = train_learner(spec.meta.name, build_meta_features(memo, spec),
+                               seed=derive_seed(memo.seed, "meta"),
                                params=spec.meta.params_dict())
     base_models = [memo.fit(ls) for ls in spec.base]
-    return StackedModel(spec, base_models, meta_model, d.classes, d.arity)
+    return StackedModel(spec, base_models, meta_model, memo.d.classes, memo.d.arity)

@@ -490,16 +490,17 @@ def calibrate_probability(
     cfg, the settings m was trained with, so the sigmoid never sees
     resubstitution margins. Each fold solve runs the same second-order loop
     under the same max_steps cap, and warns on its own if it stops there.
-    Datasets
-    whose rarest class has fewer than 2 rows cannot be folded and fall back
-    to hard {0,1} probabilities; fewer than 2 folds is a configuration error.
+    Datasets whose rarest class has fewer than 2 rows cannot be folded and
+    fall back, with a warning, to hard {0,1} probabilities; fewer than 2
+    folds is a configuration error.
     """
     if not d.label_presence:
         raise SingleClassError("calibration needs a labeled dataset")
     check_number("folds", folds, int, lambda v: v >= 2, ">= 2")
     try:
         assign = stratified_folds(d, folds)
-    except ConfigError:
+    except ConfigError as e:
+        warnings.warn(f"calibration falls back to hard 0/1 probabilities: {e}")
         return CalibratedSvm(m, 0.0, 0.0, fallback=True)
     margins = np.empty(d.n_rows)
     for fold in sorted(set(assign)):

@@ -23,7 +23,7 @@ from rigline.dataset import (
 from rigline.evaluation import evaluate, roc_auc
 from rigline.imbalance import SmoteConfig, smote, undersample
 from rigline.labeling_em import em_fit
-from rigline.stacking import parse_stack_spec, train_learner, train_stack
+from rigline.stacking import StackMemo, train_learner
 from rigline.svm_smo import (
     KernelSpec,
     SmoConfig,
@@ -348,10 +348,9 @@ def pipeline_reports():
     train, test = split_train_test(d, 0.66, seed=master + 3)
 
     t0 = time.time()
-    smo = train_learner("smo", train, seed=derive_seed(master, "train", "smo"))
-    rep_smo = evaluate(smo, test)
-    spec = parse_stack_spec("model3", seed=master)  # as run --stack model3 builds it
-    rep_stack = evaluate(train_stack(train, spec), test)
+    memo = StackMemo(train, master)  # as run and grid train every model
+    rep_smo = evaluate(memo.model("smo"), test)
+    rep_stack = evaluate(memo.model("model3"), test)
     elapsed = time.time() - t0
 
     balanced = undersample(train, seed=master + 4)

@@ -212,8 +212,9 @@ def test_train_smo_one_row_minority_falls_back_to_hard_probabilities(tmp_path):
     model = tmp_path / "m.txt"
     run_cli("generate", "--rows", "20", "--frac", "0.05", "--seed", "1", "--out", str(data))
     assert load_csv(str(data)).labels.tolist().count("failure") == 1
-    assert run_cli("train", "--data", str(data), "--learner", "smo",
-                   "--out", str(model)) == 0
+    with pytest.warns(UserWarning, match="rarest class has 1 rows"):
+        assert run_cli("train", "--data", str(data), "--learner", "smo",
+                       "--out", str(model)) == 0
     assert "fallback 1" in read(model).split("\n")
 
 

@@ -192,6 +192,23 @@ def test_csv_round_trip_property(tmp_path_factory, d):
     assert second.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 1024])
+def test_carriage_returns_survive_a_round_trip(tmp_path, monkeypatch, block):
+    # csv.writer quotes a cell only for its "\n" line terminator; a bare CR
+    # in a header, label or meta cell would split the row on reload.
+    monkeypatch.setattr(dataset, "_WRITE_BLOCK", block)
+    d = Dataset([("f\r0", ""), ("f1", "psi")], np.arange(6.0).reshape(3, 2) / 7,
+                ["a\rb", "n", "n"], [("s\r1", "t"), ("2", "t"), ("3", "t\r\n")],
+                ("S No.", "Time Stamp"))
+    out = tmp_path / "cr.csv"
+    save_csv(d, str(out))
+    back = load_csv(str(out))
+    assert back.schema == d.schema and back.X.tobytes() == d.X.tobytes()
+    assert back.labels.tolist() == d.labels.tolist() and back.meta == d.meta
+    # Only the rows that hold a CR are quoted.
+    assert out.read_bytes().split(b"\n")[2] == b"2,t,0.2857142857142857,0.42857142857142855,n"
+
+
 def test_unit_round_trip(tmp_path):
     d = load_csv(SAMPLE)
     out = tmp_path / "u.csv"
@@ -215,7 +232,9 @@ def test_saved_files_get_the_mode_open_would_give(tmp_path):
 # be those of one csv.writer pass over the whole table.
 
 def _reference_csv(d):
-    """The table's columns zipped into rows and written by one csv.writer."""
+    """The table's columns zipped into rows and written by one csv.writer,
+    but for the rows that hold a carriage return: those have every cell
+    quoted, so that the CR does not split the row on reload."""
     header = list(d.meta_schema or ())
     header += [f"{name} (in {unit})" if unit else name for name, unit in d.schema]
     header += ["class"] if d.label_presence else []
@@ -223,9 +242,10 @@ def _reference_csv(d):
     columns += [[repr(v) for v in column] for column in d.X.T.tolist()]
     columns += [d.labels.tolist()] if d.label_presence else []
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in [header, *zip(*columns)]:
+        (quoted if any("\r" in cell for cell in row) else plain).writerow(row)
     return buf.getvalue().encode(locale.getpreferredencoding(False))
 
 

@@ -22,6 +22,7 @@ from rigline.modeldoc import _KINDS, load_model, model_from_text, model_to_text,
 from rigline.stacking import (
     MODEL_PRESETS,
     LearnerSpec,
+    StackMemo,
     StackSpec,
     train_learner,
     train_stack,
@@ -150,12 +151,31 @@ def test_stack_round_trip(tmp_path):
     spec = StackSpec(
         base=(LearnerSpec("nb"), LearnerSpec("tree", (("max_depth", 3),))),
         folds=3,
-        seed=7,
     )
-    m = train_stack(d, spec)
+    m = train_stack(StackMemo(d, 7), spec)
     back = round_trip(m, tmp_path, "stack")
     assert np.array_equal(back.predict_proba(d.X), m.predict_proba(d.X))
     assert back.spec == m.spec
+
+
+def test_train_stack_document_holds_no_seed(tmp_path):
+    # The master seed is the manifest's alone: a stack document written by
+    # `train --stack` has no seed line, and one that has it does not load.
+    from rigline.cli import main
+    from rigline.dataset import load_csv
+
+    data, path = tmp_path / "d.csv", tmp_path / "m.txt"
+    assert main(["generate", "--rows", "120", "--seed", "3", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--stack", "model2", "--seed", "7",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert not any(ln.startswith("seed") for ln in lines)
+    d = load_csv(str(data))
+    m = StackMemo(d, 7).model("model2")
+    assert np.array_equal(load_model(str(path)).predict_proba(d.X), m.predict_proba(d.X))
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("folds ")) + 1
+    with pytest.raises(ParseError, match="expected 'meta_spec', got 'seed 7'"):
+        model_from_text("\n".join(lines[:i] + ["seed 7"] + lines[i:]))
 
 
 def test_unknown_kind_rejected():
@@ -231,7 +251,7 @@ def _doc_of(kind):
             gmm = GaussianMixtureModel(gmm.weights, gmm.means, gmm.variances)
         return model_to_text(gmm)
     if kind == "model3":
-        return model_to_text(train_stack(d, MODEL_PRESETS["model3"]))
+        return model_to_text(train_stack(StackMemo(d, 0), MODEL_PRESETS["model3"]))
     if kind == "costwrap":
         return model_to_text(CostSensitiveModel(train_cart(d, max_depth=2),
                                                 CostMatrix([[0, 1], [4, 0]])))

@@ -13,7 +13,7 @@ from rigline.errors import ShapeError
 from rigline.evaluation import evaluate
 from rigline.imbalance import CostSensitiveModel, default_cost_matrix
 from rigline.modeldoc import model_from_text, model_to_text
-from rigline.stacking import parse_stack_spec, train_learner, train_stack
+from rigline.stacking import StackMemo, parse_stack_spec, train_learner, train_stack
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def models(data):
         for name, params in [("nb", {}), ("tree", {}), ("rf", {"n_trees": 10}),
                              ("part", {}), ("mlp", {"epochs": 20}), ("smo", {})]
     }
-    out["stack"] = train_stack(data, parse_stack_spec("model3", seed=1))
+    out["stack"] = train_stack(StackMemo(data, 1), parse_stack_spec("model3"))
     out["cost-smo"] = CostSensitiveModel(out["smo"], cm)
     out["cost-stack"] = CostSensitiveModel(out["stack"], cm)
     return out

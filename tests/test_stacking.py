@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -80,14 +78,11 @@ def test_presets_match_published_compositions():
 
 
 def test_parse_stack_spec_forms():
-    spec = parse_stack_spec("stack:meta=smo;base=part,mlp,nb;folds=5", seed=9)
+    spec = parse_stack_spec("stack:meta=smo;base=part,mlp,nb;folds=5")
     assert [ls.name for ls in spec.base] == ["part", "mlp", "nb"]
     assert spec.meta.name == "smo"
     assert spec.folds == 5
-    assert spec.seed == 9
-    preset = parse_stack_spec("model3", seed=4)
-    assert [ls.name for ls in preset.base] == ["part", "mlp", "nb"]
-    assert preset.seed == 4
+    assert parse_stack_spec("model3") is MODEL_PRESETS["model3"]
     with pytest.raises(ConfigError):
         parse_stack_spec("model9")
     with pytest.raises(ConfigError):
@@ -121,8 +116,8 @@ def test_stack_spec_validation():
 
 def test_meta_feature_shape_and_labels():
     d = synth(300, seed=1)
-    spec = StackSpec(base=(LearnerSpec("nb"), LearnerSpec("tree")), folds=5, seed=2)
-    meta = build_meta_features(d, spec)
+    spec = StackSpec(base=(LearnerSpec("nb"), LearnerSpec("tree")), folds=5)
+    meta = build_meta_features(StackMemo(d, 2), spec)
     assert meta.n_rows == d.n_rows
     assert meta.arity == 2 * 2  # two learners x two classes
     assert np.array_equal(meta.labels, d.labels)
@@ -141,8 +136,8 @@ def test_meta_features_from_truth_oracle_separate_classes():
 
     register_learner("truth_oracle", train_truth)
     try:
-        spec = StackSpec(base=(LearnerSpec("truth_oracle"),), folds=5, seed=0)
-        meta = build_meta_features(d, spec)
+        spec = StackSpec(base=(LearnerSpec("truth_oracle"),), folds=5)
+        meta = build_meta_features(StackMemo(d, 0), spec)
         p_normal = meta.X[:, 0]
         assert np.all(p_normal[meta.labels == CLASS_NORMAL] == 1.0)
         assert np.all(p_normal[meta.labels == CLASS_FAILURE] == 0.0)
@@ -165,8 +160,8 @@ def test_out_of_fold_discipline_no_leakage():
 
     register_learner("recorder", train_recorder)
     try:
-        spec = StackSpec(base=(LearnerSpec("recorder"),), folds=5, seed=5)
-        build_meta_features(d, spec)
+        spec = StackSpec(base=(LearnerSpec("recorder"),), folds=5)
+        build_meta_features(StackMemo(d, 5), spec)
         assert len(recorders) == 5
         assert all(r.overlap == 0 for r in recorders)
     finally:
@@ -178,9 +173,9 @@ def test_out_of_fold_discipline_no_leakage():
 def test_fold_reduction_warning_small_minority():
     d = synth(40, seed=6)  # about 5 failure rows
     n_fail = int(np.sum(d.labels == CLASS_FAILURE))
-    spec = StackSpec(base=(LearnerSpec("nb"),), folds=n_fail + 2, seed=0)
+    spec = StackSpec(base=(LearnerSpec("nb"),), folds=n_fail + 2)
     with pytest.warns(UserWarning):
-        meta = build_meta_features(d, spec)
+        meta = build_meta_features(StackMemo(d, 0), spec)
     assert meta.n_rows == d.n_rows
 
 
@@ -189,18 +184,17 @@ def test_train_stack_determinism():
     spec = StackSpec(
         base=(LearnerSpec("nb"), LearnerSpec("tree", (("max_depth", 3),))),
         folds=3,
-        seed=11,
     )
-    a = train_stack(d, spec)
-    b = train_stack(d, spec)
+    a = train_stack(StackMemo(d, 11), spec)
+    b = train_stack(StackMemo(d, 11), spec)
     X = d.X[:40]
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
 def test_stack_predictions_are_probabilities():
     d = synth(300, seed=8)
-    spec = StackSpec(base=(LearnerSpec("nb"), LearnerSpec("tree")), folds=3, seed=1)
-    m = train_stack(d, spec)
+    spec = StackSpec(base=(LearnerSpec("nb"), LearnerSpec("tree")), folds=3)
+    m = train_stack(StackMemo(d, 1), spec)
     P = m.predict_proba(d.X[:25])
     assert P.shape == (25, 2)
     assert np.all(P >= 0) and np.all(P <= 1)
@@ -214,8 +208,8 @@ def test_stack_predictions_are_probabilities():
 
 def test_stack_arity_mismatch():
     d = synth(120, seed=9)
-    spec = StackSpec(base=(LearnerSpec("nb"),), folds=3, seed=0)
-    m = train_stack(d, spec)
+    spec = StackSpec(base=(LearnerSpec("nb"),), folds=3)
+    m = train_stack(StackMemo(d, 0), spec)
     with pytest.raises(ShapeError):
         m.predict_proba(np.zeros((3, 9)))
 
@@ -234,7 +228,8 @@ def test_base_models_must_share_the_stack_classes():
     register_learner("flipped", flipped)
     try:
         with pytest.raises(ShapeError, match="classes"):
-            build_meta_features(d, StackSpec(base=(LearnerSpec("flipped"),), folds=3))
+            build_meta_features(StackMemo(d, 0), StackSpec(base=(LearnerSpec("flipped"),),
+                                                           folds=3))
     finally:
         from rigline.stacking import LEARNERS
 
@@ -243,8 +238,8 @@ def test_base_models_must_share_the_stack_classes():
 
 def test_duplicated_base_learner_duplicates_blocks():
     d = synth(200, seed=10)
-    spec = StackSpec(base=(LearnerSpec("nb"), LearnerSpec("nb")), folds=3, seed=2)
-    m = train_stack(d, spec)
+    spec = StackSpec(base=(LearnerSpec("nb"), LearnerSpec("nb")), folds=3)
+    m = train_stack(StackMemo(d, 2), spec)
     meta_row = m._meta_matrix(d.X[:10])
     assert np.allclose(meta_row[:, :2], meta_row[:, 2:])
 
@@ -254,8 +249,8 @@ def test_degenerate_stack_close_to_base_alone():
     train, test = split_train_test(full, 0.66, seed=1)
     base = train_naive_bayes(train)
     base_acc = float(np.mean(base.predict(test.X) == test.labels))
-    spec = StackSpec(base=(LearnerSpec("nb"),), folds=5, seed=3)
-    stack = train_stack(train, spec)
+    spec = StackSpec(base=(LearnerSpec("nb"),), folds=5)
+    stack = train_stack(StackMemo(train, 3), spec)
     stack_acc = float(np.mean(stack.predict(test.X) == test.labels))
     assert abs(stack_acc - base_acc) <= 0.02
 
@@ -287,9 +282,10 @@ SHARED_BASE_SPECS = {
 
 @pytest.fixture(scope="module")
 def stacks_alone():
-    """Each spec of SHARED_BASE_SPECS trained under master seed 5 with no memo."""
+    """Each spec of SHARED_BASE_SPECS trained under master seed 5 in a memo of
+    its own."""
     d = synth(120, seed=14)
-    alone = {name: model_to_text(train_stack(d, replace(spec, seed=5)))
+    alone = {name: model_to_text(train_stack(StackMemo(d, 5), spec))
              for name, spec in SHARED_BASE_SPECS.items()}
     return d, alone
 
@@ -302,10 +298,10 @@ def stacks_alone():
 def test_a_filled_memo_changes_no_stack(stacks_alone, first, second):
     d, alone = stacks_alone
     memo = StackMemo(d, 5)
-    train_stack(d, replace(SHARED_BASE_SPECS[first], seed=5), memo)
-    spec = replace(SHARED_BASE_SPECS[second], seed=5)
+    train_stack(memo, SHARED_BASE_SPECS[first])
+    spec = SHARED_BASE_SPECS[second]
     assert {(ls, spec.folds) for ls in spec.base} & set(memo.blocks)  # a filled block is read
-    shared = train_stack(d, spec, memo)
+    shared = train_stack(memo, spec)
     assert model_to_text(shared) == alone[second]
 
 
@@ -314,20 +310,11 @@ def test_stacks_that_differ_in_base_params_differ(stacks_alone):
     assert alone["tree3-nb"] != alone["tree-nb"]
 
 
-def test_memo_serves_only_its_rows_and_seed():
-    d = synth(120, seed=15)
-    spec = StackSpec(base=(LearnerSpec("nb"),), folds=3, seed=2)
-    with pytest.raises(ConfigError, match="memo"):
-        train_stack(d, spec, StackMemo(d, 3))
-    with pytest.raises(ConfigError, match="memo"):
-        build_meta_features(d, spec, StackMemo(synth(120, seed=15), 2))
-
-
 def test_memo_model_is_the_one_fit_of_each_learner():
     d = synth(120, seed=16)
     memo = StackMemo(d, 4)
     assert memo.model("nb") is memo.fit(LearnerSpec("nb"))
     stack = memo.model("model2")
-    assert stack.spec == replace(MODEL_PRESETS["model2"], seed=4)
+    assert stack.spec is MODEL_PRESETS["model2"]
     assert stack.base_models[0] is memo.model("rf")
     assert stack.base_models[1] is memo.model("nb")

@@ -426,7 +426,8 @@ def test_calibration_fallback_tiny_minority():
     d = Dataset([("a", ""), ("b", "")], X, ["n"] * 9 + ["p"])
     cfg = SmoConfig(C=1.0, kernel=LINEAR)
     m = smo_train(d, cfg)
-    cal = calibrate_probability(m, d, cfg)
+    with pytest.warns(UserWarning, match="hard 0/1 probabilities: rarest class has 1 rows"):
+        cal = calibrate_probability(m, d, cfg)
     assert cal.fallback
     p = cal.predict_proba(d.X)
     assert set(np.unique(p)) <= {0.0, 1.0}

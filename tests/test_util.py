@@ -119,8 +119,7 @@ CONFIGS = {
     SyntheticGenConfig: ({"row_count": 10}, {"row_count": integer(2),
                                              "failure_fraction": OPEN_UNIT, "seed": integer(0),
                                              "failure_shift_sigma": real()}, ()),
-    StackSpec: ({"base": (LearnerSpec("nb"),)}, {"folds": integer(2), "seed": integer()},
-                ("base", "meta")),
+    StackSpec: ({"base": (LearnerSpec("nb"),)}, {"folds": integer(2)}, ("base", "meta")),
 }
 
 TINY = Dataset([("f0", ""), ("f1", "")], np.arange(24.0).reshape(12, 2) % 7,
