@@ -277,7 +277,9 @@ def _is_meta_header(cell: str) -> bool:
 
 def _layout(path, header):
     """Column roles from the stripped header cells: (n_meta, feat_idx,
-    has_labels, the feature schema)."""
+    has_labels, the feature schema). A byte-order mark that starts the first
+    cell, as Excel's "CSV UTF-8" writes one, is removed from header."""
+    header[0] = header[0].removeprefix("\ufeff")
     n_meta = 0
     while n_meta < min(2, len(header)) and _is_meta_header(header[n_meta]):
         n_meta += 1

@@ -91,10 +91,10 @@ def _safe_div(num, den):
     return num / den if den > 0 else 0.0
 
 
-def metrics(cm: ConfusionMatrix, class_weights=None) -> EvalReport:
-    """Per-class rates from the matrix, averaged with the given weights
-    (defaults to each class's instance fraction). AUC is left at 0 here;
-    evaluate() fills it from model scores."""
+def metrics(cm: ConfusionMatrix, class_weights=None, aucs=None) -> EvalReport:
+    """Per-class rates from the matrix and AUCs from aucs (0 for a class it
+    lacks; evaluate() fills it from model scores), each averaged with the
+    given weights (defaults to each class's instance fraction)."""
     if class_weights is None:
         class_weights = {
             c: _safe_div(cm.actual_count(c), cm.total) for c in cm.classes
@@ -102,17 +102,14 @@ def metrics(cm: ConfusionMatrix, class_weights=None) -> EvalReport:
     per_class = {}
     for c in cm.classes:
         tp, fp, fn, tn = cm.per_class(c)
-        tp_rate = _safe_div(tp, tp + fn)
+        tp_rate, precision = _safe_div(tp, tp + fn), _safe_div(tp, tp + fp)
         per_class[c] = {
             "tp_rate": tp_rate,
             "fp_rate": _safe_div(fp, fp + tn),
-            "precision": _safe_div(tp, tp + fp),
+            "precision": precision,
             "recall": tp_rate,
-            "f_measure": _safe_div(
-                2 * _safe_div(tp, tp + fp) * tp_rate,
-                _safe_div(tp, tp + fp) + tp_rate,
-            ),
-            "roc_auc": 0.0,
+            "f_measure": _safe_div(2 * precision * tp_rate, precision + tp_rate),
+            "roc_auc": (aucs or {}).get(c, 0.0),
             "count": tp + fn,
         }
 
@@ -148,27 +145,18 @@ def rank_auc(scores, positive) -> float:
 
 def evaluate(m, test: Dataset) -> EvalReport:
     """Full six-measure report from one scoring pass: matrix metrics from the
-    model's picks plus per-class-as-positive AUC from its rank scores, all
-    instance-weighted."""
+    model's picks plus per-class-as-positive AUC from its rank scores (0 for a
+    class the model lacks or one the test set does not split)."""
     if test.n_rows == 0:
         raise EmptyDatasetError("cannot evaluate on an empty test set")
     if not test.label_presence:
         raise MissingLabelsError("evaluation needs a labeled test set")
     scores = m.score(test.X)
     cm = confusion(m.classes, test, scores.picks)
-    report = metrics(cm)
-    auc_weighted = 0.0
-    for c in cm.classes:
-        frac = _safe_div(cm.actual_count(c), cm.total)
-        if c in m.classes and 0 < cm.actual_count(c) < cm.total:
-            positive = test.codes == test.classes.index(c)
-            auc = rank_auc(scores.ranks[:, m.classes.index(c)], positive)
-        else:
-            auc = 0.0
-        report.per_class[c]["roc_auc"] = auc
-        auc_weighted += frac * auc
-    report.roc_auc = auc_weighted
-    return report
+    aucs = {c: rank_auc(scores.ranks[:, m.classes.index(c)], test.codes == test.classes.index(c))
+            if c in m.classes and 0 < cm.actual_count(c) < cm.total else 0.0
+            for c in cm.classes}
+    return metrics(cm, aucs=aucs)
 
 
 def compare_table(named_reports) -> str:

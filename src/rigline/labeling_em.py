@@ -95,8 +95,10 @@ def em_fit(
 
     Each iteration runs a full E-step and M-step, then records the
     log-likelihood under the updated parameters. Convergence is declared when
-    the trace improves by at most tol * |loglik| between iterations. Collapsed
-    components (vanishing weight) are reseeded at a random row.
+    the trace improves by at most tol * |loglik| between iterations. An
+    iteration that reseeds collapsed components (vanishing weight) at random
+    rows, with a note and a warning, has no M-step; it and the next skip the
+    convergence test.
     """
     check_number("n_components", n_components, int, lambda v: v >= 1, ">= 1")
     check_number("seed", seed, int, lambda v: v >= 0, ">= 0")
@@ -128,45 +130,33 @@ def em_fit(
     prev = None
     for it in range(1, max_iter + 1):
         mass = resp.sum(axis=0)
-
-        reseeded = False
-        for k in range(n_components):
-            if mass[k] / n < _DEGENERATE_WEIGHT:
-                # Collapsed component: restart it at a random row with the
-                # global column variance and skip this round's convergence test.
-                i = int(rng.integers(n))
-                gmm.means[k] = X[i]
-                gmm.variances[k] = np.maximum(col_var, var_floor)
-                gmm.weights = np.full(n_components, 1.0 / n_components)
-                note = f"iter {it}: reseeded collapsed component {k}"
-                gmm.notes.append(note)
-                warnings.warn(note)
-                reseeded = True
-        if reseeded:
-            prev = None
-            lse, resp = _posterior(gmm, X)
-            gmm.loglik_trace.append(float(np.sum(lse)))
-            gmm.n_iter = it
-            continue
-
-        weights = mass / n
-        means = (resp.T @ X) / mass[:, None]
-        variances = np.empty_like(means)
-        for k in range(n_components):
-            np.subtract(X, means[k], out=sq)
-            sq *= sq
-            variances[k] = (resp[:, k] @ sq) / mass[k]
-        variances = np.maximum(variances, var_floor)
-
-        gmm.weights, gmm.means, gmm.variances = weights, means, variances
+        collapsed = [k for k in range(n_components) if mass[k] / n < _DEGENERATE_WEIGHT]
+        for k in collapsed:
+            # Collapsed component: restart it at a random row with the
+            # global column variance, in place of this round's M-step.
+            gmm.means[k] = X[int(rng.integers(n))]
+            gmm.variances[k] = np.maximum(col_var, var_floor)
+            gmm.weights = np.full(n_components, 1.0 / n_components)
+            note = f"iter {it}: reseeded collapsed component {k}"
+            gmm.notes.append(note)
+            warnings.warn(note)
+        if not collapsed:
+            means = (resp.T @ X) / mass[:, None]
+            variances = np.empty_like(means)
+            for k in range(n_components):
+                np.subtract(X, means[k], out=sq)
+                sq *= sq
+                variances[k] = (resp[:, k] @ sq) / mass[k]
+            gmm.weights, gmm.means = mass / n, means
+            gmm.variances = np.maximum(variances, var_floor)
         lse, resp = _posterior(gmm, X)
         ll = float(np.sum(lse))
         gmm.loglik_trace.append(ll)
         gmm.n_iter = it
-        if prev is not None and abs(ll - prev) <= tol * max(abs(ll), 1.0):
+        if not collapsed and prev is not None and abs(ll - prev) <= tol * max(abs(ll), 1.0):
             gmm.converged = True
             break
-        prev = ll
+        prev = None if collapsed else ll
     return gmm
 
 

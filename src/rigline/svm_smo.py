@@ -141,8 +141,6 @@ class SolverState:
         """sum_j a_j y_j k(x_j, x_i) for every training point i, computed from
         the support vectors without reading the running error cache."""
         sv = np.flatnonzero(self.alpha > 0)
-        if not len(sv):
-            return np.zeros(self.n)
         K = kernel_matrix(self.kernel, self.X[sv], self.X)
         return (self.alpha[sv] * self.y[sv]) @ K
 
@@ -233,42 +231,34 @@ def examine_example(state: SolverState, i: int, sets=None) -> int:
 def dual_objective_value(X, y, alpha, kernel: KernelSpec) -> float:
     """W(a) evaluated directly from its definition."""
     nz = np.flatnonzero(alpha)
-    if len(nz) == 0:
-        return 0.0
     K = kernel_matrix(kernel, X[nz], X[nz])
     u = alpha[nz] * y[nz]
     return float(np.sum(alpha[nz]) - 0.5 * (u @ K @ u))
 
 
+@dataclass(eq=False)
 class SvmModel:
-    """Trained SVM: support vectors with their multipliers plus the bias."""
+    """Trained SVM: support vectors with their multipliers plus the bias.
+    With no support vectors sv_X keeps its shape (0, arity) and f(x) is b."""
 
-    def __init__(
-        self,
-        classes,
-        sv_X,
-        sv_y,
-        alpha,
-        b,
-        kernel,
-        C,
-        dual_objective,
-        converged,
-        sv_indices,
-        n_train,
-    ):
-        self.classes = list(classes)
-        self.sv_X = sv_X
-        self.sv_y = sv_y
-        self.alpha = alpha
-        self.b = b
-        self.kernel = kernel
-        self.C = C
-        self.dual_objective = dual_objective
-        self.converged = converged
-        self.sv_indices = sv_indices
-        self.n_train = n_train
-        self.arity = sv_X.shape[1] if sv_X.size else 0
+    classes: list
+    sv_X: np.ndarray
+    sv_y: np.ndarray
+    alpha: np.ndarray
+    b: float
+    kernel: KernelSpec
+    C: float
+    dual_objective: float
+    converged: bool
+    sv_indices: np.ndarray
+    n_train: int
+
+    def __post_init__(self):
+        self.classes = list(self.classes)
+
+    @property
+    def arity(self) -> int:
+        return self.sv_X.shape[1]
 
     def n_support(self) -> int:
         return len(self.alpha)
@@ -364,10 +354,8 @@ def smo_train(d: Dataset, cfg: SmoConfig = SmoConfig(), step_monitor=None) -> Sv
 def decision_values(m: SvmModel, X) -> np.ndarray:
     """Margins f(x) for each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if m.sv_X.size and X.shape[1] != m.arity:
+    if X.shape[1] != m.arity:
         raise ShapeError(f"model expects {m.arity} features, got {X.shape[1]}")
-    if len(m.alpha) == 0:
-        return np.full(X.shape[0], m.b)
     K = kernel_matrix(m.kernel, m.sv_X, X)
     return (m.alpha * m.sv_y) @ K + m.b
 

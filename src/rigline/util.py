@@ -39,7 +39,7 @@ def diag_gaussian_posterior(X, weights, means, variances):
     The work is done on (n,) columns, one feature and one component at a
     time, with numpy's own arithmetic in numpy's order (`sum_columns` for
     the row sums), so the results are those of the (n, d) broadcast form
-    bit for bit without its n x d temporaries.
+    bit for bit, below 8 features or components without its n x d arrays.
     """
     n, d = X.shape
     log_weights = np.log(weights)
@@ -77,43 +77,22 @@ def sum_columns(columns, count):
     """The sum of the next count (n,) arrays of the iterator columns, equal
     bit for bit to `np.sum(axis=1)` of the (n, count) array they would form.
 
-    numpy adds a row pairwise: below 8 terms in order; up to 128 in eight
-    running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-    rest in order; above 128 as the sum of its two halves (the first cut to
-    a multiple of 8). The reduction then adds that to its initial 0.0. The
-    arrays drawn are summed into in place, so each must be one the caller
-    gives up.
+    numpy adds fewer than 8 terms of a row in order, then adds its initial
+    0.0, so below 8 the arrays are summed into the first in place (each must
+    be one the caller gives up). From 8 on they are copied, one at a time,
+    into that (n, count) array for `np.sum`: one n x count temporary.
     """
-    total = _pairwise(columns, count)
-    total += 0.0
-    return total
-
-
-def _pairwise(columns, count):
+    total = next(columns)
     if count < 8:
-        total = next(columns)
         for _ in range(count - 1):
             total += next(columns)
+        total += 0.0
         return total
-    if count <= 128:
-        r = [next(columns) for _ in range(8)]
-        for i in range(8, count - count % 8):
-            r[i % 8] += next(columns)
-        r[0] += r[1]
-        r[2] += r[3]
-        r[0] += r[2]
-        r[4] += r[5]
-        r[6] += r[7]
-        r[4] += r[6]
-        r[0] += r[4]
-        for _ in range(count % 8):
-            r[0] += next(columns)
-        return r[0]
-    half = count // 2
-    half -= half % 8
-    total = _pairwise(columns, half)
-    total += _pairwise(columns, count - half)
-    return total
+    table = np.empty((len(total), count))
+    table[:, 0] = total
+    for j in range(1, count):
+        table[:, j] = next(columns)
+    return table.sum(axis=1)
 
 
 def atomic_write_text(path: str, text) -> None:

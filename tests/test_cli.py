@@ -15,8 +15,9 @@ import rigline
 from rigline.baseline_learners import train_rule_list
 from rigline.cli import build_parser, main
 from rigline.dataset import Dataset, class_order, load_csv, save_csv
-from rigline.modeldoc import load_model
+from rigline.modeldoc import load_model, model_from_text, model_to_text
 from rigline.stacking import register_learner
+from rigline.svm_smo import decision_values
 
 
 def run_cli(*argv):
@@ -143,6 +144,26 @@ def test_train_and_evaluate_round_trip(tmp_path):
         measure, value = line.split(",")
         assert 0.0 <= float(value) <= 1.0
     assert "== tree ==" in read(detail)
+
+
+def test_smo_without_support_vectors_trains_and_evaluates(tmp_path):
+    # C is too small for any multiplier to leave 0: no support vectors, the
+    # bias decides every row, and the document still holds the arity.
+    data, model, report = (str(tmp_path / name) for name in ("d.csv", "m.txt", "r.csv"))
+    run_cli("generate", "--rows", "120", "--seed", "3", "--out", data)
+    assert run_cli("train", "--data", data, "--learner", "smo", "--params", "C=1e-9",
+                   "--out", model) == 0
+    text = read(model)
+    assert "\narity 5\n" in text and "\nn_sv 0\n" in text
+    assert run_cli("evaluate", "--model", model, "--data", data, "--out", report) == 0
+    X = load_csv(data).X
+    m = load_model(model)
+    assert model_to_text(m) == text
+    p = m.predict_proba(X)
+    assert np.array_equal(model_from_text(text).predict_proba(X), p)
+    assert np.array_equal(p, np.tile(p[0], (len(X), 1)))
+    svm = m.inner.svm
+    assert decision_values(svm, X).tolist() == [svm.b] * len(X)
 
 
 @pytest.mark.parametrize("learner", ["nb", "tree"])

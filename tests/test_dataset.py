@@ -456,6 +456,23 @@ def test_quoted_and_crlf_twins_load_the_same_dataset(tmp_path, twin):
     assert _contents(dataset._load_cells(str(plain), _read(plain))) == _contents(d)
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain-path", "reference-loop"])
+def test_a_byte_order_mark_loads_as_the_same_table(tmp_path, quoted):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; a quoted cell sends
+    # the file through the per-cell reference loop.
+    text = _csv_text(_TWIN_ROWS)
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text.replace(",normal", ',"normal"') if quoted else text, newline="")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert (dataset._load_plain(str(bom)) is None) == quoted
+    d = load_csv(str(bom))
+    assert d.meta_schema == ("S No.", "Time Stamp")
+    assert d.meta[0] == ("1048576", "2/8/2014 2:28")
+    assert _contents(d) == _contents(load_csv(str(plain)))
+    assert _contents(dataset._load_cells(str(bom), _read(bom))) == _contents(d)
+
+
 @pytest.mark.parametrize("text", [
     "a,b,class\n",
     "a,b,class\n,,\n\n",

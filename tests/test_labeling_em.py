@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from rigline.labeling_em import (
     em_loglik,
     em_responsibilities,
 )
-from rigline.modeldoc import load_model, save_model
+from rigline.modeldoc import load_model, model_to_text, save_model
 
 
 def two_blob_dataset(seed=0, n_a=300, n_b=60, sep=6.0):
@@ -122,6 +124,24 @@ def test_fit_determinism():
     assert np.array_equal(g1.means, g2.means)
     assert np.array_equal(g1.variances, g2.variances)
     assert g1.loglik_trace == g2.loglik_trace
+
+
+def test_a_collapsed_component_is_reseeded_once_and_the_fit_converges():
+    # One far row takes a component of its own, another starves and is
+    # restarted at a random row; the fit then converges.
+    X = np.array([[333.8, -0.5, 0.1], [-414.9, -0.7, 0.4], [633.9, 0.9, 0.5],
+                  [3339.9, 1.4, -0.1], [619.0, 100.1, 100.4], [-1799.6, 1.0, -0.1],
+                  [341.7, 0.0, -1.2], [835.0, 0.8, 0.6]])
+    d = Dataset([("a", ""), ("b", ""), ("c", "")], X)
+    with pytest.warns(UserWarning, match="reseeded") as record:
+        gmm = em_fit(d, 4, seed=2, max_iter=50)
+    note = "iter 5: reseeded collapsed component 3"
+    assert [str(w.message) for w in record] == [note]
+    assert gmm.notes == [note]
+    assert gmm.converged and gmm.n_iter == 12 and len(gmm.loglik_trace) == gmm.n_iter
+    # The fitted mixture's document, pinned byte for byte.
+    assert hashlib.sha256(model_to_text(gmm).encode()).hexdigest() == (
+        "e395b60d6cbcc6fe10029fc54897bedc1ef655738a27f2fd22cc123d33288950")
 
 
 def test_duplicate_rows_hit_variance_floor_not_nan():

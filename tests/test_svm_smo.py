@@ -351,6 +351,22 @@ def test_non_convergence_flag_and_model_still_usable():
     assert set(preds) <= {"up", "down"}
 
 
+@pytest.mark.parametrize("cfg", [
+    SmoConfig(C=1e-9),
+    SmoConfig(kkt_tol=1e300),
+    SmoConfig(C=1e-9, kernel=KernelSpec(kind="rbf")),
+], ids=["tiny-C", "huge-kkt_tol", "tiny-C-rbf"])
+def test_a_model_without_support_vectors_keeps_its_arity(cfg):
+    # No multiplier leaves 0, so the margin is the bias on every row.
+    d = blobs(n_per=20, gap=3.0, seed=5, dim=3)
+    m = smo_train(d, cfg)
+    assert m.n_support() == 0 and m.sv_X.shape == (0, 3) and m.arity == 3
+    assert m.dual_objective == 0.0
+    assert decision_values(m, d.X).tolist() == [m.b] * d.n_rows
+    with pytest.raises(ShapeError, match="model expects 3 features, got 2"):
+        decision_values(m, d.X[:, :2])
+
+
 def test_pair_that_cannot_move_stops_the_solve_unconverged():
     # The optimum a = 2 / (2e6)^2 lies inside the snap zone, so the only
     # pair's step rounds back to 0 and every further step would repeat it.
