@@ -400,8 +400,10 @@ def _load_plain(path, meta=True):
 
 
 def _load_cells(path, text, meta=True):
-    """Reference parse: `csv.reader` rows and one `float()` per cell."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    """Reference parse: `csv.reader` rows and one `float()` per cell. A
+    byte-order mark that starts the text is dropped first, so that it does
+    not sit before the opening quote of a quoted first cell."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     rows = [row for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise EmptyDatasetError(f"{path}: file has no header row")
@@ -445,33 +447,46 @@ _WRITE_BLOCK = 1024
 def save_csv(d: Dataset, path: str) -> None:
     """Write a dataset back to CSV. Floats use repr so reloads are bit-exact.
 
-    The text is formatted and written _WRITE_BLOCK rows at a time into a
-    staged file that is renamed into place, so readers never see a
-    half-written table.
+    The meta columns written are as many as both the meta schema names and
+    the table holds, so the header and the rows have one width. The text is
+    formatted and written _WRITE_BLOCK rows at a time into a staged file
+    that is renamed into place, so readers never see a half-written table.
     """
-    header = list(d.meta_schema or ())
+    k = min(len(d.meta_schema or ()), len(d._meta or ()))
+    header = list(d.meta_schema or ())[:k]
     for name, unit in d.schema:
         header.append(f"{name} (in {unit})" if unit else name)
     if d.label_presence:
         header.append(LABEL_COLUMN)
-    atomic_write_text(path, _csv_blocks(d, header))
+    atomic_write_text(path, _csv_blocks(d, header, k))
 
 
-def _csv_blocks(d, header):
-    """The CSV text of d: the header line, then one csv.writer chunk per
-    _WRITE_BLOCK rows."""
+def _csv_blocks(d, header, k):
+    """The CSV text of d with its first k meta columns: the header line,
+    then one `_csv_writer_text` chunk per _WRITE_BLOCK rows."""
     yield _csv_writer_text([header])
     for a in range(0, d.n_rows, _WRITE_BLOCK):
         b = a + _WRITE_BLOCK
         labels = [[d.classes[c] for c in d.codes[a:b].tolist()]] if d.label_presence else []
         floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
-        yield _csv_writer_text(list(zip(*d._meta_cells(a, b), *floats, *labels)))
+        yield _csv_writer_text(list(zip(*d._meta_cells(a, b)[:k], *floats, *labels)))
 
 
 def _csv_writer_text(rows):
-    """The csv.writer text of the list rows. The writer quotes a cell only for
-    its "\n" line terminator, so a bare CR would split a row on reload: when
-    the text holds one, every cell of each row that holds a CR is quoted."""
+    """The csv.writer text of the list rows, all of one width. When the
+    writer would write every cell bare (rows of two or more cells, none
+    holding a comma, quote, CR or LF), that text is the cells joined by
+    commas and newlines, and is built so; a block whose first row needs
+    quoting is not joined at all. Any other block goes through csv.writer.
+    The writer quotes a cell only for its "\n" line terminator, so a bare CR
+    would split a row on reload: when the text holds one, every cell of each
+    row that holds a CR is quoted."""
+    width = len(rows[0]) if rows else 0
+    if width > 1 and not any(c in cell for cell in rows[0] for c in ',"\r\n'):
+        text = "\n".join(map(",".join, rows)) + "\n"
+        if (text.count(",") == len(rows) * (width - 1) and text.count("\n") == len(rows)
+                and '"' not in text and "\r" not in text):
+            return text
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     if "\r" not in (text := buf.getvalue()):

@@ -228,17 +228,20 @@ def test_saved_files_get_the_mode_open_would_give(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# save_csv writes blocks of rows, one csv.writer pass each; its bytes must
-# be those of one csv.writer pass over the whole table.
+# save_csv writes blocks of rows, each joined by commas and newlines when
+# csv.writer would write every cell bare, else through csv.writer; its bytes
+# must be those of one csv.writer pass over the whole table.
 
 def _reference_csv(d):
     """The table's columns zipped into rows and written by one csv.writer,
     but for the rows that hold a carriage return: those have every cell
-    quoted, so that the CR does not split the row on reload."""
-    header = list(d.meta_schema or ())
+    quoted, so that the CR does not split the row on reload. The meta
+    columns are as many as both the meta schema names and the rows hold."""
+    k = min(len(d.meta_schema or ()), len(d._meta or ()))
+    header = list(d.meta_schema or ())[:k]
     header += [f"{name} (in {unit})" if unit else name for name, unit in d.schema]
     header += ["class"] if d.label_presence else []
-    columns = list(zip(*d.meta)) if d.meta is not None else []
+    columns = list(zip(*d.meta))[:k] if d.meta is not None else []
     columns += [[repr(v) for v in column] for column in d.X.T.tolist()]
     columns += [d.labels.tolist()] if d.label_presence else []
     buf = io.StringIO()
@@ -264,8 +267,8 @@ def block_datasets(draw):
     labeled = draw(st.booleans())
     hostile = draw(st.sampled_from([0, 1, 5]))  # in 10 text cells
 
-    def text():
-        return draw(_hostile_text if draw(st.integers(0, 9)) < hostile else _tame_text)
+    def text(tame=_tame_text):
+        return draw(_hostile_text if draw(st.integers(0, 9)) < hostile else tame)
 
     X = np.array(draw(st.lists(_any_double, min_size=n * arity, max_size=n * arity)))
     meta = [tuple(text() for _ in range(n_meta)) for _ in range(n)] if n_meta else None
@@ -273,7 +276,8 @@ def block_datasets(draw):
         i = draw(st.integers(0, n - 1))
         meta[i] = meta[i][:-1]
     labels = [text() for _ in range(n)] if labeled else None
-    schema = [(f"f{j}", "psi" if j % 2 else "") for j in range(arity)]
+    schema = [(text(st.just(f"f{j}")), text(st.sampled_from(["psi", ""])))
+              for j in range(arity)]
     return Dataset(schema, X.reshape(n, arity), labels, meta,
                    ("S No.", "Time Stamp")[:n_meta] or None)
 
@@ -305,6 +309,24 @@ def test_save_csv_bytes_are_pinned(tmp_path):
     out = tmp_path / "pinned.csv"
     save_csv(Dataset(schema, X, labels, meta, ("S No.", "Time Stamp")), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256
+
+
+@pytest.mark.parametrize("meta, names, kept", [
+    ([("1", "t1"), ("2",)], ("S No.", "Time Stamp"), [("1",), ("2",)]),
+    ([("1", "t1"), ("2", "t2")], ("S No.",), [("1",), ("2",)]),
+    (None, ("S No.", "Time Stamp"), None),
+])
+def test_meta_names_and_columns_of_two_widths_save_a_square_file(tmp_path, meta, names, kept):
+    # The header and the rows carry as many meta columns as both the meta
+    # schema names and the table holds; a ragged file would not reload.
+    d = Dataset([("a", ""), ("b", "psi")], [[1.5, 2.0], [3.0, -0.0]], ["n", "f"], meta, names)
+    out = tmp_path / "square.csv"
+    save_csv(d, str(out))
+    assert out.read_bytes() == _reference_csv(d)
+    back = load_csv(str(out))
+    assert back.meta == kept and back.meta_schema == (kept and names[:1])
+    assert back.schema == d.schema and back.X.tobytes() == d.X.tobytes()
+    assert back.labels.tolist() == ["n", "f"]
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -456,16 +478,19 @@ def test_quoted_and_crlf_twins_load_the_same_dataset(tmp_path, twin):
     assert _contents(dataset._load_cells(str(plain), _read(plain))) == _contents(d)
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["plain-path", "reference-loop"])
+@pytest.mark.parametrize("quoted", ["none", "label", "all"],
+                         ids=["plain-path", "reference-loop", "quoted-header"])
 def test_a_byte_order_mark_loads_as_the_same_table(tmp_path, quoted):
     # Excel's "CSV UTF-8" starts the file with U+FEFF; a quoted cell sends
-    # the file through the per-cell reference loop.
-    text = _csv_text(_TWIN_ROWS)
+    # the file through the per-cell reference loop, and with every cell
+    # quoted the mark sits before the first cell's opening quote.
+    text = _csv_text(_TWIN_ROWS, quoting=csv.QUOTE_ALL if quoted == "all" else csv.QUOTE_MINIMAL)
     plain = tmp_path / "plain.csv"
-    plain.write_text(text.replace(",normal", ',"normal"') if quoted else text, newline="")
+    plain.write_text(text.replace(",normal", ',"normal"') if quoted == "label" else text,
+                     newline="")
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert (dataset._load_plain(str(bom)) is None) == quoted
+    assert (dataset._load_plain(str(bom)) is None) == (quoted != "none")
     d = load_csv(str(bom))
     assert d.meta_schema == ("S No.", "Time Stamp")
     assert d.meta[0] == ("1048576", "2/8/2014 2:28")
@@ -699,6 +724,50 @@ def test_csv_read_and_write_memory_does_not_grow_with_the_table(export_csv, tmp_
     assert out.read_bytes() == export_csv.read_bytes()
     assert load_peak < 6 * 2**20
     assert save_peak < 10 * 2**20
+
+
+def test_plain_tables_save_without_the_csv_module(export_csv, sampled_csv, tmp_path,
+                                                  monkeypatch):
+    # Guards the joined write: if an edit sent every block back to
+    # csv.writer, these saves would reach it.
+    tables = [(p.read_bytes(), load_csv(str(p))) for p in (export_csv, sampled_csv)]
+
+    def no_writer(*args, **kwargs):
+        raise AssertionError("csv.writer called")
+
+    monkeypatch.setattr(dataset.csv, "writer", no_writer)
+    out = tmp_path / "saved.csv"
+    for text, d in tables:
+        save_csv(d, str(out))
+        assert out.read_bytes() == text
+
+
+def test_only_a_block_with_a_quoted_cell_reaches_csv_writer(tmp_path, monkeypatch):
+    meta = [(str(i), f"2/8/2014 0:{i:02d}") for i in range(12)]
+    meta[6] = ("6", "2/8/2014, 0:06")
+    d = Dataset([("a", ""), ("b", "psi")], np.arange(24.0).reshape(12, 2) / 7,
+                ["n"] * 11 + ["f"], meta, ("S No.", "Time Stamp"))
+    expected = _reference_csv(d)
+    written, writer = [], csv.writer
+
+    class Spy:
+        def __init__(self, buf, **fmt):
+            self.writer = writer(buf, **fmt)
+
+        def writerow(self, row):
+            written.append(row[0])
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(dataset, "_WRITE_BLOCK", 4)
+    monkeypatch.setattr(dataset.csv, "writer", Spy)
+    out = tmp_path / "one_quoted_block.csv"
+    save_csv(d, str(out))
+    assert out.read_bytes() == expected
+    assert written == ["4", "5", "6", "7"]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as it is
 
 import inputs  # noqa: E402
 import run as bench  # noqa: E402
+from revision import clone_rev  # noqa: E402
 
 LEARNERS = ("nb", "tree", "rf", "part", "mlp", "smo")
 STAGES_SEEDS = (1, 2, 3, 7)
@@ -167,14 +168,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", default="HEAD", help="revision to compare with")
     args = parser.parse_args(argv)
-    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", args.against],
-                         capture_output=True, text=True, check=True).stdout.strip()
     cmds = command_set()
     with tempfile.TemporaryDirectory(prefix="rigline_identity_") as tmp:
         start = time.perf_counter()
         other = os.path.join(tmp, "other")
-        subprocess.run(["git", "clone", "--quiet", ROOT, other], check=True)
-        subprocess.run(["git", "-C", other, "checkout", "--quiet", rev], check=True)
+        rev = clone_rev(args.against, other)
         os.makedirs(os.path.join(tmp, "in"))
         write_inputs(os.path.join(tmp, "in"))
         run_tree(ROOT, os.path.join(tmp, "this"), cmds)
