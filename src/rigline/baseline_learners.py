@@ -31,15 +31,26 @@ class Scores(NamedTuple):
 class TrainedModel:
     """Base for trained classifiers.
 
-    Subclasses set self.classes (ordered class names) and either implement
+    __init__ sets the classes (ordered class names) and the arity (None when
+    unknown, and then inputs of any width pass); check_fits is the one check
+    that a model nested in another fits it. Subclasses either implement
     _proba_matrix(X) -> (n, K) rows summing to 1, or wrap other models by
     overriding _score(X) -> Scores.
     """
 
     learner = "base"
 
-    def __init__(self, classes):
+    def __init__(self, classes, arity=None):
         self.classes = list(classes)
+        self.arity = arity
+
+    def check_fits(self, classes, arity=None) -> None:
+        """Raise ShapeError unless the model has these classes, in this order,
+        and this arity where both arities are known."""
+        classes = list(classes)
+        if self.classes != classes or None not in (self.arity, arity) and self.arity != arity:
+            raise ShapeError(f"{self.learner} model has classes {self.classes} and arity "
+                             f"{self.arity}; its parent needs classes {classes} and arity {arity}")
 
     def _matrix(self, x):
         """x as a 2-D float matrix (1-D input is one row) of the model's arity."""
@@ -48,9 +59,8 @@ class TrainedModel:
             X = X.reshape(1, -1)
         if X.ndim != 2:
             raise ShapeError(f"input must be 1-D or 2-D, got ndim={X.ndim}")
-        expected = getattr(self, "arity", None)
-        if expected is not None and X.shape[1] != expected:
-            raise ShapeError(f"model expects {expected} features, got {X.shape[1]}")
+        if self.arity is not None and X.shape[1] != self.arity:
+            raise ShapeError(f"model expects {self.arity} features, got {X.shape[1]}")
         return X
 
     def predict_proba(self, x):
@@ -91,11 +101,10 @@ class NaiveBayesModel(TrainedModel):
     learner = "nb"
 
     def __init__(self, classes, priors, means, variances):
-        super().__init__(classes)
+        super().__init__(classes, means.shape[1])
         self.priors = priors
         self.means = means
         self.variances = variances
-        self.arity = means.shape[1]
 
     def _proba_matrix(self, X):
         return diag_gaussian_posterior(X, self.priors, self.means, self.variances)[1]
@@ -216,9 +225,8 @@ class RandomForestModel(TrainedModel):
     learner = "rf"
 
     def __init__(self, classes, nodes: NodeArrays, arity):
-        super().__init__(classes)
+        super().__init__(classes, arity)
         self.nodes = nodes
-        self.arity = arity
 
     @property
     def trees(self) -> list:
@@ -323,16 +331,15 @@ def _split_block(X, y, K, segments, features, min_leaf):
     return splits
 
 
-def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf, depth_name="max_depth"):
+def _grow_trees(X, y, K, samples, pick, max_depth, min_leaf):
     """Grow one Gini tree on each row sample (indices into X and y); return
     one NodeArrays of all of them, in sample order. The trees grow in
     lockstep: at each step, every tree takes the next splittable node of its
     pre-order walk and draws its features with pick(tree index), and one
     segmented search splits all of those nodes, so each tree draws in the
-    order it would alone. max_depth (None for no limit) is checked under
-    depth_name, the caller's name for it."""
+    order it would alone. max_depth is None for no limit."""
     if max_depth is not None:
-        check_number(depth_name, max_depth, int, lambda v: v >= 0, ">= 0")
+        check_number("max_depth", max_depth, int, lambda v: v >= 0, ">= 0")
     check_number("min_leaf", min_leaf, int, lambda v: v >= 1, ">= 1")
     trees = [[] for _ in samples]  # each tree's decided nodes, in pre-order
     stacks = [[(rows, 0)] for rows in samples]  # pending nodes per tree, next on top
@@ -430,10 +437,9 @@ class RuleListModel(TrainedModel):
     learner = "part"
 
     def __init__(self, classes, rules, default_counts, arity):
-        super().__init__(classes)
+        super().__init__(classes, arity)
         self.rules = rules
         self.default_counts = default_counts
-        self.arity = arity
 
     def _proba_matrix(self, X):
         P = np.empty((X.shape[0], len(self.classes)))
@@ -473,6 +479,8 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     its best leaf into a rule, and drops the covered rows. Uncovered rows fall
     through to a default rule holding the leftover class counts."""
     _require_labeled(d)
+    if max_rule_depth is not None:
+        check_number("max_rule_depth", max_rule_depth, int, lambda v: v >= 0, ">= 0")
     classes, y = d.classes, d.codes
     K = len(classes)
     X = d.X
@@ -480,7 +488,7 @@ def train_rule_list(d: Dataset, max_rule_depth: int = 3, min_leaf: int = 1) -> R
     max_rules = 200
     while len(y) > 0 and len(rules) < max_rules:
         nodes = _grow_trees(X, y, K, [np.arange(len(y))], lambda t: list(range(d.arity)),
-                            max_rule_depth, min_leaf, "max_rule_depth")
+                            max_rule_depth, min_leaf)
         if nodes.feature[0] < 0:
             break
         path, counts = _best_leaf_path(nodes)
@@ -524,13 +532,12 @@ class MlpModel(TrainedModel):
     learner = "mlp"
 
     def __init__(self, classes, W1, b1, W2, b2, scaler):
-        super().__init__(classes)
+        super().__init__(classes, W1.shape[0])
         self.W1 = W1
         self.b1 = b1
         self.W2 = W2
         self.b2 = b2
         self.scaler = scaler
-        self.arity = W1.shape[0]
 
     def _proba_matrix(self, X):
         Z = self.scaler.transform(X)

@@ -463,17 +463,18 @@ def save_csv(d: Dataset, path: str) -> None:
 
 def _csv_blocks(d, header, k):
     """The CSV text of d with its first k meta columns: the header line,
-    then one `_csv_writer_text` chunk per _WRITE_BLOCK rows."""
-    yield _csv_writer_text([header])
+    then one `csv_text` chunk per _WRITE_BLOCK rows."""
+    yield csv_text([header])
     for a in range(0, d.n_rows, _WRITE_BLOCK):
         b = a + _WRITE_BLOCK
         labels = [[d.classes[c] for c in d.codes[a:b].tolist()]] if d.label_presence else []
         floats = [map(repr, column) for column in d.X[a:b].T.tolist()]
-        yield _csv_writer_text(list(zip(*d._meta_cells(a, b)[:k], *floats, *labels)))
+        yield csv_text(list(zip(*d._meta_cells(a, b)[:k], *floats, *labels)))
 
 
-def _csv_writer_text(rows):
-    """The csv.writer text of the list rows, all of one width. When the
+def csv_text(rows):
+    """The csv.writer text of the list rows, all of one width: every CSV
+    table the package writes, save_csv's and compare_table's. When the
     writer would write every cell bare (rows of two or more cells, none
     holding a comma, quote, CR or LF), that text is the cells joined by
     commas and newlines, and is built so; a block whose first row needs

@@ -5,14 +5,12 @@ table row is a single number even on imbalanced data; per-class values are
 always available alongside.
 """
 
-import csv
-import io
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, class_order
+from .dataset import Dataset, class_order, csv_text
 from .errors import EmptyDatasetError, MissingLabelsError, SingleClassError
 
 MEASURE_ROWS = ("TP Rate", "FP Rate", "Precision", "Recall", "F-Measure", "ROC")
@@ -161,7 +159,7 @@ def evaluate(m, test: Dataset) -> EvalReport:
 
 def compare_table(named_reports) -> str:
     """CSV with one measure per row and one column per (name, report), 3
-    decimals.
+    decimals, quoted as save_csv quotes (csv_text writes both).
 
     Entries of (name, None) mark models that failed upstream; their cells
     read ERR so the table stays rectangular.
@@ -171,12 +169,9 @@ def compare_table(named_reports) -> str:
         else [f"{v:.3f}" for v in report.row_values()]
         for _, report in named_reports
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Measure"] + [name for name, _ in named_reports])
-    for r, measure in enumerate(MEASURE_ROWS):
-        writer.writerow([measure] + [col[r] for col in columns])
-    return buf.getvalue()
+    rows = [["Measure", *(name for name, _ in named_reports)]]
+    return csv_text(rows + [[measure, *(col[r] for col in columns)]
+                            for r, measure in enumerate(MEASURE_ROWS)])
 
 
 def render_detail(name: str, report: EvalReport) -> str:

@@ -195,10 +195,9 @@ class CostSensitiveModel(TrainedModel):
     def __init__(self, base: TrainedModel, cm: CostMatrix):
         if len(base.classes) != 2:
             raise ConfigError("cost-sensitive wrapping expects a two-class model")
-        super().__init__(base.classes)
+        super().__init__(base.classes, base.arity)
         self.base = base
         self.cm = cm
-        self.arity = getattr(base, "arity", None)
 
     def _score(self, X):
         s = self.base.score(X)

@@ -217,8 +217,11 @@ def _rf(doc, m):
     classes, arity = _classes(doc, m), doc.line("arity", m and m.arity)
     views = m and m.trees
     n_trees = doc.line("n_trees", views and len(views))
-    trees = [doc.nested(views and views[i], DecisionTreeModel).nodes[:3] for i in range(n_trees)]
-    return RandomForestModel(classes, node_arrays(*map(np.concatenate, zip(*trees))), arity)
+    trees = [doc.nested(views and views[i], DecisionTreeModel) for i in range(n_trees)]
+    for tree in trees:
+        tree.check_fits(classes, arity)
+    nodes = node_arrays(*map(np.concatenate, zip(*(tree.nodes[:3] for tree in trees))))
+    return RandomForestModel(classes, nodes, arity)
 
 
 def _conditions_text(conditions) -> str:

@@ -19,7 +19,7 @@ from .baseline_learners import (
     train_rule_list,
 )
 from .dataset import Dataset, Standardizer, stratified_folds
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .svm_smo import KernelSpec, SmoConfig, calibrate_probability, smo_train
 from .util import check_number, derive_seed, parse_fields
 
@@ -28,11 +28,11 @@ class ScaledModel(TrainedModel):
     """Applies a stored standardizer before delegating to the inner model."""
 
     def __init__(self, inner: TrainedModel, scaler: Standardizer):
-        super().__init__(inner.classes)
+        super().__init__(inner.classes, len(scaler.means))
+        inner.check_fits(self.classes, self.arity)
         self.inner = inner
         self.scaler = scaler
         self.learner = inner.learner
-        self.arity = len(scaler.means)
 
     def _score(self, X):
         return self.inner.score(self.scaler.transform(X))
@@ -151,15 +151,6 @@ def parse_stack_spec(text: str) -> StackSpec:
     )
 
 
-def _check_classes(model: TrainedModel, classes) -> None:
-    """A base model's probability columns must be the stack's classes."""
-    if model.classes != list(classes):
-        raise ShapeError(
-            f"base model {model.learner} has classes {model.classes}, "
-            f"the stack has {list(classes)}"
-        )
-
-
 class StackMemo:
     """Every model trained on one training set d under one master seed (a
     stack's only seed), and the base-learner work its stacks share. fit(ls)
@@ -205,7 +196,7 @@ def build_meta_features(memo: StackMemo, spec: StackSpec) -> Dataset:
             model = train_learner(ls.name, d.subset(np.flatnonzero(~hold)), seed=seed,
                                   params=ls.params_dict())
             # Stratified folds give every training part every class.
-            _check_classes(model, d.classes)
+            model.check_fits(d.classes, d.arity)
             block[hold] = model.predict_proba(d.X[hold])
         memo.blocks[ls, spec.folds] = block
     schema = [(f"b{t}_{ls.name}_p_{c}", "prob")
@@ -220,13 +211,13 @@ class StackedModel(TrainedModel):
     learner = "stack"
 
     def __init__(self, spec: StackSpec, base_models, meta_model, classes, arity):
-        super().__init__(classes)
+        super().__init__(classes, arity)
         for bm in base_models:
-            _check_classes(bm, self.classes)
+            bm.check_fits(self.classes, arity)
+        meta_model.check_fits(self.classes, len(base_models) * len(self.classes))
         self.spec = spec
         self.base_models = base_models
         self.meta_model = meta_model
-        self.arity = arity
 
     def _meta_matrix(self, X):
         return np.hstack([bm.predict_proba(X) for bm in self.base_models])

@@ -22,6 +22,7 @@ from .util import check_number
 
 _SNAP = 1e-8  # multipliers this close to a bound count as on it and are set onto it
 _TAU = 1e-12  # curvature used for a pair whose kernel distance is zero or negative
+_SIGMOID_NEWTON_STEPS = 100  # the most Newton steps fit_sigmoid takes
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,7 @@ def sigmoid_nll(A: float, B: float, f, t) -> float:
     return float(-np.sum(t * log_p + (1.0 - t) * log_q))
 
 
-def fit_sigmoid(f, t, max_iter: int = 100):
+def fit_sigmoid(f, t):
     """Newton fit of (A, B) minimizing sigmoid_nll; step-halved for safety."""
     f = np.asarray(f, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -405,7 +406,7 @@ def fit_sigmoid(f, t, max_iter: int = 100):
     n_neg = len(t) - n_pos
     A, B = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
     nll = sigmoid_nll(A, B, f, t)
-    for _ in range(max_iter):
+    for _ in range(_SIGMOID_NEWTON_STEPS):
         p = sigmoid(-(A * f + B))
         g = np.array([np.dot(t - p, f), np.sum(t - p)])
         w = np.maximum(p * (1.0 - p), 1e-12)
@@ -448,12 +449,11 @@ class CalibratedSvm(TrainedModel):
     learner = "smo"
 
     def __init__(self, svm: SvmModel, A: float, B: float, fallback: bool = False):
-        super().__init__(svm.classes)
+        super().__init__(svm.classes, svm.arity)
         self.svm = svm
         self.A = A
         self.B = B
         self.fallback = fallback
-        self.arity = svm.arity
 
     def _score(self, X):
         f = decision_values(self.svm, X)

@@ -854,6 +854,26 @@ def test_only_dataset_turns_label_names_into_class_indices():
     assert found == {("evaluation.py", "confusion", "class_order")}
 
 
+def _csv_writers(path):
+    """Each csv.writer or csv.DictWriter the module at path names, and each
+    import from csv."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "csv"
+            or isinstance(node, ast.Attribute) and node.attr in ("writer", "DictWriter")
+            and isinstance(node.value, ast.Name) and node.value.id == "csv"]
+
+
+def test_only_dataset_writes_csv():
+    # Every CSV table goes through dataset.csv_text, so every table quotes
+    # its cells by one rule.
+    src = os.path.join(HERE, os.pardir, "src", "rigline")
+    found = {name: writers for name in sorted(os.listdir(src)) if name.endswith(".py")
+             if (writers := _csv_writers(os.path.join(src, name)))}
+    assert list(found) == ["dataset.py"], found
+
+
 def test_class_order_pair_and_generic():
     assert class_order(["failure", "normal", "normal"]) == ["normal", "failure"]
     assert class_order(["b", "a", "c"]) == ["a", "b", "c"]

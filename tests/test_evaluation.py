@@ -235,6 +235,36 @@ def test_compare_table_err_marker():
     assert all(r[1] != "ERR" for r in rows[1:])
 
 
+def _read_back(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_compare_table_quotes_names_as_save_csv_does():
+    # A comma, a quote and a bare CR: csv.writer alone writes the CR bare,
+    # and a reader splits the row there.
+    d = small_labeled(100, seed=9)
+    report = evaluate(train_naive_bayes(d), d)
+    names = ["a,b", 'q"x', "c\rd"]
+    rows = _read_back(compare_table([(name, report) for name in names]))
+    assert len(rows) == 7 and all(len(r) == 4 for r in rows)
+    assert rows[0] == ["Measure", *names]
+    assert [r[0] for r in rows[1:]] == list(MEASURE_ROWS)
+
+
+def test_grid_table_of_a_model_name_with_a_cr_has_a_row_per_measure(tmp_path):
+    from rigline.cli import main
+
+    out = tmp_path / "g"
+    assert main(["grid", "--synthetic", "rows=100,frac=0.2", "--seed", "4", "--regimes",
+                 "none", "--learners", "nb", "--models", "stack:\rbase=nb;folds=3",
+                 "--out", str(out)]) == 0
+    with open(out / "table2.csv", newline="") as fh:
+        rows = _read_back(fh.read())
+    assert len(rows) == 7 and all(len(r) == 2 for r in rows)
+    assert rows[0] == ["Measure", "stack:\rbase=nb;folds=3"]
+    assert [r[0] for r in rows[1:]] == list(MEASURE_ROWS)
+
+
 def test_render_detail_contains_matrix_and_rows():
     d = small_labeled(150, seed=10)
     nb = train_naive_bayes(d)

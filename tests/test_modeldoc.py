@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from rigline.baseline_learners import (
     train_random_forest,
     train_rule_list,
 )
-from rigline.dataset import SyntheticGenConfig, generate_synthetic
-from rigline.errors import ParseError
+from rigline.dataset import Standardizer, SyntheticGenConfig, generate_synthetic
+from rigline.errors import ParseError, ShapeError
 from rigline.imbalance import CostMatrix, CostSensitiveModel
 from rigline.labeling_em import GaussianMixtureModel, em_fit
 from rigline.modeldoc import _KINDS, load_model, model_from_text, model_to_text, save_model
 from rigline.stacking import (
     MODEL_PRESETS,
     LearnerSpec,
+    ScaledModel,
     StackMemo,
     StackSpec,
     train_learner,
@@ -329,6 +331,45 @@ def test_forest_nested_in_a_forest_rejected(docs):
     i, j = lines.index("begin_model"), lines.index("end_model")
     with pytest.raises(ParseError, match="a rf model cannot appear here"):
         model_from_text("\n".join(lines[:i + 1] + lines + lines[j:]))
+
+
+def _trees_edited(rf_doc, edit):
+    """The forest document with edit applied to each line of its trees."""
+    lines = rf_doc.splitlines()
+    i = lines.index("begin_model")
+    return "\n".join(lines[:i] + [edit(ln) for ln in lines[i:]])
+
+
+@pytest.mark.parametrize("edit", [
+    # Three classes, with three counts in every leaf.
+    pytest.param(lambda ln: 'classes ["a", "b", "c"]' if ln.startswith("classes ")
+                 else ln + " 0.0" if ln.startswith("node leaf ") else ln, id="classes"),
+    # Nine features, every split on the eighth.
+    pytest.param(lambda ln: "arity 9" if ln.startswith("arity ")
+                 else re.sub(r"^node split \d+ ", "node split 7 ", ln), id="arity"),
+])
+def test_forest_trees_must_fit_the_forest(docs, edit):
+    # Trees that agree with each other but not with the forest.
+    bad = _trees_edited(docs["rf"], edit)
+    assert bad != docs["rf"]
+    with pytest.raises(ParseError, match="inconsistent rf model"):
+        model_from_text(bad)
+
+
+def test_stack_meta_classes_must_match_the_stack(docs):
+    lines = docs["model3"].splitlines()
+    # The last classes line is the meta model's SVM's.
+    i = [k for k, ln in enumerate(lines) if ln.startswith("classes ")][-1]
+    assert lines[i] == 'classes ["normal", "failure"]'
+    lines[i] = 'classes ["failure", "normal"]'
+    with pytest.raises(ParseError, match="inconsistent stack model"):
+        model_from_text("\n".join(lines))
+
+
+def test_scaled_model_inner_must_fit_the_scaler():
+    d = synth(seed=3)
+    with pytest.raises(ShapeError, match="arity 5.*arity 3"):
+        ScaledModel(train_naive_bayes(d), Standardizer().fit(d.X[:, :3]))
 
 
 def test_every_model_class_has_a_layout():

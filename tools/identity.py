@@ -25,7 +25,11 @@ rows=400 --seed 5` with each learner, each preset stack, `--label em`,
 `--sample smote` and `--cost default`; a `generate` -> `label --save-gmm`
 -> `train` -> `evaluate --detail` chain (rf, model2, smo, smo with an rbf
 kernel); `label`, `train` and `evaluate` on a 12-feature, 3-class table;
-and an smo model with no support vectors (C=1e-9) trained and evaluated.
+an smo model with no support vectors (C=1e-9) trained and evaluated; and
+the quoting paths of the CSV writer: `label` -> `sample --sample smote` on
+a 200-row export whose Time Stamp cells hold a comma, and a `grid` on the
+first `grid` table whose stack's name, and so its report column, holds a
+comma.
 """
 
 import argparse
@@ -94,6 +98,16 @@ def write_inputs(directory):
     with open(os.path.join(directory, "wide_raw.csv"), "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(repr, x)) + "\n" for x in X.tolist())
+    # 200 rows whose Time Stamp cells hold a comma, so every saved table
+    # quotes its meta cells; the last 40 rows drift up on the shifted columns.
+    rng = np.random.default_rng(3)
+    mu, sd = (np.array([c[k] for c in inputs.RIG_COLUMNS]) for k in (1, 2))
+    X = rng.normal(mu, sd, size=(200, len(mu)))
+    X[160:, list(inputs.SHIFTED)] += inputs.SHIFT_SIGMA * sd[list(inputs.SHIFTED)]
+    with open(os.path.join(directory, "comma_export.csv"), "w") as fh:
+        fh.write(",".join(["S No.", "Time Stamp", *(c[0] for c in inputs.RIG_COLUMNS)]) + "\n")
+        fh.writelines(f'{i + 1},"2/8/2014, {i // 60}:{i % 60:02d}",' + ",".join(map(repr, x))
+                      + "\n" for i, x in enumerate(X.tolist()))
 
 
 def command_set():
@@ -140,6 +154,13 @@ def command_set():
             ["evaluate", "--model", f"wide/{learner}.txt", "--data", "../in/wide.csv",
              "--out", f"wide/{learner}_report.csv", "--detail", f"wide/{learner}_detail.txt"],
         ]
+    cmds += [
+        ["label", "--data", "../in/comma_export.csv", "--out", "comma/labeled.csv", "--seed", "3"],
+        ["sample", "--data", "comma/labeled.csv", "--sample", "smote", "--out",
+         "comma/sampled.csv", "--seed", "3"],
+        ["grid", "--data", "../in/grid0.csv", "--regimes", "none", "--learners", "nb",
+         "--models", "nb,stack:base=nb,tree;folds=3", "--out", "quoted_grid"],
+    ]
     return cmds
 
 
